@@ -8,6 +8,7 @@ a domain error, 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -69,17 +70,8 @@ def _counting_config(args) -> tuple[variety.VarietyModel, cnt.CountingConfig]:
     cfg = loaded.counting
     if cfg is None:
         raise DomainError(f"model file {args.model} has no counting block")
-    if args.q is not None or args.delta is not None:
-        cfg = cnt.CountingConfig(
-            q=args.q if args.q is not None else cfg.q,
-            br=cfg.br,
-            m_cap=cfg.m_cap,
-            beta=cfg.beta,
-            outside_xi=cfg.outside_xi,
-            eps=cfg.eps,
-            delta=args.delta if args.delta is not None else cfg.delta,
-        )
-    return loaded.model, cfg
+    overrides = {k: v for k in ("q", "delta") if (v := getattr(args, k)) is not None}
+    return loaded.model, dataclasses.replace(cfg, **overrides)
 
 
 def _cmd_sp(args) -> str:
@@ -140,16 +132,13 @@ def _cmd_esp(args) -> str:
 
 
 def _cmd_count(args) -> str:
+    """Shared by ``count`` and ``check``; ``check`` adds the d0 line."""
     model, cfg = _counting_config(args)
     report = cnt.ratio_check(model, cfg, range(1, args.dmax + 1))
-    return report.render_tsv()
-
-
-def _cmd_check(args) -> str:
-    model, cfg = _counting_config(args)
-    report = cnt.ratio_check(model, cfg, range(1, args.dmax + 1))
-    d0 = "none" if report.d0 is None else str(report.d0)
-    return report.render_tsv() + f"# d0: {d0}\n"
+    text = report.render_tsv()
+    if args.command == "check":
+        text += f"# d0: {'none' if report.d0 is None else report.d0}\n"
+    return text
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -205,16 +194,16 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_esp)
 
     tally_commands = (
-        ("count", _cmd_count, "tabulate per-degree counting sums"),
-        ("check", _cmd_check, "tabulate sums and locate the delta threshold"),
+        ("count", "tabulate per-degree counting sums"),
+        ("check", "tabulate sums and locate the delta threshold"),
     )
-    for name, func, text in tally_commands:
+    for name, text in tally_commands:
         p = add_parser(name, help=text)
         p.add_argument("--model", required=True)
         p.add_argument("--dmax", type=int, required=True)
         p.add_argument("--q", type=_fraction, default=None)
         p.add_argument("--delta", type=_fraction, default=None)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_count)
 
     for p in subparsers:
         p.add_argument("--out", default=None, help="write output to a file")

@@ -7,6 +7,13 @@ keeps only classes whose certified minimal-slope-ratio bound beats a
 decreasing threshold schedule; the ratio report locates the degree beyond
 which the liberated count stays above the 1 - delta fraction.
 
+``ratio_check`` is the one summation core (``count_N_liberated`` is one of
+its rows).  It classifies each class of the largest slice once and bisects
+the sorted degrees twice: for the first d whose slice holds the class, and
+for the first d from there whose threshold admits its bound.  The latter
+needs admission monotone in d: c * d^(-p) falls as d grows, and table values
+do not increase from a first degree <= 1.  Rows are running sums.
+
 Degree exponents use the class degree itself; a dimension-shift convention
 would rescale every sum by the same power of q and leave all ratios
 unchanged.
@@ -14,9 +21,11 @@ unchanged.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import partial
+from itertools import accumulate, product
 from math import ceil, floor, gcd
 
 from .errors import DomainError, UnboundedSlice, ZeroFunctional
@@ -65,7 +74,8 @@ class EpsPower:
 @dataclass(frozen=True)
 class EpsTable:
     """Tabulated threshold schedule; the value at the largest tabulated
-    degree at most d applies."""
+    degree at most d applies.  The first degree must be at most 1, so every
+    counting degree has a value."""
 
     entries: tuple[tuple[int, Fraction], ...]
 
@@ -73,6 +83,8 @@ class EpsTable:
         es = tuple((int(d), Fraction(v)) for d, v in entries)
         if not es:
             raise ValueError("threshold table is empty")
+        if es[0][0] > 1:
+            raise ValueError(f"threshold table must start at d <= 1, got {es[0][0]}")
         if any(d2 <= d1 for (d1, _), (d2, _) in zip(es, es[1:])):
             raise ValueError("table degrees must strictly increase")
         if any(v <= 0 for _, v in es):
@@ -195,16 +207,19 @@ def xi_value(model: VarietyModel, cfg: CountingConfig, alpha) -> int:
     return cfg.br if in_nef(model, shifted) else cfg.outside_xi
 
 
+def _weigh(model: VarietyModel, cfg: CountingConfig, alpha) -> tuple[int, Fraction]:
+    """Degree of a class and its summand xi(alpha) * q^degree in N."""
+    deg = int(model.degree(alpha))
+    return deg, xi_value(model, cfg, alpha) * cfg.q**deg
+
+
 def count_N(model: VarietyModel, cfg: CountingConfig, d: int) -> Fraction:
-    """Counting function at degree step d (exact)."""
+    """Counting function at degree step d (exact); needs no chambers."""
     if d < 1:
         raise ValueError("d must be positive")
     _check_beta(model, cfg)
-    step = r_min(model)
-    total = Fraction(0)
-    for alpha in lattice_slice(model, d * step):
-        total += xi_value(model, cfg, alpha) * cfg.q ** int(model.degree(alpha))
-    return total
+    points = lattice_slice(model, d * r_min(model))
+    return sum((_weigh(model, cfg, alpha)[1] for alpha in points), Fraction(0))
 
 
 def count_N_liberated(model: VarietyModel, cfg: CountingConfig, d: int) -> Fraction:
@@ -212,15 +227,7 @@ def count_N_liberated(model: VarietyModel, cfg: CountingConfig, d: int) -> Fract
     the threshold at d.  Classes whose bound fails to certify are dropped
     even if curves of that class happen to be liberated, so this is a
     conservative undercount."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    step = r_min(model)
-    total = Fraction(0)
-    for alpha in lattice_slice(model, d * step):
-        bound = liberated_lower_bound(model, alpha)
-        if cfg.eps.admits(bound, d):
-            total += xi_value(model, cfg, alpha) * cfg.q ** int(model.degree(alpha))
-    return total
+    return ratio_check(model, cfg, [d]).rows[0].n_liberated
 
 
 @dataclass(frozen=True)
@@ -266,32 +273,29 @@ def ratio_check(model: VarietyModel, cfg: CountingConfig, d_values) -> CountRepo
         raise ValueError("d values must be positive")
     _check_beta(model, cfg)
     step = r_min(model)
-    points = lattice_slice(model, ds[-1] * step)
-    data = []
-    for alpha in points:
-        deg = int(model.degree(alpha))
-        weight = xi_value(model, cfg, alpha) * cfg.q**deg
+    admits = cfg.eps.admits
+    # Buckets per index of ds: classes entering the slice there, and classes
+    # first certified there; the extra last slot holds the never-certified.
+    new_points = [0] * len(ds)
+    new_weight = [Fraction(0)] * len(ds)
+    new_lib = [0] * (len(ds) + 1)
+    new_lib_weight = [Fraction(0)] * (len(ds) + 1)
+    for alpha in lattice_slice(model, ds[-1] * step):
+        deg, weight = _weigh(model, cfg, alpha)
         bound = liberated_lower_bound(model, alpha)
-        data.append((deg, weight, bound))
-    data.sort(key=lambda rec: rec[0])
+        # degrees are multiples of step, so deg // step is the entry degree
+        enter = bisect_left(ds, deg // step)
+        lib = bisect_left(ds, True, lo=enter, key=partial(admits, bound))
+        new_points[enter] += 1
+        new_weight[enter] += weight
+        new_lib[lib] += 1
+        new_lib_weight[lib] += weight
 
-    rows = []
-    for d in ds:
-        cutoff = d * step
-        n_value = Fraction(0)
-        n_lib = Fraction(0)
-        npts = 0
-        nlib = 0
-        for deg, weight, bound in data:
-            if deg > cutoff:
-                break
-            npts += 1
-            n_value += weight
-            if cfg.eps.admits(bound, d):
-                nlib += 1
-                n_lib += weight
-        ratio = n_lib / n_value if n_value > 0 else None
-        rows.append(CountRow(d, npts, nlib, n_value, n_lib, ratio))
+    buckets = (new_points, new_lib, new_weight, new_lib_weight)
+    rows = [
+        CountRow(d, npts, nlib, n_val, n_lib, n_lib / n_val if n_val > 0 else None)
+        for d, (npts, nlib, n_val, n_lib) in zip(ds, zip(*map(accumulate, buckets)))
+    ]
 
     threshold = 1 - cfg.delta
     d0 = None

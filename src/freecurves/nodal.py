@@ -10,7 +10,7 @@ is brute-force exact enumeration over the finitely many index labelings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .errors import OutOfRange, RankMismatch, RankTooLarge
 from .splitting import SplittingType, is_sequential
@@ -188,18 +188,18 @@ def _labelings(pairs: tuple[tuple[int, int], ...], m: int):
                     yield value, J, K1, K2
 
 
-def _check_rank(z: NodalType, rank_cap: int) -> None:
-    if z.rank > rank_cap:
-        raise RankTooLarge(f"rank {z.rank} exceeds enumeration cap {rank_cap}")
+def _check_rank(z: NodalType) -> None:
+    if z.rank > DEGBD_RANK_CAP:
+        raise RankTooLarge(f"rank {z.rank} exceeds enumeration cap {DEGBD_RANK_CAP}")
 
 
-def degbd(z: NodalType, m: int, rank_cap: int = DEGBD_RANK_CAP) -> int:
+def degbd(z: NodalType, m: int) -> int:
     """Degree bound for rank-m quotients on a general smoothing.
 
     Infimum over disjoint J, K1, K2 of the labeled contribution sums; computed
     by exhaustive enumeration.
     """
-    _check_rank(z, rank_cap)
+    _check_rank(z)
     if not 1 <= m <= z.rank:
         raise OutOfRange(f"m={m} outside 1..{z.rank}")
     return min(value for value, _, _, _ in _labelings(z.pairs, m))
@@ -219,15 +219,13 @@ def degbd_m1_closed_form(z: NodalType) -> int:
     return min(min_sum, min_a + min_b + 2)
 
 
-def degbd_profile(z: NodalType, rank_cap: int = DEGBD_RANK_CAP) -> tuple[int, ...]:
+def degbd_profile(z: NodalType) -> tuple[int, ...]:
     """All degree bounds (degbd(z, 1), ..., degbd(z, rank)) at once."""
-    return tuple(degbd(z, m, rank_cap) for m in range(1, z.rank + 1))
+    return tuple(degbd(z, m) for m in range(1, z.rank + 1))
 
 
 def admissible_smoothings(
-    z: NodalType,
-    require_sequential: bool = False,
-    rank_cap: int = DEGBD_RANK_CAP,
+    z: NodalType, require_sequential: bool = False
 ) -> list[SplittingType]:
     """All splitting types a smoothing of ``z`` could carry.
 
@@ -237,10 +235,10 @@ def admissible_smoothings(
     geometrically realizable types.  The list is sorted lexicographically
     descending and may be empty.
     """
-    _check_rank(z, rank_cap)
+    _check_rank(z)
     r = z.rank
     total = z.total_degree
-    floors = degbd_profile(z, rank_cap)
+    floors = degbd_profile(z)
 
     found: list[tuple[int, ...]] = []
     seq = [0] * r
@@ -300,10 +298,11 @@ class WitnessBlock:
 class SharpnessWitness:
     """Block decomposition realizing degbd(z, m).
 
-    ``serre_ok`` records whether every pair block satisfies the rank-two
-    construction inequalities a' >= a + 2 and b >= b' + 2; when no optimal
-    labeling admits such a matching the optimal index sets are still
-    reported, unflagged blocks and all.
+    ``serre_ok`` records that every pair block satisfies the rank-two
+    construction inequalities a' >= a + 2 and b >= b' + 2.  It is always
+    True: in an optimal labeling, any i in K1 and i' in K2 meet them, since
+    b_i < b_{i'} + 2 would make moving i into J (dropping i' from K2)
+    lower the sum, and a_{i'} < a_i + 2 would do the same for i'.
     """
 
     blocks: tuple[WitnessBlock, ...]
@@ -319,51 +318,17 @@ class SharpnessWitness:
         return "\n".join(lines)
 
 
-def _serre_matching(
-    pairs: tuple[tuple[int, int], ...], k1: tuple[int, ...], k2: tuple[int, ...]
-) -> tuple[tuple[int, int], ...] | None:
-    """Bijection K1 -> K2 with a_{i'} >= a_i + 2 and b_i >= b_{i'} + 2, if any."""
-    for image in permutations(k2):
-        if all(
-            pairs[ip][0] >= pairs[i][0] + 2 and pairs[i][1] >= pairs[ip][1] + 2
-            for i, ip in zip(k1, image)
-        ):
-            return tuple(zip(k1, image))
-    return None
-
-
-def sharpness_witness(
-    z: NodalType, m: int, rank_cap: int = DEGBD_RANK_CAP
-) -> SharpnessWitness:
-    """Exhibit index blocks attaining degbd(z, m)."""
-    _check_rank(z, rank_cap)
-    if not 1 <= m <= z.rank:
-        raise OutOfRange(f"m={m} outside 1..{z.rank}")
+def sharpness_witness(z: NodalType, m: int) -> SharpnessWitness:
+    """Exhibit index blocks attaining degbd(z, m): the first optimal
+    labeling in enumeration order, K1 paired with K2 in index order."""
+    optimum = degbd(z, m)
     pairs = z.pairs
-    optimum = min(value for value, _, _, _ in _labelings(pairs, m))
-
-    fallback: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None = None
-    for value, J, K1, K2 in _labelings(pairs, m):
-        if value != optimum:
-            continue
-        if fallback is None:
-            fallback = (J, K1, K2)
-        matching = _serre_matching(pairs, K1, K2)
-        if matching is not None:
-            blocks = [
-                WitnessBlock("single", (i,), pairs[i][0] + pairs[i][1]) for i in J
-            ]
-            blocks += [
-                WitnessBlock("pair", (i, ip), pairs[i][0] + pairs[ip][1] + 2)
-                for i, ip in matching
-            ]
-            return SharpnessWitness(tuple(blocks), optimum, True)
-
-    assert fallback is not None
-    J, K1, K2 = fallback
+    J, K1, K2 = next(
+        (J, K1, K2) for value, J, K1, K2 in _labelings(pairs, m) if value == optimum
+    )
     blocks = [WitnessBlock("single", (i,), pairs[i][0] + pairs[i][1]) for i in J]
     blocks += [
         WitnessBlock("pair", (i, ip), pairs[i][0] + pairs[ip][1] + 2)
         for i, ip in zip(K1, K2)
     ]
-    return SharpnessWitness(tuple(blocks), optimum, False)
+    return SharpnessWitness(tuple(blocks), optimum, True)

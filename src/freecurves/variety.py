@@ -44,7 +44,7 @@ RAY_ENUM_RHO_CAP = 4
 
 
 def dot(u, v) -> Fraction:
-    return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def _rref(rows, dim: int):

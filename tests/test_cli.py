@@ -130,6 +130,11 @@ class TestCommands:
         assert code == 0
         assert out.splitlines()[-1] == "# d0: 11"
 
+    def test_check_is_count_plus_d0_line(self, capsys):
+        _, count, _ = invoke(capsys, "count", "--model", "toy_rho2.json", "--dmax", "9")
+        _, check, _ = invoke(capsys, "check", "--model", "toy_rho2.json", "--dmax", "9")
+        assert check == count + "# d0: none\n"
+
     def test_model_path_and_fixture_name_agree(self, capsys, tmp_path):
         _, by_name, _ = invoke(
             capsys, "esp", "--model", "toy_rho2.json", "--class", "2,1"
@@ -259,6 +264,19 @@ class TestModelFiles:
         loaded = load_model(data)
         assert loaded.counting.eps.value_at(4) == Fraction(1, 2)
         assert loaded.counting.eps.value_at(6) == Fraction(1, 4)
+
+    def test_eps_table_must_start_at_or_below_one(self, capsys, tmp_path):
+        # such a table used to load and then fail at d = 1 inside count
+        data = json.loads(fixture_path("toy_rho1.json").read_text())
+        data["counting"]["eps"] = {"table": [[2, 1, 2]]}
+        with pytest.raises(ModelFormatError, match="counting: "):
+            load_model(data)
+        path = tmp_path / "late_table.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = invoke(capsys, "count", "--model", str(path), "--dmax", "3")
+        assert code == 1
+        assert out == ""
+        assert "ModelFormatError" in err and "start at d <= 1" in err
 
     def test_counting_block_optional(self):
         data = json.loads(fixture_path("toy_rho1.json").read_text())

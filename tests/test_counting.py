@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freecurves.counting import (
     CountingConfig,
@@ -17,11 +18,36 @@ from freecurves.counting import (
 )
 from freecurves.errors import (
     DomainError,
+    NoChamber,
     RankTooLarge,
     UnboundedSlice,
     ZeroFunctional,
 )
 from freecurves.variety import VarietyModel, pbundle, toy_rho1, toy_rho2
+
+from helpers import direct_counts
+
+
+eps_powers = st.builds(
+    EpsPower,
+    st.fractions(min_value=Fraction(1, 10), max_value=2, max_denominator=10),
+    st.fractions(min_value=Fraction(1, 5), max_value=3, max_denominator=5),
+)
+
+
+@st.composite
+def eps_tables(draw):
+    """Multi-step tables starting at or below degree 1."""
+    later = sorted(draw(st.lists(st.integers(2, 12), max_size=4, unique=True)))
+    degrees = [draw(st.integers(-2, 1))] + later
+    values = draw(
+        st.lists(
+            st.fractions(min_value=Fraction(1, 20), max_value=1, max_denominator=20),
+            min_size=len(degrees),
+            max_size=len(degrees),
+        )
+    )
+    return EpsTable(zip(degrees, sorted(values, reverse=True)))
 
 
 def config(**overrides):
@@ -165,6 +191,16 @@ class TestCountN:
         everywhere = config()
         assert count_N(model, inside_only, 3) < count_N(model, everywhere, 3)
 
+    def test_needs_no_chambers(self):
+        # N classifies nothing, so a model without chambers still counts;
+        # the liberated count needs a chamber for every class
+        bare = VarietyModel(
+            rho=2, dim_n=2, minus_k=(1, 1), nef_facets=((1, 0), (0, 1)), chambers=()
+        )
+        assert count_N(bare, config(), 2) == count_N(toy_rho2(), config(), 2) == 16
+        with pytest.raises(NoChamber):
+            count_N_liberated(bare, config(), 2)
+
 
 class TestCountLiberated:
     def test_threshold_one_certifies_nothing(self):
@@ -178,6 +214,10 @@ class TestCountLiberated:
         for d in (5, 9):
             expected = sum(Fraction(2) ** k for k in range(5, d + 1))
             assert count_N_liberated(model, cfg, d) == expected
+
+    def test_rejects_non_positive_d(self):
+        with pytest.raises(ValueError):
+            count_N_liberated(toy_rho2(), config(), 0)
 
     def test_liberated_never_exceeds_total(self):
         for model, beta in ((toy_rho1(1), (0,)), (toy_rho2(), (0, 0))):
@@ -219,6 +259,13 @@ class TestEpsSchedules:
         with pytest.raises(ValueError):
             EpsTable([(1, 0)])
 
+    def test_table_must_start_at_or_below_one(self):
+        # every counting degree d >= 1 needs a tabulated value
+        with pytest.raises(ValueError, match="start at d <= 1"):
+            EpsTable([(2, 1), (3, Fraction(1, 2))])
+        assert EpsTable([(0, 1)]).value_at(1) == 1
+        assert EpsTable([(-3, 1), (1, Fraction(1, 2))]).value_at(1) == Fraction(1, 2)
+
 
 class TestConfigValidation:
     def test_q_must_exceed_one(self):
@@ -252,13 +299,44 @@ class TestRatioCheck:
             assert row.liberated <= row.points
 
     def test_rows_match_direct_counts(self):
-        # the bucketed report must agree with the one-shot functions
+        # the bucketed report must agree with the per-d brute force and
+        # with the one-shot functions
         model, cfg = toy_rho2(), config()
         report = ratio_check(model, cfg, range(1, 11))
         for row in report.rows:
+            row_data = (row.points, row.liberated, row.n_value, row.n_liberated)
+            assert row_data == direct_counts(model, cfg, row.d)
             assert row.n_value == count_N(model, cfg, row.d)
             assert row.n_liberated == count_N_liberated(model, cfg, row.d)
             assert row.points == len(lattice_slice(model, row.d))
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_match_oracle_property(self, data):
+        model = data.draw(
+            st.sampled_from(
+                [toy_rho1(1), toy_rho1(3), toy_rho2(), pbundle(3, 2, [3, 0, 0])]
+            )
+        )
+        cfg = config(
+            q=data.draw(st.sampled_from([Fraction(2), Fraction(3, 2)])),
+            br=data.draw(st.integers(0, 2)),
+            m_cap=2,
+            beta=tuple(data.draw(st.integers(-1, 2)) for _ in range(model.rho)),
+            outside_xi=data.draw(st.integers(0, 2)),
+            eps=data.draw(st.one_of(eps_powers, eps_tables())),
+        )
+        # unsorted, duplicated and gapped degree sets
+        ds = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=8))
+        report = ratio_check(model, cfg, ds)
+        assert [row.d for row in report.rows] == sorted(set(ds))
+        for row in report.rows:
+            row_data = (row.points, row.liberated, row.n_value, row.n_liberated)
+            assert row_data == direct_counts(model, cfg, row.d)
+            if row.n_value > 0:
+                assert row.ratio == row.n_liberated / row.n_value
+            else:
+                assert row.ratio is None
 
     def test_loose_delta_first_positive_suffix(self):
         report = ratio_check(toy_rho2(), config(delta=Fraction(99, 100)), range(1, 31))

@@ -15,6 +15,7 @@ from freecurves.nodal import (
     degbd_m1_closed_form,
     degbd_profile,
     euler_char,
+    _labelings,
     glue,
     parse_nodal_type,
     sharpness_witness,
@@ -256,6 +257,11 @@ class TestSharpnessWitness:
         assert blk.value == 0
         assert w.render() == "pair 2 1 -> 0\ntotal -> 0"
 
+    def test_pairs_follow_index_order(self):
+        # the first optimal labeling pairs K1 with K2 in index order
+        w = sharpness_witness(Z((3, -3), (3, -3), (-3, 3), (-3, 3)), 2)
+        assert w.render() == "pair 3 1 -> -4\npair 4 2 -> -4\ntotal -> -8"
+
     def test_full_rank_witness_is_all_singles(self):
         z = Z((1, 2), (3, 4))
         w = sharpness_witness(z, 2)
@@ -279,10 +285,19 @@ class TestSharpnessWitness:
     @given(pair_lists, st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
     def test_optimal_labelings_always_satisfy_serre(self, pairs, m):
-        # moving a violating pair into the single-index part would improve
-        # the optimum, so a valid pairing always exists at the optimum
+        # moving a violating index into the single-index part would improve
+        # the optimum, so every K1 x K2 pair of every optimal labeling meets
+        # a' >= a + 2 and b >= b' + 2, and any bijection is a valid pairing
         z = NodalType(pairs)
         m = 1 + (m - 1) % z.rank
+        optimum = degbd(z, m)
+        for value, _, K1, K2 in _labelings(z.pairs, m):
+            if value != optimum:
+                continue
+            for i in K1:
+                for ip in K2:
+                    assert z.pairs[ip][0] >= z.pairs[i][0] + 2
+                    assert z.pairs[i][1] >= z.pairs[ip][1] + 2
         assert sharpness_witness(z, m).serre_ok
 
 

@@ -14,6 +14,7 @@ from freecurves.variety import (
     Chamber,
     VarietyModel,
     cone_rays,
+    dot,
     esp,
     in_nef,
     liberated_lower_bound,
@@ -144,6 +145,18 @@ class TestEsp:
             Fraction(2, 3),
         )
         assert panel.total == 5
+
+    def test_entries_are_fractions(self):
+        # esp divides the degree by dim_n, so dot must give a Fraction even
+        # for integer vectors: int / int would be an inexact float
+        assert type(dot((1, 2), (3, 4))) is Fraction
+        assert dot((1, 2), (3, 4)) == 11
+        assert type(dot((), ())) is Fraction
+        model = pbundle(3, 2, [3, 0, 0])
+        assert type(model.degree((1, 0))) is Fraction
+        panel = esp(model, (1, 0))
+        assert all(type(e) is Fraction for e in panel.entries)
+        assert Fraction(2, 3) in panel.entries
 
     def test_semistable_chamber_is_all_ones(self):
         model = toy_rho1(2, dim=3)
