@@ -6,8 +6,7 @@ Subpackages by concern:
   slope panels.
 - ``nodal``: bundles on a two-component nodal curve, degree bounds,
   admissible smoothings, sharpness witnesses.
-- ``stability``: glue-and-smooth balancing at rank <= 5 and filtration
-  restriction bounds.
+- ``stability``: glue-and-smooth balancing at rank <= 5.
 - ``variety``: lattice models of nef cones with filtration chambers,
   expected slope panels, certified liberation bounds.
 - ``counting``: lattice-point counting functions and the liberated ratio.
@@ -35,24 +34,18 @@ from .nodal import (
     Alignment,
     NodalType,
     SharpnessWitness,
-    TorsionFreeType,
     admissible_smoothings,
     degbd,
     degbd_m1_closed_form,
-    euler_char,
     glue,
     parse_nodal_type,
     sharpness_witness,
 )
 from .stability import (
     BalanceTrace,
-    FiltrationData,
     balance,
     balance_step,
-    hn_restriction_bounds,
     integer_slope_copies,
-    minimal_slope_ratio_lower_bound,
-    sp_feasible,
 )
 from .variety import (
     Chamber,

@@ -227,3 +227,7 @@ def run(argv=None) -> int:
 
 def script() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    script()

@@ -45,6 +45,14 @@ __all__ = [
 ]
 
 
+def _exact_int(x, name: str) -> int:
+    """``x`` as an int; a bool or a non-integral value is rejected, never
+    truncated (an integral Fraction is fine)."""
+    if isinstance(x, bool) or Fraction(x).denominator != 1:
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class EpsPower:
     """Threshold schedule c * d^(-p); comparisons are done exactly by
@@ -80,7 +88,7 @@ class EpsTable:
     entries: tuple[tuple[int, Fraction], ...]
 
     def __init__(self, entries) -> None:
-        es = tuple((int(d), Fraction(v)) for d, v in entries)
+        es = tuple((_exact_int(d, "table degree"), Fraction(v)) for d, v in entries)
         if not es:
             raise ValueError("threshold table is empty")
         if es[0][0] > 1:
@@ -121,13 +129,13 @@ class CountingConfig:
         q = Fraction(q)
         if q <= 1:
             raise ValueError("q must exceed 1")
-        br = int(br)
-        m_cap = int(m_cap)
-        outside_xi = int(outside_xi)
-        if br < 0:
-            raise ValueError("br must be non-negative")
+        br = _exact_int(br, "br")
+        m_cap = _exact_int(m_cap, "m_cap")
+        outside_xi = _exact_int(outside_xi, "outside_xi")
         if m_cap < 1:
             raise ValueError("the xi bound must be positive")
+        if not 0 <= br <= m_cap:
+            raise ValueError("br must lie in 0..m_cap")
         if not 0 <= outside_xi <= m_cap:
             raise ValueError("outside_xi must lie in 0..m_cap")
         delta = Fraction(delta)
@@ -136,7 +144,9 @@ class CountingConfig:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "br", br)
         object.__setattr__(self, "m_cap", m_cap)
-        object.__setattr__(self, "beta", tuple(int(c) for c in beta))
+        object.__setattr__(
+            self, "beta", tuple(_exact_int(c, "beta entry") for c in beta)
+        )
         object.__setattr__(self, "outside_xi", outside_xi)
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "delta", delta)

@@ -17,7 +17,6 @@ from .splitting import SplittingType, is_sequential
 
 __all__ = [
     "NodalType",
-    "TorsionFreeType",
     "Alignment",
     "glue",
     "degbd",
@@ -26,7 +25,6 @@ __all__ = [
     "sharpness_witness",
     "WitnessBlock",
     "SharpnessWitness",
-    "euler_char",
     "parse_nodal_type",
     "DEGBD_RANK_CAP",
 ]
@@ -95,34 +93,6 @@ def parse_nodal_type(text: str) -> NodalType:
     if not pairs:
         raise ValueError(f"no summands in nodal type {text!r}")
     return NodalType(pairs)
-
-
-@dataclass(frozen=True)
-class TorsionFreeType:
-    """Torsion-free sheaf data: a locally free part plus one-component parts."""
-
-    g_part: tuple[tuple[int, int], ...]
-    h1_part: tuple[int, ...]
-    h2_part: tuple[int, ...]
-
-    def __init__(self, g_part=(), h1_part=(), h2_part=()) -> None:
-        g = tuple((int(a), int(b)) for a, b in g_part)
-        h1 = tuple(int(a) for a in h1_part)
-        h2 = tuple(int(b) for b in h2_part)
-        if not (g or h1 or h2):
-            raise ValueError("torsion-free type needs at least one summand")
-        object.__setattr__(self, "g_part", g)
-        object.__setattr__(self, "h1_part", h1)
-        object.__setattr__(self, "h2_part", h2)
-
-
-def euler_char(f: TorsionFreeType) -> int:
-    """Euler characteristic: (a+b+1) per glued summand, (a+1) per one-sided one."""
-    return (
-        sum(a + b + 1 for a, b in f.g_part)
-        + sum(a + 1 for a in f.h1_part)
-        + sum(b + 1 for b in f.h2_part)
-    )
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Glue-and-smooth balancing for low-rank bundles, plus filtration bounds.
+"""Glue-and-smooth balancing for low-rank bundles.
 
 ``balance_step`` glues a splitting type to itself with the maximally
 transverse alignment, enumerates the sequential smoothings permitted by the
@@ -10,7 +10,6 @@ each step doubles the underlying curve class, so degrees double too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import (
@@ -18,20 +17,15 @@ from .errors import (
     NonIntegerSlope,
     NotSequential,
     RankTooLarge,
-    ShapeMismatch,
 )
 from .nodal import Alignment, admissible_smoothings, glue
 from .splitting import SplittingType, balance_width, is_sequential, slope
 
 __all__ = [
     "BalanceTrace",
-    "FiltrationData",
     "balance_step",
     "balance",
     "integer_slope_copies",
-    "hn_restriction_bounds",
-    "sp_feasible",
-    "minimal_slope_ratio_lower_bound",
     "BALANCE_RANK_CAP",
 ]
 
@@ -121,52 +115,3 @@ def balance(
         copies=2**steps,
         converged=balance_width(states[-1]) == 0,
     )
-
-
-@dataclass(frozen=True)
-class FiltrationData:
-    """Filtration pieces (rank, slope) with strictly decreasing slopes."""
-
-    pieces: tuple[tuple[int, Fraction], ...]
-
-    def __init__(self, pieces) -> None:
-        ps = tuple((int(r), Fraction(s)) for r, s in pieces)
-        if not ps:
-            raise ValueError("filtration needs at least one piece")
-        if any(r < 1 for r, _ in ps):
-            raise ValueError("piece ranks must be positive")
-        if any(s1 <= s2 for (_, s1), (_, s2) in zip(ps, ps[1:])):
-            raise ValueError("filtration slopes must strictly decrease")
-        object.__setattr__(self, "pieces", ps)
-
-    @property
-    def total_rank(self) -> int:
-        return sum(r for r, _ in self.pieces)
-
-
-def hn_restriction_bounds(
-    f: FiltrationData,
-) -> tuple[tuple[Fraction, ...], Fraction]:
-    """Expected degree vector and sup-deviation bound for restrictions.
-
-    The vector repeats each piece slope by its rank; actual summand degrees
-    of a general restriction stay within (max piece rank)/2 of it.
-    """
-    expected = tuple(s for r, s in f.pieces for _ in range(r))
-    bound = Fraction(max(r for r, _ in f.pieces), 2)
-    return expected, bound
-
-
-def sp_feasible(t: SplittingType, f: FiltrationData) -> bool:
-    """Whether the degrees of ``t`` sit within the filtration bound."""
-    expected, bound = hn_restriction_bounds(f)
-    if t.rank != len(expected):
-        raise ShapeMismatch(f"rank {t.rank} vs filtration rank {len(expected)}")
-    return max(abs(Fraction(a) - v) for a, v in zip(t.degrees, expected)) < bound
-
-
-def minimal_slope_ratio_lower_bound(n: int, deg: int) -> Fraction:
-    """Certified bound 1 - n^2 / (2 deg) for semistable tangent data."""
-    if deg <= 0:
-        raise ValueError("degree must be positive")
-    return 1 - Fraction(n * n, 2 * deg)

@@ -5,8 +5,8 @@ cone of curves cut out by facet inequalities, and a chamber decomposition
 carrying filtration data: per chamber, the ranks and linear slope
 functionals of the successive filtration quotients.  From these it computes
 expected slope panels and certified lower bounds for the minimal slope
-ratio.  All arithmetic is exact; cone rays are enumerated by brute-force
-kernel computations, which is only supported for rho <= 4.
+ratio.  All arithmetic is exact; cone rays are enumerated from integer
+minors of facet subsets, which is only supported for rho <= 4.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd
 
 from .errors import (
     BoundaryMismatch,
@@ -47,86 +47,47 @@ def dot(u, v) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def _rref(rows, dim: int):
-    """Reduced row echelon form over Fraction; returns (rows, pivot columns)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(dim):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
-
-
-def _matrix_rank(rows, dim: int) -> int:
-    return len(_rref(rows, dim)[1])
-
-
-def _kernel_basis(rows, dim: int) -> list[tuple[Fraction, ...]]:
-    red, pivots = _rref(rows, dim)
-    free = [c for c in range(dim) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * dim
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][fc]
-        basis.append(tuple(v))
-    return basis
-
-
-def _primitive(vec) -> tuple[int, ...]:
-    """Scale a nonzero rational vector to coprime integers (sign kept)."""
-    denom = lcm(*(Fraction(x).denominator for x in vec))
-    ints = [int(Fraction(x) * denom) for x in vec]
-    g = gcd(*(abs(x) for x in ints))
-    return tuple(x // g for x in ints)
+def _det(rows) -> int:
+    """Integer determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    first, rest = rows[0], rows[1:]
+    return sum(
+        (-1) ** j * a * _det([r[:j] + r[j + 1 :] for r in rest])
+        for j, a in enumerate(first)
+        if a
+    )
 
 
 def cone_rays(facets, rho: int) -> list[tuple[int, ...]]:
     """Extremal rays of the pointed cone {x : <f, x> >= 0 for all facets}.
 
-    Candidates are kernels of (rho-1)-subsets of the facet normals; a
-    non-pointed cone (normals not spanning) raises ValueError.  Supported
-    only up to lattice rank 4.
+    The cone is pointed exactly when some rho facet normals have a nonzero
+    determinant; otherwise it contains a line and ValueError is raised.
+    Candidates are the normals to (rho-1)-subsets of facets: the signed
+    maximal minors divided by their gcd, zero (and skipped) when the subset
+    is dependent.  Supported only up to lattice rank 4.
     """
     if rho > RAY_ENUM_RHO_CAP:
         raise RankTooLarge(
             f"lattice rank {rho} exceeds ray enumeration cap {RAY_ENUM_RHO_CAP}"
         )
     facets = [tuple(int(c) for c in f) for f in facets]
-    if _matrix_rank(facets, rho) < rho:
+    if not any(_det(sub) for sub in combinations(facets, rho)):
         raise ValueError("cone contains a line: facet normals do not span")
-    candidates: list[tuple[int, ...]] = []
+    rays = set()
     for sub in combinations(facets, rho - 1):
-        kern = _kernel_basis(sub, rho)
-        if len(kern) != 1:
+        minors = [
+            (-1) ** j * _det([f[:j] + f[j + 1 :] for f in sub]) for j in range(rho)
+        ]
+        g = gcd(*minors)
+        if g == 0:
             continue
-        v = _primitive(kern[0])
-        candidates.append(v)
-        candidates.append(tuple(-x for x in v))
-    rays = []
-    seen = set()
-    for v in candidates:
-        if v in seen:
-            continue
-        seen.add(v)
-        if all(dot(f, v) >= 0 for f in facets):
-            rays.append(v)
-    rays.sort()
-    return rays
+        ray = tuple(x // g for x in minors)
+        for v in (ray, tuple(-x for x in ray)):
+            if all(dot(f, v) >= 0 for f in facets):
+                rays.add(v)
+    return sorted(rays)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,10 @@
 """Command-line surface and model-file loading."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,6 +28,17 @@ class TestCommands:
         code, out, _ = invoke(capsys, "sp", "--type", "4,3,3,2")
         assert code == 0
         assert out == "panel: 4/3,1,1,2/3  min_ratio: 2/3\n"
+
+    def test_runs_as_module(self):
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "freecurves.cli", "sp", "--type=4,3,3,2"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "panel: 4/3,1,1,2/3  min_ratio: 2/3\n"
 
     def test_sp_negative_slope(self, capsys):
         # a leading minus needs the = form, as usual for argparse values

@@ -282,6 +282,32 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             config(outside_xi=5, m_cap=2)
 
+    def test_br_capped(self):
+        with pytest.raises(ValueError, match="br must lie in 0..m_cap"):
+            config(br=5, m_cap=1)
+        assert config(br=2, m_cap=2).br == 2
+
+    def test_integer_fields_are_not_truncated(self):
+        for field, value in (
+            ("br", 2.7),
+            ("br", True),
+            ("m_cap", 1.5),
+            ("outside_xi", True),
+            ("outside_xi", Fraction(1, 2)),
+            ("beta", (0.5, 0)),
+            ("beta", (0, False)),
+        ):
+            with pytest.raises(ValueError, match="must be an integer"):
+                config(**{field: value})
+        cfg = config(br=Fraction(1), m_cap=2.0, beta=(Fraction(2), 0))
+        assert (cfg.br, cfg.m_cap, cfg.beta) == (1, 2, (2, 0))
+        assert all(type(v) is int for v in (cfg.br, cfg.m_cap, *cfg.beta))
+        for d in (1.9, Fraction(1, 2), True):
+            with pytest.raises(ValueError, match="table degree must be an integer"):
+                EpsTable([(d, Fraction(1, 2))])
+        table = EpsTable([(Fraction(1), Fraction(1, 2))])
+        assert table.entries == ((1, Fraction(1, 2)),)
+
 
 class TestRatioCheck:
     def test_finds_threshold_degree(self):

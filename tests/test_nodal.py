@@ -9,12 +9,10 @@ from freecurves.errors import OutOfRange, RankMismatch, RankTooLarge
 from freecurves.nodal import (
     Alignment,
     NodalType,
-    TorsionFreeType,
     admissible_smoothings,
     degbd,
     degbd_m1_closed_form,
     degbd_profile,
-    euler_char,
     _labelings,
     glue,
     parse_nodal_type,
@@ -299,19 +297,3 @@ class TestSharpnessWitness:
                     assert z.pairs[ip][0] >= z.pairs[i][0] + 2
                     assert z.pairs[i][1] >= z.pairs[ip][1] + 2
         assert sharpness_witness(z, m).serre_ok
-
-
-class TestTorsionFree:
-    def test_structure_sheaf(self):
-        assert euler_char(TorsionFreeType(g_part=[(0, 0)])) == 1
-
-    def test_single_component(self):
-        assert euler_char(TorsionFreeType(h1_part=[3])) == 4
-
-    def test_mixed(self):
-        f = TorsionFreeType(g_part=[(2, -1)], h1_part=[-1], h2_part=[-1])
-        assert euler_char(f) == 2
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            TorsionFreeType()

@@ -1,27 +1,12 @@
-"""Balance state machine and filtration restriction bounds."""
-
-from fractions import Fraction
+"""Balance state machine and integer-slope copies."""
 
 import pytest
 
-from freecurves.errors import (
-    NonIntegerSlope,
-    NotSequential,
-    RankTooLarge,
-    ShapeMismatch,
-)
+from freecurves.errors import NonIntegerSlope, NotSequential, RankTooLarge
 from freecurves.splitting import SplittingType, balance_width
-from freecurves.stability import (
-    FiltrationData,
-    balance,
-    balance_step,
-    hn_restriction_bounds,
-    integer_slope_copies,
-    minimal_slope_ratio_lower_bound,
-    sp_feasible,
-)
+from freecurves.stability import balance, balance_step, integer_slope_copies
 
-from helpers import sequential_zero_slope_types, types_in_class
+from helpers import sequential_zero_slope_types
 
 
 def T(*degrees):
@@ -143,54 +128,3 @@ class TestIntegerSlopeCopies:
         assert integer_slope_copies(T(1, 1, 0)) == 3
         assert integer_slope_copies(T(1, -1)) == 1
         assert integer_slope_copies(T(4, 2)) == 1
-
-
-class TestFiltrationBounds:
-    def test_single_piece(self):
-        v, bound = hn_restriction_bounds(FiltrationData([(4, 2)]))
-        assert v == (2, 2, 2, 2)
-        assert bound == 2
-
-    def test_two_pieces(self):
-        v, bound = hn_restriction_bounds(
-            FiltrationData([(2, 3), (3, Fraction(4, 3))])
-        )
-        assert v == (3, 3, Fraction(4, 3), Fraction(4, 3), Fraction(4, 3))
-        assert bound == Fraction(3, 2)
-
-    def test_strictly_decreasing_required(self):
-        with pytest.raises(ValueError):
-            FiltrationData([(2, 1), (1, 1)])
-        with pytest.raises(ValueError):
-            FiltrationData([(1, 0), (1, 1)])
-
-    def test_sp_feasible_matches_width_inequalities(self):
-        # for one semistable piece the sup bound is exactly the pair of
-        # inequalities a_1 - mu < r/2 and mu - a_r < r/2
-        for mu in (-1, 0, 2):
-            f = FiltrationData([(4, mu)])
-            for t in types_in_class(4, 4 * mu, mu - 4, mu + 4):
-                expected = (
-                    t.degrees[0] - mu < Fraction(4, 2)
-                    and mu - t.degrees[-1] < Fraction(4, 2)
-                )
-                assert sp_feasible(t, f) == expected
-
-    def test_sp_feasible_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            sp_feasible(T(1, 1), FiltrationData([(3, 1)]))
-
-
-class TestLowerBound:
-    def test_examples(self):
-        assert minimal_slope_ratio_lower_bound(3, 9) == Fraction(1, 2)
-        assert minimal_slope_ratio_lower_bound(5, 25) == Fraction(1, 2)
-
-    def test_monotone_in_degree(self):
-        values = [minimal_slope_ratio_lower_bound(3, d) for d in (1, 9, 90, 900)]
-        assert values == sorted(values)
-        assert values[-1] < 1
-
-    def test_positive_degree_required(self):
-        with pytest.raises(ValueError):
-            minimal_slope_ratio_lower_bound(3, 0)

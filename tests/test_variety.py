@@ -48,7 +48,26 @@ class TestConeRays:
         assert cone_rays([(1, 0), (0, 1)], 2) == [(0, 1), (1, 0)]
 
     def test_wedge(self):
+        # more facets than the lattice rank
         assert cone_rays([(1, 0), (0, 1), (1, -1)], 2) == [(1, 0), (1, 1)]
+        square = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]
+        assert cone_rays(square, 3) == [
+            (-1, -1, 1),
+            (-1, 1, 1),
+            (1, -1, 1),
+            (1, 1, 1),
+        ]
+        rays = cone_rays(
+            [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, -1, 0)],
+            4,
+        )
+        assert rays == [
+            (0, 0, 0, 1),
+            (0, 1, 0, 0),
+            (0, 1, 1, 0),
+            (1, 0, 0, 0),
+            (1, 0, 1, 0),
+        ]
 
     def test_line_models(self):
         assert cone_rays([(1,)], 1) == [(1,)]
@@ -56,6 +75,9 @@ class TestConeRays:
 
     def test_octant(self):
         rays = cone_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+        assert rays == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+        # the dependent pair (1,0,0), (2,0,0) has no normal and is skipped
+        rays = cone_rays([(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
         assert rays == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
     def test_primitive_rays(self):
@@ -66,6 +88,8 @@ class TestConeRays:
             cone_rays([(1, 1)], 2)
         with pytest.raises(ValueError):
             cone_rays([], 1)
+        with pytest.raises(ValueError, match="contains a line"):
+            cone_rays([(1, 0, 0), (0, 1, 0), (1, 1, 0)], 3)
 
     def test_rays_generate_the_cone(self):
         # every feasible lattice point in a box must be a non-negative
@@ -251,6 +275,9 @@ class TestLiberatedLowerBound:
         model = toy_rho1(1, dim=2)
         for d in (3, 5, 40):
             assert liberated_lower_bound(model, (d,)) == 1 - Fraction(4, 2 * d)
+        # 1 - n^2 / (2 deg) at n = 3, deg = 9 and n = 5, deg = 25
+        assert liberated_lower_bound(toy_rho1(1, dim=3), (9,)) == Fraction(1, 2)
+        assert liberated_lower_bound(toy_rho1(1, dim=5), (25,)) == Fraction(1, 2)
 
     def test_degenerate_bound_is_non_positive(self):
         model = toy_rho1(1, dim=2)
