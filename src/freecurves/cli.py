@@ -2,7 +2,7 @@
 
 Every command prints exact values only (integers and p/q rationals) and is
 deterministic for a fixed argument vector.  Exit codes: 0 on success, 1 on
-a domain error, 2 on a usage error.
+a domain error or a file error, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,10 @@ __all__ = ["run", "script"]
 
 
 def _fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from exc
 
 
 def _class_vector(text: str) -> tuple[int, ...]:
@@ -214,14 +217,13 @@ def run(argv=None) -> int:
     """Parse arguments, dispatch, and return the process exit code."""
     args = _parser().parse_args(argv)
     try:
-        text = args.func(args)
-    except DomainError as exc:
+        _emit(args.func(args), args.out)
+    except (DomainError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    _emit(text, args.out)
     return 0
 
 

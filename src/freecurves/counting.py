@@ -28,8 +28,8 @@ from functools import partial
 from itertools import accumulate, product
 from math import ceil, floor, gcd
 
-from .errors import DomainError, UnboundedSlice, ZeroFunctional
-from .variety import VarietyModel, cone_rays, dot, in_nef, liberated_lower_bound
+from .errors import DomainError, UnboundedSlice, ZeroFunctional, exact_int
+from .variety import VarietyModel, cone_rays, in_nef, liberated_lower_bound
 
 __all__ = [
     "EpsPower",
@@ -43,14 +43,6 @@ __all__ = [
     "count_N_liberated",
     "ratio_check",
 ]
-
-
-def _exact_int(x, name: str) -> int:
-    """``x`` as an int; a bool or a non-integral value is rejected, never
-    truncated (an integral Fraction is fine)."""
-    if isinstance(x, bool) or Fraction(x).denominator != 1:
-        raise ValueError(f"{name} must be an integer, got {x!r}")
-    return int(x)
 
 
 @dataclass(frozen=True)
@@ -76,7 +68,7 @@ class EpsPower:
             return False
         pd = self.p.denominator
         pn = self.p.numerator
-        return bound**pd * Fraction(d) ** pn > self.c**pd
+        return bound**pd * d**pn > self.c**pd
 
 
 @dataclass(frozen=True)
@@ -88,7 +80,7 @@ class EpsTable:
     entries: tuple[tuple[int, Fraction], ...]
 
     def __init__(self, entries) -> None:
-        es = tuple((_exact_int(d, "table degree"), Fraction(v)) for d, v in entries)
+        es = tuple((exact_int(d, "table degree"), Fraction(v)) for d, v in entries)
         if not es:
             raise ValueError("threshold table is empty")
         if es[0][0] > 1:
@@ -129,9 +121,9 @@ class CountingConfig:
         q = Fraction(q)
         if q <= 1:
             raise ValueError("q must exceed 1")
-        br = _exact_int(br, "br")
-        m_cap = _exact_int(m_cap, "m_cap")
-        outside_xi = _exact_int(outside_xi, "outside_xi")
+        br = exact_int(br, "br")
+        m_cap = exact_int(m_cap, "m_cap")
+        outside_xi = exact_int(outside_xi, "outside_xi")
         if m_cap < 1:
             raise ValueError("the xi bound must be positive")
         if not 0 <= br <= m_cap:
@@ -145,7 +137,7 @@ class CountingConfig:
         object.__setattr__(self, "br", br)
         object.__setattr__(self, "m_cap", m_cap)
         object.__setattr__(
-            self, "beta", tuple(_exact_int(c, "beta entry") for c in beta)
+            self, "beta", tuple(exact_int(c, "beta entry") for c in beta)
         )
         object.__setattr__(self, "outside_xi", outside_xi)
         object.__setattr__(self, "eps", eps)
@@ -165,7 +157,7 @@ def _positive_rays(model: VarietyModel) -> list[tuple[int, ...]]:
     except ValueError as exc:
         raise UnboundedSlice(str(exc)) from exc
     for ray in rays:
-        if dot(model.minus_k, ray) <= 0:
+        if model.degree(ray) <= 0:
             raise UnboundedSlice(
                 f"anticanonical degree not positive on nef ray {ray}"
             )
@@ -179,27 +171,21 @@ def lattice_slice(model: VarietyModel, bound: int) -> list[tuple[int, ...]]:
     (bound / ray degree) * ray, so its bounding box comes straight from the
     rays; the box points are then filtered by the facet and degree cuts.
     """
+    bound = exact_int(bound, "slice bound")
     if bound < 1:
         raise ValueError("slice bound must be positive")
     rays = _positive_rays(model)
     if not rays:
         return []
-    lo = []
-    hi = []
-    for i in range(model.rho):
-        coords = [Fraction(0)] + [
-            Fraction(bound) * ray[i] / dot(model.minus_k, ray) for ray in rays
-        ]
-        lo.append(floor(min(coords)))
-        hi.append(ceil(max(coords)))
-    out = []
-    for pt in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        if not in_nef(model, pt):
-            continue
-        deg = dot(model.minus_k, pt)
-        if 0 < deg <= bound:
-            out.append(pt)
-    return out
+    corners = [(0,) * model.rho] + [
+        tuple(Fraction(bound * c, model.degree(ray)) for c in ray) for ray in rays
+    ]
+    box = [range(floor(min(col)), ceil(max(col)) + 1) for col in zip(*corners)]
+    return [
+        pt
+        for pt in product(*box)
+        if in_nef(model, pt) and 0 < model.degree(pt) <= bound
+    ]
 
 
 def _check_beta(model: VarietyModel, cfg: CountingConfig) -> None:
@@ -219,12 +205,13 @@ def xi_value(model: VarietyModel, cfg: CountingConfig, alpha) -> int:
 
 def _weigh(model: VarietyModel, cfg: CountingConfig, alpha) -> tuple[int, Fraction]:
     """Degree of a class and its summand xi(alpha) * q^degree in N."""
-    deg = int(model.degree(alpha))
+    deg = model.degree(alpha)
     return deg, xi_value(model, cfg, alpha) * cfg.q**deg
 
 
 def count_N(model: VarietyModel, cfg: CountingConfig, d: int) -> Fraction:
     """Counting function at degree step d (exact); needs no chambers."""
+    d = exact_int(d, "d")
     if d < 1:
         raise ValueError("d must be positive")
     _check_beta(model, cfg)
@@ -278,7 +265,7 @@ def ratio_check(model: VarietyModel, cfg: CountingConfig, d_values) -> CountRepo
     exceeds 1 - delta (rows with N = 0 never qualify); None when no suffix
     works.
     """
-    ds = sorted(set(int(d) for d in d_values))
+    ds = sorted({exact_int(d, "d value") for d in d_values})
     if not ds or ds[0] < 1:
         raise ValueError("d values must be positive")
     _check_beta(model, cfg)

@@ -6,6 +6,20 @@ Every exception raised for a mathematically invalid input derives from
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import inf
+
+
+def exact_int(x, name: str) -> int:
+    """``x`` as an int; a bool, an infinity or a non-integer raises ValueError."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, bool) and x not in (inf, -inf):
+        value = Fraction(x)
+        if value.denominator == 1:
+            return value.numerator
+    raise ValueError(f"{name} must be an integer, got {x!r}")
+
 
 class DomainError(Exception):
     """Base class for all domain-level failures."""

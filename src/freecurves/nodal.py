@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 
-from .errors import OutOfRange, RankMismatch, RankTooLarge
+from .errors import OutOfRange, RankMismatch, RankTooLarge, exact_int
 from .splitting import SplittingType, is_sequential
 
 __all__ = [
@@ -43,16 +44,14 @@ class NodalType:
     pairs: tuple[tuple[int, int], ...]
 
     def __init__(self, pairs) -> None:
-        ps = tuple(
-            sorted(
-                ((int(a), int(b)) for a, b in pairs),
-                key=lambda p: (p[0] + p[1], p[0]),
-                reverse=True,
-            )
+        ps = sorted(
+            ((exact_int(a, "degree"), exact_int(b, "degree")) for a, b in pairs),
+            key=lambda p: (p[0] + p[1], p[0]),
+            reverse=True,
         )
         if not ps:
             raise ValueError("a nodal type needs at least one summand")
-        object.__setattr__(self, "pairs", ps)
+        object.__setattr__(self, "pairs", tuple(ps))
 
     @property
     def rank(self) -> int:
@@ -106,7 +105,7 @@ class Alignment:
     perm: tuple[int, ...]
 
     def __init__(self, perm) -> None:
-        p = tuple(int(i) for i in perm)
+        p = tuple(exact_int(i, "alignment index") for i in perm)
         if sorted(p) != list(range(len(p))):
             raise ValueError(f"not a permutation of 0..{len(p) - 1}: {p}")
         object.__setattr__(self, "perm", p)
@@ -123,7 +122,7 @@ class Alignment:
 
     @classmethod
     def from_one_based(cls, images) -> "Alignment":
-        return cls(int(i) - 1 for i in images)
+        return cls(exact_int(i, "alignment index") - 1 for i in images)
 
 
 def glue(t1: SplittingType, t2: SplittingType, align: Alignment) -> NodalType:
@@ -163,16 +162,22 @@ def _check_rank(z: NodalType) -> None:
         raise RankTooLarge(f"rank {z.rank} exceeds enumeration cap {DEGBD_RANK_CAP}")
 
 
+def _best_labeling(z: NodalType, m: int):
+    """(value, J, K1, K2) of the first least-value labeling in enumeration
+    order (``min`` keeps the first of equal keys)."""
+    _check_rank(z)
+    if not 1 <= m <= z.rank:
+        raise OutOfRange(f"m={m} outside 1..{z.rank}")
+    return min(_labelings(z.pairs, m), key=itemgetter(0))
+
+
 def degbd(z: NodalType, m: int) -> int:
     """Degree bound for rank-m quotients on a general smoothing.
 
     Infimum over disjoint J, K1, K2 of the labeled contribution sums; computed
     by exhaustive enumeration.
     """
-    _check_rank(z)
-    if not 1 <= m <= z.rank:
-        raise OutOfRange(f"m={m} outside 1..{z.rank}")
-    return min(value for value, _, _, _ in _labelings(z.pairs, m))
+    return _best_labeling(z, m)[0]
 
 
 def degbd_m1_closed_form(z: NodalType) -> int:
@@ -291,11 +296,8 @@ class SharpnessWitness:
 def sharpness_witness(z: NodalType, m: int) -> SharpnessWitness:
     """Exhibit index blocks attaining degbd(z, m): the first optimal
     labeling in enumeration order, K1 paired with K2 in index order."""
-    optimum = degbd(z, m)
+    optimum, J, K1, K2 = _best_labeling(z, m)
     pairs = z.pairs
-    J, K1, K2 = next(
-        (J, K1, K2) for value, J, K1, K2 in _labelings(pairs, m) if value == optimum
-    )
     blocks = [WitnessBlock("single", (i,), pairs[i][0] + pairs[i][1]) for i in J]
     blocks += [
         WitnessBlock("pair", (i, ip), pairs[i][0] + pairs[ip][1] + 2)

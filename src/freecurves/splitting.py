@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NegativeSlope, ShapeMismatch, ZeroSlope
+from .errors import NegativeSlope, ShapeMismatch, ZeroSlope, exact_int
 
 __all__ = [
     "SplittingType",
@@ -39,7 +39,7 @@ class SplittingType:
     degrees: tuple[int, ...]
 
     def __init__(self, degrees) -> None:
-        degs = tuple(sorted((int(a) for a in degrees), reverse=True))
+        degs = tuple(sorted((exact_int(a, "degree") for a in degrees), reverse=True))
         if not degs:
             raise ValueError("a splitting type needs at least one summand")
         object.__setattr__(self, "degrees", degs)
@@ -111,7 +111,7 @@ def slope_panel(t: SplittingType) -> SlopePanel:
     mu = slope(t)
     if mu == 0:
         raise ZeroSlope(f"slope panel undefined for degree-zero type {t}")
-    return SlopePanel(Fraction(a) / mu for a in t.degrees)
+    return SlopePanel(a / mu for a in t.degrees)
 
 
 def minimal_slope_ratio(t: SplittingType) -> Fraction:

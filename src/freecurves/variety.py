@@ -5,8 +5,9 @@ cone of curves cut out by facet inequalities, and a chamber decomposition
 carrying filtration data: per chamber, the ranks and linear slope
 functionals of the successive filtration quotients.  From these it computes
 expected slope panels and certified lower bounds for the minimal slope
-ratio.  All arithmetic is exact; cone rays are enumerated from integer
-minors of facet subsets, which is only supported for rho <= 4.
+ratio.  Integers are checked once, where they enter; behind that, lattice
+arithmetic is plain int and a Fraction appears only in slopes and ratios.
+Cone rays come from integer minors of facet subsets (rho <= 4 only).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+from operator import mul
 
 from .errors import (
     BoundaryMismatch,
@@ -22,6 +24,7 @@ from .errors import (
     NotInNefCone,
     RankTooLarge,
     ZeroDegree,
+    exact_int,
 )
 from .splitting import SlopePanel
 
@@ -43,8 +46,21 @@ __all__ = [
 RAY_ENUM_RHO_CAP = 4
 
 
-def dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+def dot(u, v):
+    """Sum of products: an int for integer vectors, a Fraction for slopes."""
+    return sum(map(mul, u, v))
+
+
+def _int_vector(values, rho: int, what: str) -> tuple[int, ...]:
+    vec = tuple(exact_int(c, f"{what} entry") for c in values)
+    if len(vec) != rho:
+        raise ValueError(f"{what} length {len(vec)} != rho {rho}")
+    return vec
+
+
+def _inside(facets, alpha) -> bool:
+    """Whether alpha meets every facet inequality <f, alpha> >= 0."""
+    return all(dot(f, alpha) >= 0 for f in facets)
 
 
 def _det(rows) -> int:
@@ -72,7 +88,7 @@ def cone_rays(facets, rho: int) -> list[tuple[int, ...]]:
         raise RankTooLarge(
             f"lattice rank {rho} exceeds ray enumeration cap {RAY_ENUM_RHO_CAP}"
         )
-    facets = [tuple(int(c) for c in f) for f in facets]
+    facets = [tuple(exact_int(c, "facet entry") for c in f) for f in facets]
     if not any(_det(sub) for sub in combinations(facets, rho)):
         raise ValueError("cone contains a line: facet normals do not span")
     rays = set()
@@ -85,7 +101,7 @@ def cone_rays(facets, rho: int) -> list[tuple[int, ...]]:
             continue
         ray = tuple(x // g for x in minors)
         for v in (ray, tuple(-x for x in ray)):
-            if all(dot(f, v) >= 0 for f in facets):
+            if _inside(facets, v):
                 rays.add(v)
     return sorted(rays)
 
@@ -103,9 +119,9 @@ class Chamber:
     filtration: tuple[tuple[int, tuple[Fraction, ...]], ...]
 
     def __init__(self, facets, filtration) -> None:
-        fs = tuple(tuple(int(c) for c in f) for f in facets)
+        fs = tuple(tuple(exact_int(c, "facet entry") for c in f) for f in facets)
         fl = tuple(
-            (int(r), tuple(Fraction(c) for c in svec)) for r, svec in filtration
+            (exact_int(r, "rank"), tuple(map(Fraction, svec))) for r, svec in filtration
         )
         if not fl:
             raise ValueError("chamber needs at least one filtration piece")
@@ -127,21 +143,15 @@ class VarietyModel:
     def __init__(
         self, rho, dim_n, minus_k, nef_facets, chambers, nef_generators=None
     ) -> None:
-        rho = int(rho)
-        dim_n = int(dim_n)
+        rho = exact_int(rho, "rho")
+        dim_n = exact_int(dim_n, "dim")
         if rho < 1 or dim_n < 1:
             raise ValueError("rho and dim must be positive")
-        mk = tuple(int(c) for c in minus_k)
-        if len(mk) != rho:
-            raise ValueError(f"minus_k length {len(mk)} != rho {rho}")
-        nf = tuple(tuple(int(c) for c in f) for f in nef_facets)
-        if any(len(f) != rho for f in nf):
-            raise ValueError("nef facet of wrong length")
+        mk = _int_vector(minus_k, rho, "minus_k")
+        nf = tuple(_int_vector(f, rho, "nef facet") for f in nef_facets)
         gens = None
         if nef_generators is not None:
-            gens = tuple(tuple(int(c) for c in g) for g in nef_generators)
-            if any(len(g) != rho for g in gens):
-                raise ValueError("nef generator of wrong length")
+            gens = tuple(_int_vector(g, rho, "nef generator") for g in nef_generators)
         chs = tuple(chambers)
         for ch in chs:
             if any(len(f) != rho for f in ch.facets):
@@ -155,16 +165,12 @@ class VarietyModel:
         object.__setattr__(self, "nef_generators", gens)
         object.__setattr__(self, "chambers", chs)
 
-    def degree(self, alpha) -> Fraction:
+    def degree(self, alpha) -> int:
         return dot(self.minus_k, alpha)
 
 
 def in_nef(model: VarietyModel, alpha) -> bool:
-    return all(dot(f, alpha) >= 0 for f in model.nef_facets)
-
-
-def _chamber_contains(model: VarietyModel, ch: Chamber, alpha) -> bool:
-    return all(dot(f, alpha) >= 0 for f in ch.facets)
+    return _inside(model.nef_facets, alpha)
 
 
 def _expansion(model: VarietyModel, ch: Chamber, alpha) -> tuple[Fraction, ...]:
@@ -183,9 +189,7 @@ def esp(model: VarietyModel, alpha) -> SlopePanel:
     and belong to at least one chamber.  On a shared chamber face all
     containing chambers must expand identically.
     """
-    alpha = tuple(int(c) for c in alpha)
-    if len(alpha) != model.rho:
-        raise ValueError(f"class length {len(alpha)} != rho {model.rho}")
+    alpha = _int_vector(alpha, model.rho, "class")
     if not in_nef(model, alpha):
         raise NotInNefCone(f"{alpha} violates a nef facet")
     deg = model.degree(alpha)
@@ -194,14 +198,14 @@ def esp(model: VarietyModel, alpha) -> SlopePanel:
     expansions = [
         _expansion(model, ch, alpha)
         for ch in model.chambers
-        if _chamber_contains(model, ch, alpha)
+        if _inside(ch.facets, alpha)
     ]
     if not expansions:
         raise NoChamber(f"{alpha} lies in no chamber")
     first = expansions[0]
     if any(e != first for e in expansions[1:]):
         raise BoundaryMismatch(f"chambers disagree at {alpha}")
-    mu = deg / model.dim_n
+    mu = Fraction(deg, model.dim_n)
     return SlopePanel(b / mu for b in first)
 
 
@@ -211,9 +215,9 @@ def liberated_lower_bound(model: VarietyModel, alpha) -> Fraction:
     Smallest expected-panel entry minus dim^2 / (2 deg); non-positive values
     certify nothing.
     """
+    alpha = _int_vector(alpha, model.rho, "class")
     panel = esp(model, alpha)
-    deg = model.degree(alpha)
-    return panel.min_entry - Fraction(model.dim_n * model.dim_n, 2 * int(deg))
+    return panel.min_entry - Fraction(model.dim_n**2, 2 * model.degree(alpha))
 
 
 @dataclass(frozen=True)
@@ -281,11 +285,10 @@ def validate(model: VarietyModel) -> ValidationReport:
         ranks = sum(r for r, _ in ch.filtration)
         if ranks != model.dim_n:
             bad.append(f"chamber {ci}: ranks sum to {ranks}, not dim {model.dim_n}")
-        combined = [
-            sum((Fraction(r) * svec[i] for r, svec in ch.filtration), Fraction(0))
-            for i in range(model.rho)
-        ]
-        if combined != [Fraction(c) for c in model.minus_k]:
+        combined = tuple(
+            sum(r * svec[i] for r, svec in ch.filtration) for i in range(model.rho)
+        )
+        if combined != model.minus_k:
             bad.append(f"chamber {ci}: rank-weighted slopes do not sum to minus_k")
         if rays is not None:
             try:
@@ -310,9 +313,7 @@ def validate(model: VarietyModel) -> ValidationReport:
                         )
 
     for p in _sample_points(model, rays):
-        holders = [
-            ch for ch in model.chambers if _chamber_contains(model, ch, p)
-        ]
+        holders = [ch for ch in model.chambers if _inside(ch.facets, p)]
         if not holders:
             bad.append(f"nef point {p} lies in no chamber")
             continue
@@ -330,7 +331,7 @@ def pbundle(n0: int, m: int, a_list) -> VarietyModel:
     positive, with total at most n0.  Curve classes use the basis (section
     class, fiber line); the filtration has the relative tangent piece first.
     """
-    a = tuple(int(x) for x in a_list)
+    a = tuple(exact_int(x, "twist degree") for x in a_list)
     if n0 < 1 or m < 1:
         raise ValueError("n0 and m must be positive")
     if len(a) != m + 1:

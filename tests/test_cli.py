@@ -185,6 +185,33 @@ class TestCommands:
         assert out == ""
         assert "\t6\t" in target.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--model", "toy_rho1.json", "--dmax", "2", "--q=1/0"),
+            ("check", "--model", "toy_rho1.json", "--dmax", "2", "--delta=1/0"),
+        ],
+    )
+    def test_zero_denominator_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            run(list(argv))
+        assert err.value.code == 2
+        assert "zero denominator in '1/0'" in capsys.readouterr().err
+
+    def test_out_into_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.tsv"
+        argv = ("count", "--model", "toy_rho1.json", "--dmax", "2", "--out", str(target))
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: FileNotFoundError: ")
+
+    def test_model_naming_a_directory(self, capsys, tmp_path):
+        code, out, err = invoke(capsys, "esp", "--model", str(tmp_path), "--class", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: IsADirectoryError: ")
+
     def test_deterministic_output(self, capsys):
         argv = ("check", "--model", "toy_rho2.json", "--dmax", "12")
         _, first, _ = invoke(capsys, *argv)

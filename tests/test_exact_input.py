@@ -1,0 +1,78 @@
+"""Integer inputs are checked where they enter: never truncated."""
+
+from fractions import Fraction
+
+import pytest
+
+from freecurves.counting import count_N, lattice_slice, ratio_check
+from freecurves.errors import exact_int
+from freecurves.modelio import fixture_path, load_model_file
+from freecurves.nodal import Alignment, NodalType
+from freecurves.splitting import SplittingType
+from freecurves.variety import (
+    Chamber,
+    VarietyModel,
+    cone_rays,
+    esp,
+    liberated_lower_bound,
+    pbundle,
+    toy_rho2,
+)
+
+
+def _rho1(**overrides):
+    fields = dict(rho=1, dim_n=1, minus_k=(1,), nef_facets=((1,),), chambers=())
+    return VarietyModel(**{**fields, **overrides})
+
+
+def _toy_rho2_counting():
+    loaded = load_model_file(fixture_path("toy_rho2.json"))
+    return loaded.model, loaded.counting
+
+
+# Each boundary, called with x in a place that holds an integer; x = 1 is
+# valid everywhere, and 1.5 or True would truncate to it.
+BOUNDARIES = {
+    "exact_int": lambda x: exact_int(x, "x"),
+    "SplittingType": lambda x: SplittingType([x, 0]),
+    "NodalType": lambda x: NodalType([(0, x)]),
+    "Alignment": lambda x: Alignment([x, 0]),
+    "Alignment.from_one_based": lambda x: Alignment.from_one_based([2, x]),
+    "Chamber facet": lambda x: Chamber([(x, 0)], [(2, (1, 1))]),
+    "Chamber rank": lambda x: Chamber([], [(x, (1,))]),
+    "VarietyModel rho": lambda x: _rho1(rho=x),
+    "VarietyModel dim": lambda x: _rho1(dim_n=x),
+    "VarietyModel minus_k": lambda x: _rho1(minus_k=(x,)),
+    "VarietyModel facet": lambda x: _rho1(nef_facets=((x,),)),
+    "VarietyModel generator": lambda x: _rho1(nef_generators=((x,),)),
+    "cone_rays": lambda x: cone_rays([(x, 0), (0, 1)], 2),
+    "esp": lambda x: esp(toy_rho2(), (x, 0)),
+    "liberated_lower_bound": lambda x: liberated_lower_bound(toy_rho2(), (x, 0)),
+    "pbundle": lambda x: pbundle(3, 2, [2, x, 0]),
+    "lattice_slice": lambda x: lattice_slice(toy_rho2(), x),
+    "count_N": lambda x: count_N(*_toy_rho2_counting(), x),
+    "ratio_check": lambda x: ratio_check(*_toy_rho2_counting(), [x]),
+}
+
+
+CASES = [(name, bad) for name in sorted(BOUNDARIES) for bad in (1.5, True)]
+CASES += [("exact_int", float("inf")), ("exact_int", float("-inf"))]
+
+
+@pytest.mark.parametrize("boundary, bad", CASES)
+def test_boundary_rejects_rather_than_truncates(boundary, bad):
+    build = BOUNDARIES[boundary]
+    with pytest.raises(ValueError, match="must be an integer"):
+        build(bad)
+    # an integral Fraction or float is the integer itself
+    assert build(Fraction(2, 2)) == build(1.0) == build(1)
+
+
+def test_accepted_values_are_stored_as_int():
+    assert type(exact_int(Fraction(4, 2), "x")) is int
+    assert type(exact_int(2.0, "x")) is int
+    assert SplittingType([Fraction(3), 2.0]).degrees == (3, 2)
+    assert all(type(a) is int for a in SplittingType([Fraction(3), 2.0]))
+    model = _rho1(minus_k=(Fraction(2),), dim_n=2.0)
+    assert type(model.dim_n) is int and type(model.minus_k[0]) is int
+    assert type(model.degree((3,))) is int

@@ -171,16 +171,18 @@ class TestEsp:
         assert panel.total == 5
 
     def test_entries_are_fractions(self):
-        # esp divides the degree by dim_n, so dot must give a Fraction even
-        # for integer vectors: int / int would be an inexact float
-        assert type(dot((1, 2), (3, 4))) is Fraction
+        # lattice arithmetic stays in int; esp forms its ratios as Fractions,
+        # never as int / int, which would be an inexact float
+        assert type(dot((1, 2), (3, 4))) is int
         assert dot((1, 2), (3, 4)) == 11
-        assert type(dot((), ())) is Fraction
+        assert type(dot((), ())) is int
+        assert type(dot((Fraction(1, 2), 1), (2, 3))) is Fraction
         model = pbundle(3, 2, [3, 0, 0])
-        assert type(model.degree((1, 0))) is Fraction
+        assert type(model.degree((1, 0))) is int
         panel = esp(model, (1, 0))
         assert all(type(e) is Fraction for e in panel.entries)
         assert Fraction(2, 3) in panel.entries
+        assert type(liberated_lower_bound(model, (1, 0))) is Fraction
 
     def test_semistable_chamber_is_all_ones(self):
         model = toy_rho1(2, dim=3)
