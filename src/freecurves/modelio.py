@@ -181,9 +181,11 @@ def load_model(data: dict) -> LoadedModel:
 
 def load_model_file(path) -> LoadedModel:
     """Load and strictly validate a model file."""
-    text = Path(path).read_text(encoding="utf-8")
+    raw = Path(path).read_bytes()
     try:
-        data = json.loads(text)
+        data = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"{path}: not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: invalid JSON: {exc}") from exc
     return load_model(data)

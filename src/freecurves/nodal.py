@@ -3,17 +3,17 @@
 The nodal curve is a union of two projective lines meeting at one node; a
 line bundle on it is a pair of degrees (a, b).  The central object is the
 degree bound ``degbd``: the least degree a rank-m torsion-free quotient of
-the restricted bundle can carry on a nearby smooth curve.  Everything here
-is brute-force exact enumeration over the finitely many index labelings.
+the restricted bundle can carry on a nearby smooth curve.  It is a
+min-cost labeling of the summands, found exactly by a DP whose state is the
+pair of side counts; smoothings are enumerated against its floors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from operator import itemgetter
+from math import inf
 
-from .errors import OutOfRange, RankMismatch, RankTooLarge, exact_int
+from .errors import OutOfRange, RankMismatch, exact_int
 from .splitting import SplittingType, is_sequential
 
 __all__ = [
@@ -27,11 +27,7 @@ __all__ = [
     "WitnessBlock",
     "SharpnessWitness",
     "parse_nodal_type",
-    "DEGBD_RANK_CAP",
 ]
-
-# 3-way subset labelings grow too fast past this rank.
-DEGBD_RANK_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -134,50 +130,75 @@ def glue(t1: SplittingType, t2: SplittingType, align: Alignment) -> NodalType:
     return NodalType((t1[i], t2[align.perm[i]]) for i in range(t1.rank))
 
 
-def _labelings(pairs: tuple[tuple[int, int], ...], m: int):
-    """Yield (value, J, K1, K2) over all disjoint index triples with
-    |J| + |K1| = |J| + |K2| = m.
+# Labels of a summand as indices into its cost tuple; the fourth entry is the
+# cost of leaving the summand unlabeled.
+_J, _K1, _K2 = range(3)
 
-    J contributes a_i + b_i, K1 contributes a_i + 1, K2 contributes b_i + 1.
+
+def _costs(z: NodalType) -> list[tuple]:
+    """Per summand, the costs of the labels J, K1, K2 and none.
+
+    A labeling's cost is its value times rank + 1 plus |J|.  The cost is
+    still additive, and as |J| <= rank its minimum is the least value with
+    the fewest J: value = cost // (rank + 1).
     """
-    r = len(pairs)
-    idx = tuple(range(r))
-    for j in range(max(0, 2 * m - r), m + 1):
-        k = m - j
-        for J in combinations(idx, j):
-            jset = set(J)
-            base = sum(pairs[i][0] + pairs[i][1] for i in J)
-            rest = tuple(i for i in idx if i not in jset)
-            for K1 in combinations(rest, k):
-                k1set = set(K1)
-                part1 = base + sum(pairs[i][0] + 1 for i in K1)
-                rest2 = tuple(i for i in rest if i not in k1set)
-                for K2 in combinations(rest2, k):
-                    value = part1 + sum(pairs[i][1] + 1 for i in K2)
-                    yield value, J, K1, K2
+    w = z.rank + 1
+    return [((a + b) * w + 1, (a + 1) * w, (b + 1) * w, 0) for a, b in z.pairs]
 
 
-def _check_rank(z: NodalType) -> None:
-    if z.rank > DEGBD_RANK_CAP:
-        raise RankTooLarge(f"rank {z.rank} exceeds enumeration cap {DEGBD_RANK_CAP}")
+def _start(cap: int) -> list[list]:
+    """Table of no summands: cost 0 at side counts (0, 0).
+
+    Tables have rows and columns 0..cap and one more, always inf, so that
+    index -1 reads inf.
+    """
+    table = [[inf] * (cap + 2) for _ in range(cap + 2)]
+    table[0][0] = 0
+    return table
 
 
-def _best_labeling(z: NodalType, m: int):
-    """(value, J, K1, K2) of the first least-value labeling in enumeration
-    order (``min`` keeps the first of equal keys)."""
-    _check_rank(z)
+def _extend(table: list[list], cost: tuple, lo: int, hi: int) -> list[list]:
+    """Table after one more summand with label costs ``cost`` (inf forbids a
+    label): entry [c1][c2] is the least cost of labeling the summands so far
+    with side counts c1 and c2.  Only counts in lo..hi are filled."""
+    cj, ck1, ck2, c0 = cost
+    new = [[inf] * len(table) for _ in table]
+    for c1 in range(lo, hi + 1):
+        row, prev, out = table[c1], table[c1 - 1], new[c1]
+        for c2 in range(lo, hi + 1):
+            out[c2] = min(
+                row[c2] + c0, prev[c2] + ck1, row[c2 - 1] + ck2, prev[c2 - 1] + cj
+            )
+    return new
+
+
+def _sweep(costs, cap: int, need: int) -> list[list[list]]:
+    """Tables after each prefix of ``costs``, side counts capped at ``cap``;
+    counts from which the summands left cannot reach ``need`` are dropped."""
+    tables = [_start(cap)]
+    for done, cost in enumerate(costs, start=1):
+        lo = max(0, need - (len(costs) - done))
+        tables.append(_extend(tables[-1], cost, lo, min(done, cap)))
+    return tables
+
+
+def _check_m(z: NodalType, m) -> int:
+    m = exact_int(m, "m")
     if not 1 <= m <= z.rank:
         raise OutOfRange(f"m={m} outside 1..{z.rank}")
-    return min(_labelings(z.pairs, m), key=itemgetter(0))
+    return m
 
 
 def degbd(z: NodalType, m: int) -> int:
     """Degree bound for rank-m quotients on a general smoothing.
 
-    Infimum over disjoint J, K1, K2 of the labeled contribution sums; computed
-    by exhaustive enumeration.
+    Least labeled sum over disjoint J, K1, K2 with |J| + |K1| = |J| + |K2|
+    = m, where J contributes a_i + b_i, K1 contributes a_i + 1 and K2
+    contributes b_i + 1.  Computed by a DP over the summands with state
+    (side-1 count, side-2 count), in O(rank * m^2).
     """
-    return _best_labeling(z, m)[0]
+    m = _check_m(z, m)
+    return _sweep(_costs(z), m, m)[-1][m][m] // (z.rank + 1)
 
 
 def degbd_m1_closed_form(z: NodalType) -> int:
@@ -195,8 +216,11 @@ def degbd_m1_closed_form(z: NodalType) -> int:
 
 
 def degbd_profile(z: NodalType) -> tuple[int, ...]:
-    """All degree bounds (degbd(z, 1), ..., degbd(z, rank)) at once."""
-    return tuple(degbd(z, m) for m in range(1, z.rank + 1))
+    """All degree bounds (degbd(z, 1), ..., degbd(z, rank)) from one DP:
+    the diagonal of the table with side counts up to the rank."""
+    r = z.rank
+    table = _sweep(_costs(z), r, 0)[-1]
+    return tuple(table[m][m] // (r + 1) for m in range(1, r + 1))
 
 
 def admissible_smoothings(
@@ -210,7 +234,6 @@ def admissible_smoothings(
     geometrically realizable types.  The list is sorted lexicographically
     descending and may be empty.
     """
-    _check_rank(z)
     r = z.rank
     total = z.total_degree
     floors = degbd_profile(z)
@@ -293,14 +316,59 @@ class SharpnessWitness:
         return "\n".join(lines)
 
 
+def _only(cost: tuple, label: int) -> tuple:
+    return tuple(c if i == label else inf for i, c in enumerate(cost))
+
+
+def _without(cost: tuple, label: int) -> tuple:
+    return tuple(inf if i == label else c for i, c in enumerate(cost))
+
+
+def _meet(front: list[list], back: list[list], m: int):
+    """Least cost of a prefix table entry joined with a suffix table entry
+    to side counts (m, m)."""
+    return min(
+        front[c1][c2] + back[m - c1][m - c2]
+        for c1 in range(m + 1)
+        for c2 in range(m + 1)
+    )
+
+
 def sharpness_witness(z: NodalType, m: int) -> SharpnessWitness:
-    """Exhibit index blocks attaining degbd(z, m): the first optimal
-    labeling in enumeration order, K1 paired with K2 in index order."""
-    optimum, J, K1, K2 = _best_labeling(z, m)
+    """Exhibit index blocks attaining degbd(z, m), K1 paired with K2 in
+    index order.
+
+    The labeling is the least-value one with the fewest J, then J, K1 and
+    K2 lexicographically smallest.  Labels are fixed greedily, J then K1
+    then K2: an index takes the label when a DP over the decided prefix
+    joined with one over the rest still reaches the optimum.
+    """
+    m = _check_m(z, m)
+    r = z.rank
+    costs = _costs(z)
+    for label in (_J, _K1, _K2):
+        back = _sweep(costs[::-1], m, m)[::-1]
+        best = back[0][m][m]
+        front = _start(m)
+        for i, cost in enumerate(costs):
+            lo, hi = max(0, m - (r - i - 1)), min(i + 1, m)
+            if cost[label] != inf:
+                only = _only(cost, label)
+                trial = _extend(front, only, lo, hi)
+                if _meet(trial, back[i + 1], m) == best:
+                    costs[i] = only
+                    front = trial
+                    continue
+                costs[i] = _without(cost, label)
+            front = _extend(front, costs[i], lo, hi)
+    J, K1, K2 = (
+        [i for i, cost in enumerate(costs) if cost[label] != inf]
+        for label in (_J, _K1, _K2)
+    )
     pairs = z.pairs
     blocks = [WitnessBlock("single", (i,), pairs[i][0] + pairs[i][1]) for i in J]
     blocks += [
         WitnessBlock("pair", (i, ip), pairs[i][0] + pairs[ip][1] + 2)
         for i, ip in zip(K1, K2)
     ]
-    return SharpnessWitness(tuple(blocks), optimum, True)
+    return SharpnessWitness(tuple(blocks), best // (r + 1), True)

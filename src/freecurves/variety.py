@@ -331,6 +331,7 @@ def pbundle(n0: int, m: int, a_list) -> VarietyModel:
     positive, with total at most n0.  Curve classes use the basis (section
     class, fiber line); the filtration has the relative tangent piece first.
     """
+    n0, m = exact_int(n0, "n0"), exact_int(m, "m")
     a = tuple(exact_int(x, "twist degree") for x in a_list)
     if n0 < 1 or m < 1:
         raise ValueError("n0 and m must be positive")
@@ -365,6 +366,7 @@ def pbundle(n0: int, m: int, a_list) -> VarietyModel:
 
 def toy_rho1(c: int, dim: int = 2) -> VarietyModel:
     """Picard-rank-one model with a semistable tangent chamber."""
+    c, dim = exact_int(c, "c"), exact_int(dim, "dim")
     if c < 1:
         raise ValueError("anticanonical step must be positive")
     chamber = Chamber(facets=(), filtration=((dim, (Fraction(c, dim),)),))

@@ -1,6 +1,7 @@
 """Exhaustive enumerators and brute-force oracles shared by the test modules."""
 
 from fractions import Fraction
+from itertools import combinations
 
 from freecurves.counting import lattice_slice, r_min, xi_value
 from freecurves.splitting import SplittingType, is_sequential
@@ -60,3 +61,27 @@ def direct_counts(model, cfg, d):
             liberated += 1
             n_lib += weight
     return points, liberated, n_value, n_lib
+
+
+def labelings(pairs, m):
+    """Yield (value, J, K1, K2) over all disjoint index triples with
+    |J| + |K1| = |J| + |K2| = m: the brute-force oracle for the degree bound.
+
+    J contributes a_i + b_i, K1 contributes a_i + 1, K2 contributes b_i + 1.
+    Triples come by |J| ascending, then J, K1 and K2 lexicographically.
+    """
+    r = len(pairs)
+    idx = tuple(range(r))
+    for j in range(max(0, 2 * m - r), m + 1):
+        k = m - j
+        for J in combinations(idx, j):
+            jset = set(J)
+            base = sum(pairs[i][0] + pairs[i][1] for i in J)
+            rest = tuple(i for i in idx if i not in jset)
+            for K1 in combinations(rest, k):
+                k1set = set(K1)
+                part1 = base + sum(pairs[i][0] + 1 for i in K1)
+                rest2 = tuple(i for i in rest if i not in k1set)
+                for K2 in combinations(rest2, k):
+                    value = part1 + sum(pairs[i][1] + 1 for i in K2)
+                    yield value, J, K1, K2

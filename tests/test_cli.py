@@ -212,6 +212,15 @@ class TestCommands:
         assert out == ""
         assert err.startswith("error: IsADirectoryError: ")
 
+    def test_model_not_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "model.json"
+        bad.write_bytes(b"\xff\xfe")
+        code, out, err = invoke(capsys, "esp", "--model", str(bad), "--class", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ModelFormatError: ")
+        assert "not UTF-8" in err
+
     def test_deterministic_output(self, capsys):
         argv = ("check", "--model", "toy_rho2.json", "--dmax", "12")
         _, first, _ = invoke(capsys, *argv)

@@ -7,7 +7,7 @@ import pytest
 from freecurves.counting import count_N, lattice_slice, ratio_check
 from freecurves.errors import exact_int
 from freecurves.modelio import fixture_path, load_model_file
-from freecurves.nodal import Alignment, NodalType
+from freecurves.nodal import Alignment, NodalType, degbd, sharpness_witness
 from freecurves.splitting import SplittingType
 from freecurves.variety import (
     Chamber,
@@ -16,6 +16,7 @@ from freecurves.variety import (
     esp,
     liberated_lower_bound,
     pbundle,
+    toy_rho1,
     toy_rho2,
 )
 
@@ -38,6 +39,8 @@ BOUNDARIES = {
     "NodalType": lambda x: NodalType([(0, x)]),
     "Alignment": lambda x: Alignment([x, 0]),
     "Alignment.from_one_based": lambda x: Alignment.from_one_based([2, x]),
+    "degbd m": lambda x: degbd(NodalType([(2, -1), (-1, 2)]), x),
+    "sharpness_witness m": lambda x: sharpness_witness(NodalType([(1, 1)]), x),
     "Chamber facet": lambda x: Chamber([(x, 0)], [(2, (1, 1))]),
     "Chamber rank": lambda x: Chamber([], [(x, (1,))]),
     "VarietyModel rho": lambda x: _rho1(rho=x),
@@ -49,6 +52,10 @@ BOUNDARIES = {
     "esp": lambda x: esp(toy_rho2(), (x, 0)),
     "liberated_lower_bound": lambda x: liberated_lower_bound(toy_rho2(), (x, 0)),
     "pbundle": lambda x: pbundle(3, 2, [2, x, 0]),
+    "pbundle n0": lambda x: pbundle(x, 2, [1, 0, 0]),
+    "pbundle m": lambda x: pbundle(3, x, [2, 1]),
+    "toy_rho1 c": lambda x: toy_rho1(x),
+    "toy_rho1 dim": lambda x: toy_rho1(2, dim=x),
     "lattice_slice": lambda x: lattice_slice(toy_rho2(), x),
     "count_N": lambda x: count_N(*_toy_rho2_counting(), x),
     "ratio_check": lambda x: ratio_check(*_toy_rho2_counting(), [x]),

@@ -1,11 +1,12 @@
 """Nodal-curve calculus: gluing, degree bounds, smoothings, witnesses."""
 
 import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freecurves.errors import OutOfRange, RankMismatch, RankTooLarge
+from freecurves.errors import OutOfRange, RankMismatch
 from freecurves.nodal import (
     Alignment,
     NodalType,
@@ -13,7 +14,6 @@ from freecurves.nodal import (
     degbd,
     degbd_m1_closed_form,
     degbd_profile,
-    _labelings,
     glue,
     parse_nodal_type,
     sharpness_witness,
@@ -27,7 +27,7 @@ from freecurves.splitting import (
     specializes_to,
 )
 
-from helpers import nonincreasing_sequences, sequential_zero_slope_types
+from helpers import labelings, nonincreasing_sequences, sequential_zero_slope_types
 
 pair_lists = st.lists(
     st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1, max_size=6
@@ -115,10 +115,14 @@ class TestDegbd:
         with pytest.raises(OutOfRange):
             degbd(z, 3)
 
-    def test_rank_cap(self):
-        big = NodalType([(0, 0)] * 17)
-        with pytest.raises(RankTooLarge):
-            degbd(big, 1)
+    def test_rank_64(self):
+        rng = random.Random(64)
+        z = NodalType((rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(64))
+        assert degbd(z, 1) == degbd_m1_closed_form(z)
+        assert degbd(z, 64) == z.total_degree
+        for m in (1, 17, 32, 63):
+            assert degbd(z, m) == degbd(z.swapped(), m)
+        assert sharpness_witness(z, 32).total == degbd(z, 32)
 
     def test_m1_closed_form_examples(self):
         assert degbd_m1_closed_form(Z((2, -1), (-1, 2))) == 0
@@ -289,7 +293,7 @@ class TestSharpnessWitness:
         z = NodalType(pairs)
         m = 1 + (m - 1) % z.rank
         optimum = degbd(z, m)
-        for value, _, K1, K2 in _labelings(z.pairs, m):
+        for value, _, K1, K2 in labelings(z.pairs, m):
             if value != optimum:
                 continue
             for i in K1:
@@ -297,3 +301,26 @@ class TestSharpnessWitness:
                     assert z.pairs[ip][0] >= z.pairs[i][0] + 2
                     assert z.pairs[i][1] >= z.pairs[ip][1] + 2
         assert sharpness_witness(z, m).serre_ok
+
+
+
+@given(
+    st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=8)
+)
+@settings(max_examples=100, deadline=None)
+def test_dp_matches_enumeration_oracle(pairs):
+    # ranks 1-8, every m: the bound, the profile and the witness text of the
+    # first optimal labeling in enumeration order, K1 and K2 paired in order
+    z = NodalType(pairs)
+    p = z.pairs
+    firsts = [min(labelings(p, m), key=itemgetter(0)) for m in range(1, z.rank + 1)]
+    assert degbd_profile(z) == tuple(value for value, *_ in firsts)
+    for m, (value, J, K1, K2) in enumerate(firsts, start=1):
+        assert degbd(z, m) == value
+        lines = [f"single {i + 1} -> {p[i][0] + p[i][1]}" for i in J]
+        lines += [
+            f"pair {i + 1} {ip + 1} -> {p[i][0] + p[ip][1] + 2}"
+            for i, ip in zip(K1, K2)
+        ]
+        lines.append(f"total -> {value}")
+        assert sharpness_witness(z, m).render() == "\n".join(lines)
