@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import counting as cnt
 from . import nodal, splitting, stability, variety
-from .errors import DomainError
+from .errors import DomainError, int_token
 from .modelio import fixture_path, load_model_file
 
 __all__ = ["run", "script"]
@@ -32,7 +33,7 @@ def _class_vector(text: str) -> tuple[int, ...]:
     parts = [p.strip() for p in text.split(",") if p.strip() != ""]
     if not parts:
         raise ValueError("empty class vector")
-    return tuple(int(p) for p in parts)
+    return tuple(int_token(p) for p in parts)
 
 
 def _alignment_token(text: str):
@@ -144,34 +145,35 @@ def _cmd_count(args) -> str:
     return text
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freecurves",
         description="Exact splitting-type calculus for rational curves.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = []
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write output to a file")
 
-    def add_parser(name: str, **kwargs) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, **kwargs)
-        subparsers.append(p)
-        return p
-
-    p = add_parser("sp", help="slope panel and minimal slope ratio")
+    p = sub.add_parser("sp", parents=[out], help="slope panel and minimal slope ratio")
     p.add_argument("--type", type=splitting.parse_splitting_type, required=True)
     p.set_defaults(func=_cmd_sp)
 
-    p = add_parser("degbd", help="degree bound for rank-m quotients")
+    p = sub.add_parser("degbd", parents=[out], help="degree bound for rank-m quotients")
     p.add_argument("--nodal", type=nodal.parse_nodal_type, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=int_token, required=True)
     p.set_defaults(func=_cmd_degbd)
 
-    p = add_parser("smooth", help="admissible smoothings of a nodal type")
+    p = sub.add_parser(
+        "smooth", parents=[out], help="admissible smoothings of a nodal type"
+    )
     p.add_argument("--nodal", type=nodal.parse_nodal_type, required=True)
     p.add_argument("--sequential", action="store_true")
     p.set_defaults(func=_cmd_smooth)
 
-    p = add_parser("glue", help="glue splitting types into a nodal type")
+    p = sub.add_parser(
+        "glue", parents=[out], help="glue splitting types into a nodal type"
+    )
     p.add_argument(
         "--type",
         type=splitting.parse_splitting_type,
@@ -182,16 +184,20 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--align", type=_alignment_token, default="dual")
     p.set_defaults(func=_cmd_glue)
 
-    p = add_parser("balance", help="iterate worst-case glue-and-smooth steps")
+    p = sub.add_parser(
+        "balance", parents=[out], help="iterate worst-case glue-and-smooth steps"
+    )
     p.add_argument("--type", type=splitting.parse_splitting_type, required=True)
-    p.add_argument("--max-steps", type=int, default=8)
+    p.add_argument("--max-steps", type=int_token, default=8)
     p.add_argument("--policy", choices=("worst", "best"), default="worst")
     p.add_argument(
         "--sequential", action=argparse.BooleanOptionalAction, default=True
     )
     p.set_defaults(func=_cmd_balance)
 
-    p = add_parser("esp", help="expected slope panel of a curve class")
+    p = sub.add_parser(
+        "esp", parents=[out], help="expected slope panel of a curve class"
+    )
     p.add_argument("--model", required=True)
     p.add_argument("--class", dest="cls", type=_class_vector, required=True)
     p.set_defaults(func=_cmd_esp)
@@ -201,15 +207,13 @@ def _parser() -> argparse.ArgumentParser:
         ("check", "tabulate sums and locate the delta threshold"),
     )
     for name, text in tally_commands:
-        p = add_parser(name, help=text)
+        p = sub.add_parser(name, parents=[out], help=text)
         p.add_argument("--model", required=True)
-        p.add_argument("--dmax", type=int, required=True)
+        p.add_argument("--dmax", type=int_token, required=True)
         p.add_argument("--q", type=_fraction, default=None)
         p.add_argument("--delta", type=_fraction, default=None)
         p.set_defaults(func=_cmd_count)
 
-    for p in subparsers:
-        p.add_argument("--out", default=None, help="write output to a file")
     return parser
 
 

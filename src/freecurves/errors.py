@@ -6,6 +6,7 @@ Every exception raised for a mathematically invalid input derives from
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import inf
 
@@ -19,6 +20,18 @@ def exact_int(x, name: str) -> int:
         if value.denominator == 1:
             return value.numerator
     raise ValueError(f"{name} must be an integer, got {x!r}")
+
+
+def int_token(text: str) -> int:
+    """An integer written in text: ASCII ``[+-]?[0-9]+`` after ``strip()``.
+
+    ``int`` alone would also read ``1_0`` as 10 and non-ASCII digits such as
+    ``\u0663`` as 3; any such token raises ValueError instead.
+    """
+    token = text.strip()
+    if not re.fullmatch(r"[+-]?[0-9]+", token):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(token)
 
 
 class DomainError(Exception):

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 
-from .errors import OutOfRange, RankMismatch, exact_int
-from .splitting import SplittingType, is_sequential
+from .errors import OutOfRange, RankMismatch, exact_int, int_token
+from .splitting import SplittingType
 
 __all__ = [
     "NodalType",
@@ -84,7 +84,7 @@ def parse_nodal_type(text: str) -> NodalType:
         a, sep, b = chunk.partition("/")
         if not sep:
             raise ValueError(f"bad nodal summand {chunk!r}, expected a/b")
-        pairs.append((int(a), int(b)))
+        pairs.append((int_token(a), int_token(b)))
     if not pairs:
         raise ValueError(f"no summands in nodal type {text!r}")
     return NodalType(pairs)
@@ -231,51 +231,35 @@ def admissible_smoothings(
     A type qualifies when it has the rank and total degree of ``z`` and, for
     every m, its m smallest entries sum to at least degbd(z, m).  This is a
     necessary condition only, so the result is a superset of the
-    geometrically realizable types.  The list is sorted lexicographically
-    descending and may be empty.
+    geometrically realizable types.  Entries are chosen largest first, each
+    level walked from high to low, so the list comes out lexicographically
+    descending as generated; it may be empty.
     """
     r = z.rank
-    total = z.total_degree
-    floors = degbd_profile(z)
-
+    floors = (0,) + degbd_profile(z)
     found: list[tuple[int, ...]] = []
     seq = [0] * r
 
-    def rec(pos: int, prev: int, prefix: int) -> None:
-        # seq is built ascending: seq[0] <= seq[1] <= ...; floors bound the
-        # prefix sums from below.
-        remaining = r - pos
-        if remaining == 0:
-            last = total - prefix
-            if pos > 1 and last < prev:
-                return
-            if require_sequential and pos > 1 and last > prev + 1:
-                return
-            seq[pos - 1] = last
+    def rec(left: int, rest: int, prev) -> None:
+        # the `left` entries still to choose sum to `rest`; the next is their
+        # largest: at least their mean, at most prev, and leaving the other
+        # left - 1 their floor.  Sequential: at most one below prev, and
+        # entries falling by one from it must not overshoot rest.
+        if left == 0:
             found.append(tuple(seq))
             return
-        lo = floors[pos - 1] - prefix
-        if pos > 1:
-            lo = max(lo, prev)
-        hi = (total - prefix) // (remaining + 1)
-        if require_sequential and pos > 1:
-            hi = min(hi, prev + 1)
-        for s in range(lo, hi + 1):
-            if require_sequential:
-                # even maximal unit steps cannot reach the total
-                max_rest = remaining * s + remaining * (remaining + 1) // 2
-                if prefix + s + max_rest < total:
-                    continue
-            seq[pos - 1] = s
-            rec(pos + 1, s, prefix + s)
+        lo = -(-rest // left)
+        hi = min(prev, rest - floors[left - 1])
+        if require_sequential:
+            hi = min(hi, (rest + left * (left - 1) // 2) // left)
+            if left < r:
+                lo = max(lo, prev - 1)
+        for s in range(hi, lo - 1, -1):
+            seq[r - left] = s
+            rec(left - 1, rest - s, s)
 
-    rec(1, 0, 0)
-
-    types = [SplittingType(reversed(s)) for s in found]
-    if require_sequential:
-        assert all(is_sequential(t) for t in types)
-    types.sort(key=lambda t: t.degrees, reverse=True)
-    return types
+    rec(r, z.total_degree, inf)
+    return [SplittingType(s) for s in found]
 
 
 @dataclass(frozen=True)

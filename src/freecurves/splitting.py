@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NegativeSlope, ShapeMismatch, ZeroSlope, exact_int
+from .errors import NegativeSlope, ShapeMismatch, ZeroSlope, exact_int, int_token
 
 __all__ = [
     "SplittingType",
@@ -94,7 +94,7 @@ def parse_splitting_type(text: str) -> SplittingType:
     parts = [p.strip() for p in text.split(",") if p.strip() != ""]
     if not parts:
         raise ValueError(f"no degrees in splitting type {text!r}")
-    return SplittingType(int(p) for p in parts)
+    return SplittingType(int_token(p) for p in parts)
 
 
 def slope(t: SplittingType) -> Fraction:

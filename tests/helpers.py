@@ -26,12 +26,19 @@ def nonincreasing_sequences(rank, lo, hi):
 
 
 def types_in_class(rank, degree, lo, hi):
-    """All splitting types of fixed rank and total degree, entries in [lo, hi]."""
-    return [
-        SplittingType(seq)
-        for seq in nonincreasing_sequences(rank, lo, hi)
-        if sum(seq) == degree
-    ]
+    """All splitting types of fixed rank and total degree, entries in [lo, hi],
+    lexicographically descending."""
+
+    def rec(left, total, cap):
+        if left == 0:
+            if total == 0:
+                yield ()
+            return
+        for v in range(min(cap, total - (left - 1) * lo), lo - 1, -1):
+            for tail in rec(left - 1, total - v, v):
+                yield (v,) + tail
+
+    return [SplittingType(seq) for seq in rec(rank, degree, hi)]
 
 
 def sequential_zero_slope_types(rank):
@@ -40,12 +47,7 @@ def sequential_zero_slope_types(rank):
     Sequentiality plus zero sum bounds every entry by the rank, so the
     enumeration below is exhaustive.
     """
-    candidates = [
-        SplittingType(seq)
-        for seq in nonincreasing_sequences(rank, -rank, rank)
-        if sum(seq) == 0
-    ]
-    return [t for t in candidates if is_sequential(t)]
+    return [t for t in types_in_class(rank, 0, -rank, rank) if is_sequential(t)]
 
 
 def direct_counts(model, cfg, d):

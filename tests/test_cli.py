@@ -235,6 +235,24 @@ class TestCommands:
             run(["sp", "--type", "x,y"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sp", "--type", "1_0,2"),
+            ("count", "--model", "toy_rho1.json", "--dmax", "0_3"),
+            ("degbd", "--nodal", "2/-1,-1/2", "--m", "\u0661"),
+            ("esp", "--model", "toy_rho2.json", "--class", "1_0,0"),
+            ("glue", "--type", "2,1", "--align", "perm:0_2,1"),
+            ("balance", "--type", "1,1", "--max-steps", "\u0663"),
+        ],
+    )
+    def test_malformed_integer_token_is_usage_error(self, capsys, argv):
+        # int() alone would read 1_0 as 10 and Arabic-Indic digits as digits
+        with pytest.raises(SystemExit) as err:
+            run(list(argv))
+        assert err.value.code == 2
+        assert "invalid" in capsys.readouterr().err
+
     def test_bad_max_steps_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "balance", "--type", "1,1", "--max-steps", "0")
         assert code == 2

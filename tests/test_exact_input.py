@@ -5,10 +5,16 @@ from fractions import Fraction
 import pytest
 
 from freecurves.counting import count_N, lattice_slice, ratio_check
-from freecurves.errors import exact_int
+from freecurves.errors import exact_int, int_token
 from freecurves.modelio import fixture_path, load_model_file
-from freecurves.nodal import Alignment, NodalType, degbd, sharpness_witness
-from freecurves.splitting import SplittingType
+from freecurves.nodal import (
+    Alignment,
+    NodalType,
+    degbd,
+    parse_nodal_type,
+    sharpness_witness,
+)
+from freecurves.splitting import SplittingType, parse_splitting_type
 from freecurves.variety import (
     Chamber,
     VarietyModel,
@@ -83,3 +89,27 @@ def test_accepted_values_are_stored_as_int():
     model = _rho1(minus_k=(Fraction(2),), dim_n=2.0)
     assert type(model.dim_n) is int and type(model.minus_k[0]) is int
     assert type(model.degree((3,))) is int
+
+
+# Text parsers read ASCII [+-]?[0-9]+ only: int() alone would take 1_0 as 10
+# and non-ASCII digits such as \u0663 (Arabic-Indic three) as 3.
+TEXT_PARSERS = {
+    "int_token": int_token,
+    "parse_splitting_type": lambda t: parse_splitting_type(f"{t},2"),
+    "parse_nodal_type a": lambda t: parse_nodal_type(f"{t}/0,1/1"),
+    "parse_nodal_type b": lambda t: parse_nodal_type(f"1/{t}"),
+}
+
+
+@pytest.mark.parametrize("parser", sorted(TEXT_PARSERS))
+@pytest.mark.parametrize("bad", ["1_0", "\u0663", "\uff11", "1.0", "0x1", "--1", "1 2"])
+def test_text_parser_rejects_malformed_integer(parser, bad):
+    with pytest.raises(ValueError):
+        TEXT_PARSERS[parser](bad)
+
+
+def test_int_token_accepts_sign_and_padding():
+    assert int_token("+3") == 3
+    assert int_token(" -12 ") == -12
+    assert parse_splitting_type(" +3 , 1 ").degrees == (3, 1)
+    assert parse_nodal_type(" +2 / -1 ").pairs == ((2, -1),)

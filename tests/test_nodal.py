@@ -27,7 +27,7 @@ from freecurves.splitting import (
     specializes_to,
 )
 
-from helpers import labelings, nonincreasing_sequences, sequential_zero_slope_types
+from helpers import labelings, sequential_zero_slope_types, types_in_class
 
 pair_lists = st.lists(
     st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1, max_size=6
@@ -206,16 +206,15 @@ class TestAdmissibleSmoothings:
                 assert suffix >= floors[m - 1]
 
     def test_matches_unpruned_enumeration(self):
-        # independent oracle: scan every non-increasing sequence with the
-        # right rank and degree inside provable entry bounds, filter by the
-        # suffix-sum floors directly
+        # independent oracle: every type of the right rank and degree whose
+        # entries are at least degbd(z, 1), filtered by the suffix-sum floors
+        # directly (and by is_sequential for the sequential list)
         rng = random.Random(99)
-        for _ in range(40):
-            z = random_nodal(rng, max_rank=5, span=3)
+        for _ in range(100):
+            z = random_nodal(rng, max_rank=7, span=4)
             floors = degbd_profile(z)
             r, total = z.rank, z.total_degree
             lo = floors[0]
-            hi = total - (r - 1) * lo
 
             def suffix_ok(seq):
                 acc = 0
@@ -225,16 +224,12 @@ class TestAdmissibleSmoothings:
                         return False
                 return True
 
-            expected = sorted(
-                (
-                    seq
-                    for seq in nonincreasing_sequences(r, lo, max(lo, hi))
-                    if sum(seq) == total and suffix_ok(seq)
-                ),
-                reverse=True,
-            )
-            got = [t.degrees for t in admissible_smoothings(z)]
-            assert got == expected, z
+            cls = types_in_class(r, total, lo, total - (r - 1) * lo)
+            full = [t for t in cls if suffix_ok(t.degrees)]
+            seq_only = [t for t in full if is_sequential(t)]
+            for flag, oracle in ((False, full), (True, seq_only)):
+                expected = sorted(oracle, key=lambda t: t.degrees, reverse=True)
+                assert admissible_smoothings(z, flag) == expected, (z, flag)
 
     def test_glued_smoothings_never_widen(self):
         # gluing a sequential slope-zero type to itself transversally can
