@@ -16,7 +16,6 @@ Every value is an exact integer or rational; nothing here rounds.
 """
 
 from .splitting import (
-    SlopePanel,
     SplittingType,
     balance_width,
     direct_sum,

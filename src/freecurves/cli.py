@@ -23,10 +23,16 @@ __all__ = ["run", "script"]
 
 
 def _fraction(text: str) -> Fraction:
+    """A rational written ``N`` or ``N/D``, each part read by ``int_token``."""
+    num, slash, den = text.partition("/")
     try:
-        return Fraction(text)
+        return Fraction(int_token(num), int_token(den) if slash else 1)
     except ZeroDivisionError as exc:
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from exc
+
+
+def _joined(values) -> str:
+    return ",".join(map(str, values))
 
 
 def _class_vector(text: str) -> tuple[int, ...]:
@@ -84,7 +90,7 @@ def _cmd_sp(args) -> str:
         ratio = str(splitting.minimal_slope_ratio(args.type))
     except DomainError:
         ratio = "n/a"
-    return f"panel: {panel}  min_ratio: {ratio}\n"
+    return f"panel: {_joined(panel)}  min_ratio: {ratio}\n"
 
 
 def _cmd_degbd(args) -> str:
@@ -128,8 +134,8 @@ def _cmd_esp(args) -> str:
     bound = variety.liberated_lower_bound(loaded.model, args.cls)
     deg = loaded.model.degree(args.cls)
     return (
-        f"esp: {panel}\n"
-        f"min_entry: {panel.min_entry}\n"
+        f"esp: {_joined(panel)}\n"
+        f"min_entry: {min(panel)}\n"
         f"degree: {deg}\n"
         f"liberated_bound: {bound}\n"
     )

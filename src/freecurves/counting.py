@@ -28,7 +28,13 @@ from functools import partial
 from itertools import accumulate, product
 from math import ceil, floor, gcd
 
-from .errors import DomainError, UnboundedSlice, ZeroFunctional, exact_int
+from .errors import (
+    DomainError,
+    UnboundedSlice,
+    ZeroFunctional,
+    exact_fraction,
+    exact_int,
+)
 from .variety import VarietyModel, cone_rays, in_nef, liberated_lower_bound
 
 __all__ = [
@@ -55,8 +61,8 @@ class EpsPower:
     p: Fraction
 
     def __init__(self, c, p) -> None:
-        c = Fraction(c)
-        p = Fraction(p)
+        c = exact_fraction(c, "c")
+        p = exact_fraction(p, "p")
         if c <= 0 or p <= 0:
             raise ValueError("power schedule needs c > 0 and p > 0")
         object.__setattr__(self, "c", c)
@@ -80,7 +86,10 @@ class EpsTable:
     entries: tuple[tuple[int, Fraction], ...]
 
     def __init__(self, entries) -> None:
-        es = tuple((exact_int(d, "table degree"), Fraction(v)) for d, v in entries)
+        es = tuple(
+            (exact_int(d, "table degree"), exact_fraction(v, "table value"))
+            for d, v in entries
+        )
         if not es:
             raise ValueError("threshold table is empty")
         if es[0][0] > 1:
@@ -118,7 +127,7 @@ class CountingConfig:
     delta: Fraction
 
     def __init__(self, q, br, m_cap, beta, outside_xi, eps, delta) -> None:
-        q = Fraction(q)
+        q = exact_fraction(q, "q")
         if q <= 1:
             raise ValueError("q must exceed 1")
         br = exact_int(br, "br")
@@ -130,7 +139,7 @@ class CountingConfig:
             raise ValueError("br must lie in 0..m_cap")
         if not 0 <= outside_xi <= m_cap:
             raise ValueError("outside_xi must lie in 0..m_cap")
-        delta = Fraction(delta)
+        delta = exact_fraction(delta, "delta")
         if not 0 < delta < 1:
             raise ValueError("delta must lie strictly between 0 and 1")
         object.__setattr__(self, "q", q)

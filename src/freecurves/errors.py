@@ -8,18 +8,43 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import inf
+
+
+def _exact_number(x) -> Fraction | None:
+    """``x`` as a Fraction if it is an int, a Fraction or an integral float."""
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return Fraction(x)
+    if isinstance(x, float) and x.is_integer():
+        return Fraction(int(x))
+    return None
 
 
 def exact_int(x, name: str) -> int:
-    """``x`` as an int; a bool, an infinity or a non-integer raises ValueError."""
+    """``x`` as an int, if it is an int or an integral Fraction or float.
+
+    Anything else raises ValueError: a bool, a str or bytes, an infinity, a
+    non-integral value.
+    """
     if type(x) is int:
         return x
-    if not isinstance(x, bool) and x not in (inf, -inf):
-        value = Fraction(x)
-        if value.denominator == 1:
-            return value.numerator
-    raise ValueError(f"{name} must be an integer, got {x!r}")
+    value = _exact_number(x)
+    if value is None or value.denominator != 1:
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return value.numerator
+
+
+def exact_fraction(x, name: str) -> Fraction:
+    """``x`` as a Fraction, if it is an int, a Fraction or an integral float.
+
+    Anything else raises ValueError: a bool, a str, a non-integral float
+    (whose binary expansion is not the rational it was written as).
+    """
+    value = _exact_number(x)
+    if value is None:
+        raise ValueError(
+            f"{name} must be an int, a Fraction or an integral float, got {x!r}"
+        )
+    return value
 
 
 def int_token(text: str) -> int:

@@ -108,13 +108,13 @@ class Alignment:
 
     @classmethod
     def identity(cls, rank: int) -> "Alignment":
-        return cls(range(rank))
+        return cls(range(exact_int(rank, "rank")))
 
     @classmethod
     def dual(cls, rank: int) -> "Alignment":
         """Pair the descending summands of one side against the ascending
         summands of the other — the maximally transverse matching."""
-        return cls(range(rank - 1, -1, -1))
+        return cls(range(exact_int(rank, "rank") - 1, -1, -1))
 
     @classmethod
     def from_one_based(cls, images) -> "Alignment":

@@ -14,7 +14,6 @@ from .errors import NegativeSlope, ShapeMismatch, ZeroSlope, exact_int, int_toke
 
 __all__ = [
     "SplittingType",
-    "SlopePanel",
     "slope",
     "slope_panel",
     "minimal_slope_ratio",
@@ -62,33 +61,6 @@ class SplittingType:
         return ",".join(str(a) for a in self.degrees)
 
 
-@dataclass(frozen=True)
-class SlopePanel:
-    """Tuple of exact slope ratios a_i / mu, kept in summand order."""
-
-    entries: tuple[Fraction, ...]
-
-    def __init__(self, entries) -> None:
-        object.__setattr__(self, "entries", tuple(Fraction(e) for e in entries))
-
-    @property
-    def total(self) -> Fraction:
-        return sum(self.entries, Fraction(0))
-
-    @property
-    def min_entry(self) -> Fraction:
-        return min(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __str__(self) -> str:
-        return ",".join(str(e) for e in self.entries)
-
-
 def parse_splitting_type(text: str) -> SplittingType:
     """Parse the comma-separated text form, e.g. ``4,3,3,2`` (any order)."""
     parts = [p.strip() for p in text.split(",") if p.strip() != ""]
@@ -102,7 +74,7 @@ def slope(t: SplittingType) -> Fraction:
     return Fraction(t.total_degree, t.rank)
 
 
-def slope_panel(t: SplittingType) -> SlopePanel:
+def slope_panel(t: SplittingType) -> tuple[Fraction, ...]:
     """Panel (a_1/mu, ..., a_r/mu); defined only when the slope is nonzero.
 
     For negative slope the entries are kept in summand order, which flips
@@ -111,7 +83,7 @@ def slope_panel(t: SplittingType) -> SlopePanel:
     mu = slope(t)
     if mu == 0:
         raise ZeroSlope(f"slope panel undefined for degree-zero type {t}")
-    return SlopePanel(a / mu for a in t.degrees)
+    return tuple(a / mu for a in t.degrees)
 
 
 def minimal_slope_ratio(t: SplittingType) -> Fraction:
@@ -121,7 +93,7 @@ def minimal_slope_ratio(t: SplittingType) -> Fraction:
         raise ZeroSlope(f"minimal slope ratio undefined for degree-zero type {t}")
     if mu < 0:
         raise NegativeSlope(f"minimal slope ratio needs positive slope, got {mu}")
-    return slope_panel(t).entries[-1]
+    return slope_panel(t)[-1]
 
 
 def specializes_to(general: SplittingType, special: SplittingType) -> bool:
@@ -174,6 +146,7 @@ def direct_sum(t1: SplittingType, t2: SplittingType) -> SplittingType:
 
 def most_balanced(rank: int, degree: int) -> SplittingType:
     """The unique type of width <= 1 with the given rank and degree."""
+    rank, degree = exact_int(rank, "rank"), exact_int(degree, "degree")
     if rank < 1:
         raise ValueError("rank must be positive")
     q, s = divmod(degree, rank)

@@ -17,6 +17,7 @@ from .errors import (
     NonIntegerSlope,
     NotSequential,
     RankTooLarge,
+    exact_int,
 )
 from .nodal import Alignment, admissible_smoothings, glue
 from .splitting import SplittingType, balance_width, is_sequential, slope
@@ -102,6 +103,7 @@ def balance(
 
     Hitting the cap is reported through ``converged``, not raised.
     """
+    max_steps = exact_int(max_steps, "max_steps")
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
     _check_balance_input(t, sequential)

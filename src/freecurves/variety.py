@@ -24,9 +24,9 @@ from .errors import (
     NotInNefCone,
     RankTooLarge,
     ZeroDegree,
+    exact_fraction,
     exact_int,
 )
-from .splitting import SlopePanel
 
 __all__ = [
     "Chamber",
@@ -121,7 +121,8 @@ class Chamber:
     def __init__(self, facets, filtration) -> None:
         fs = tuple(tuple(exact_int(c, "facet entry") for c in f) for f in facets)
         fl = tuple(
-            (exact_int(r, "rank"), tuple(map(Fraction, svec))) for r, svec in filtration
+            (exact_int(r, "rank"), tuple(exact_fraction(c, "slope entry") for c in svec))
+            for r, svec in filtration
         )
         if not fl:
             raise ValueError("chamber needs at least one filtration piece")
@@ -173,21 +174,31 @@ def in_nef(model: VarietyModel, alpha) -> bool:
     return _inside(model.nef_facets, alpha)
 
 
-def _expansion(model: VarietyModel, ch: Chamber, alpha) -> tuple[Fraction, ...]:
-    """Per-summand slope values: each piece slope repeated by its rank."""
-    out: list[Fraction] = []
-    for rank, svec in ch.filtration:
-        b = dot(svec, alpha)
-        out.extend([b] * rank)
-    return tuple(out)
+def _chamber_slopes(model: VarietyModel, alpha) -> list[Fraction]:
+    """Per-summand slopes of alpha: each piece slope repeated by its rank.
+
+    Every chamber holding alpha must give the same values; NoChamber is
+    raised when none holds it and BoundaryMismatch when two disagree.
+    """
+    found = None
+    for ch in model.chambers:
+        if _inside(ch.facets, alpha):
+            slopes = [b for r, svec in ch.filtration for b in [dot(svec, alpha)] * r]
+            if found is None:
+                found = slopes
+            elif slopes != found:
+                raise BoundaryMismatch(f"chambers disagree at {alpha}")
+    if found is None:
+        raise NoChamber(f"{alpha} lies in no chamber")
+    return found
 
 
-def esp(model: VarietyModel, alpha) -> SlopePanel:
-    """Expected slope panel of a nef class: expansion over the bundle slope.
+def esp(model: VarietyModel, alpha) -> tuple[Fraction, ...]:
+    """Expected slope panel of a nef class: piece slopes over the bundle slope.
 
     The class must lie in the nef cone, have positive anticanonical degree,
     and belong to at least one chamber.  On a shared chamber face all
-    containing chambers must expand identically.
+    containing chambers must give the same slopes.
     """
     alpha = _int_vector(alpha, model.rho, "class")
     if not in_nef(model, alpha):
@@ -195,18 +206,9 @@ def esp(model: VarietyModel, alpha) -> SlopePanel:
     deg = model.degree(alpha)
     if deg <= 0:
         raise ZeroDegree(f"anticanonical degree {deg} of {alpha} is not positive")
-    expansions = [
-        _expansion(model, ch, alpha)
-        for ch in model.chambers
-        if _inside(ch.facets, alpha)
-    ]
-    if not expansions:
-        raise NoChamber(f"{alpha} lies in no chamber")
-    first = expansions[0]
-    if any(e != first for e in expansions[1:]):
-        raise BoundaryMismatch(f"chambers disagree at {alpha}")
+    slopes = _chamber_slopes(model, alpha)
     mu = Fraction(deg, model.dim_n)
-    return SlopePanel(b / mu for b in first)
+    return tuple(b / mu for b in slopes)
 
 
 def liberated_lower_bound(model: VarietyModel, alpha) -> Fraction:
@@ -216,8 +218,7 @@ def liberated_lower_bound(model: VarietyModel, alpha) -> Fraction:
     certify nothing.
     """
     alpha = _int_vector(alpha, model.rho, "class")
-    panel = esp(model, alpha)
-    return panel.min_entry - Fraction(model.dim_n**2, 2 * model.degree(alpha))
+    return min(esp(model, alpha)) - Fraction(model.dim_n**2, 2 * model.degree(alpha))
 
 
 @dataclass(frozen=True)
@@ -313,12 +314,11 @@ def validate(model: VarietyModel) -> ValidationReport:
                         )
 
     for p in _sample_points(model, rays):
-        holders = [ch for ch in model.chambers if _inside(ch.facets, p)]
-        if not holders:
+        try:
+            _chamber_slopes(model, p)
+        except NoChamber:
             bad.append(f"nef point {p} lies in no chamber")
-            continue
-        expansions = {_expansion(model, ch, p) for ch in holders}
-        if len(expansions) > 1:
+        except BoundaryMismatch:
             bad.append(f"chambers disagree on shared point {p}")
 
     return ValidationReport(tuple(bad), tuple(notes))

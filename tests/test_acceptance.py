@@ -136,14 +136,14 @@ def test_c06_specialization_order_laws():
 def test_c07_expected_panel_fixture():
     model = pbundle(3, 2, [3, 0, 0])
     panel = esp(model, (1, 0))
-    assert panel.entries == (
+    assert panel == (
         Fraction(3, 2),
         Fraction(3, 2),
         Fraction(2, 3),
         Fraction(2, 3),
         Fraction(2, 3),
     )
-    assert panel.total == 5
+    assert sum(panel) == 5
     assert load_model_file(fixture_path("pbundle.json")).model == model
     passed(7, "projective-bundle panel (3/2,3/2,2/3,2/3,2/3) sums to 5")
 

@@ -253,6 +253,27 @@ class TestCommands:
         assert err.value.code == 2
         assert "invalid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag", ["--q=1_0/3", "--q=\u0663", "--q=1e2", "--q=1.5", "--delta=0.5"]
+    )
+    def test_malformed_fraction_is_usage_error(self, capsys, flag):
+        # Fraction(text) would read these as 10/3, 3, 100, 3/2 and 1/2
+        with pytest.raises(SystemExit) as err:
+            run(["check", "--model", "toy_rho1.json", "--dmax", "1", flag])
+        assert err.value.code == 2
+        assert "invalid _fraction value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, n_value",
+        [(("--q=+3/2",), "3/2"), (("--q", " 2 "), "2"), (("--q", "6 / 4"), "3/2")],
+    )
+    def test_fraction_grammar(self, capsys, argv, n_value):
+        code, out, _ = invoke(
+            capsys, "count", "--model", "toy_rho1.json", "--dmax", "1", *argv
+        )
+        assert code == 0
+        assert out.splitlines()[-1].split("\t")[3] == n_value
+
     def test_bad_max_steps_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "balance", "--type", "1,1", "--max-steps", "0")
         assert code == 2

@@ -4,8 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from freecurves.counting import count_N, lattice_slice, ratio_check
-from freecurves.errors import exact_int, int_token
+from freecurves.counting import (
+    CountingConfig,
+    EpsPower,
+    EpsTable,
+    count_N,
+    lattice_slice,
+    ratio_check,
+)
+from freecurves.errors import exact_fraction, exact_int, int_token
 from freecurves.modelio import fixture_path, load_model_file
 from freecurves.nodal import (
     Alignment,
@@ -14,7 +21,8 @@ from freecurves.nodal import (
     parse_nodal_type,
     sharpness_witness,
 )
-from freecurves.splitting import SplittingType, parse_splitting_type
+from freecurves.splitting import SplittingType, most_balanced, parse_splitting_type
+from freecurves.stability import balance
 from freecurves.variety import (
     Chamber,
     VarietyModel,
@@ -45,6 +53,11 @@ BOUNDARIES = {
     "NodalType": lambda x: NodalType([(0, x)]),
     "Alignment": lambda x: Alignment([x, 0]),
     "Alignment.from_one_based": lambda x: Alignment.from_one_based([2, x]),
+    "Alignment.identity": lambda x: Alignment.identity(x),
+    "Alignment.dual": lambda x: Alignment.dual(x),
+    "balance max_steps": lambda x: balance(SplittingType([2, 1, 0, -1, -2]), max_steps=x),
+    "most_balanced rank": lambda x: most_balanced(x, 3),
+    "most_balanced degree": lambda x: most_balanced(2, x),
     "degbd m": lambda x: degbd(NodalType([(2, -1), (-1, 2)]), x),
     "sharpness_witness m": lambda x: sharpness_witness(NodalType([(1, 1)]), x),
     "Chamber facet": lambda x: Chamber([(x, 0)], [(2, (1, 1))]),
@@ -79,6 +92,56 @@ def test_boundary_rejects_rather_than_truncates(boundary, bad):
         build(bad)
     # an integral Fraction or float is the integer itself
     assert build(Fraction(2, 2)) == build(1.0) == build(1)
+
+
+# A str or bytes is never a number: Fraction(str) would read "1_0" as 10,
+# "\u0663" as 3, "6/2" as 3 and "1e1" as 10.
+@pytest.mark.parametrize("boundary", ["exact_int", "SplittingType", "degbd m"])
+@pytest.mark.parametrize("bad", ["1_0", "3", "\u0663", "6/2", "1e1", b"3"])
+def test_boundary_rejects_text(boundary, bad):
+    with pytest.raises(ValueError, match="must be an integer"):
+        BOUNDARIES[boundary](bad)
+
+
+def _config(**overrides):
+    fields = dict(q=2, br=1, m_cap=1, beta=(0,), outside_xi=1)
+    fields.update(eps=EpsPower(1, 1), delta=Fraction(1, 10))
+    return CountingConfig(**{**fields, **overrides})
+
+
+# Each rational boundary, returning the value it stored, with values it
+# accepts.  0.1 would be stored as its binary expansion 3602879701896397/2^55,
+# True as 1, and "1/2" would be parsed from text.
+HALF_AND_ONE = (Fraction(1, 2), 1)
+RATIONALS = {
+    "exact_fraction": (lambda x: exact_fraction(x, "x"), (*HALF_AND_ONE, 2.0)),
+    "Chamber slope": (
+        lambda x: Chamber([], [(1, (x,))]).filtration[0][1][0],
+        HALF_AND_ONE,
+    ),
+    "EpsPower c": (lambda x: EpsPower(x, 1).c, HALF_AND_ONE),
+    "EpsPower p": (lambda x: EpsPower(1, x).p, HALF_AND_ONE),
+    "EpsTable value": (lambda x: EpsTable([(1, x)]).entries[0][1], HALF_AND_ONE),
+    # q must exceed 1 and delta lie strictly between 0 and 1
+    "CountingConfig q": (lambda x: _config(q=x).q, (Fraction(3, 2), 2)),
+    "CountingConfig delta": (lambda x: _config(delta=x).delta, (Fraction(1, 2),)),
+}
+
+
+@pytest.mark.parametrize("boundary", sorted(RATIONALS))
+@pytest.mark.parametrize("bad", [0.1, True, "1/2"])
+def test_rational_boundary_rejects_inexact(boundary, bad):
+    build, _ = RATIONALS[boundary]
+    with pytest.raises(ValueError, match="an int, a Fraction or an integral float"):
+        build(bad)
+
+
+@pytest.mark.parametrize("boundary", sorted(RATIONALS))
+def test_rational_boundary_stores_fraction(boundary):
+    build, good = RATIONALS[boundary]
+    for x in good:
+        value = build(x)
+        assert type(value) is Fraction and value == x
 
 
 def test_accepted_values_are_stored_as_int():

@@ -158,17 +158,35 @@ class TestBuilders:
         assert validate(toy_rho2()).ok
 
 
+def _diagonal_mismatch():
+    """Two chambers meeting on the diagonal, where one gives slopes (1, 1)
+    and the other (2, 0)."""
+    return VarietyModel(
+        rho=2,
+        dim_n=2,
+        minus_k=(1, 1),
+        nef_facets=((1, 0), (0, 1)),
+        chambers=(
+            Chamber(
+                facets=((1, -1),),
+                filtration=((2, (Fraction(1, 2), Fraction(1, 2))),),
+            ),
+            Chamber(facets=((-1, 1),), filtration=((1, (2, 0)), (1, (-1, 1)))),
+        ),
+    )
+
+
 class TestEsp:
     def test_pbundle_class(self):
         panel = esp(pbundle(3, 2, [3, 0, 0]), (1, 0))
-        assert panel.entries == (
+        assert panel == (
             Fraction(3, 2),
             Fraction(3, 2),
             Fraction(2, 3),
             Fraction(2, 3),
             Fraction(2, 3),
         )
-        assert panel.total == 5
+        assert sum(panel) == 5
 
     def test_entries_are_fractions(self):
         # lattice arithmetic stays in int; esp forms its ratios as Fractions,
@@ -180,13 +198,14 @@ class TestEsp:
         model = pbundle(3, 2, [3, 0, 0])
         assert type(model.degree((1, 0))) is int
         panel = esp(model, (1, 0))
-        assert all(type(e) is Fraction for e in panel.entries)
-        assert Fraction(2, 3) in panel.entries
+        assert type(panel) is tuple
+        assert all(type(e) is Fraction for e in panel)
+        assert Fraction(2, 3) in panel
         assert type(liberated_lower_bound(model, (1, 0))) is Fraction
 
     def test_semistable_chamber_is_all_ones(self):
         model = toy_rho1(2, dim=3)
-        assert esp(model, (7,)).entries == (1, 1, 1)
+        assert esp(model, (7,)) == (1, 1, 1)
 
     def test_scaling_invariance(self):
         model = pbundle(3, 2, [3, 0, 0])
@@ -201,7 +220,7 @@ class TestEsp:
                     alpha = (x, y)[: model.rho]
                     if sum(alpha) == 0:
                         continue
-                    assert esp(model, alpha).total == model.dim_n
+                    assert sum(esp(model, alpha)) == model.dim_n
 
     def test_not_in_nef(self):
         with pytest.raises(NotInNefCone):
@@ -220,7 +239,7 @@ class TestEsp:
                 ),
             ),
         )
-        assert esp(half, (2, 1)).entries == (1, 1)
+        assert esp(half, (2, 1)) == (1, 1)
         with pytest.raises(NoChamber):
             esp(half, (0, 1))
 
@@ -241,27 +260,11 @@ class TestEsp:
 
     def test_shared_face_consistent(self):
         model = toy_rho2()
-        assert esp(model, (3, 3)).entries == (1, 1)
+        assert esp(model, (3, 3)) == (1, 1)
 
     def test_shared_face_mismatch(self):
-        broken = VarietyModel(
-            rho=2,
-            dim_n=2,
-            minus_k=(1, 1),
-            nef_facets=((1, 0), (0, 1)),
-            chambers=(
-                Chamber(
-                    facets=((1, -1),),
-                    filtration=((2, (Fraction(1, 2), Fraction(1, 2))),),
-                ),
-                Chamber(
-                    facets=((-1, 1),),
-                    filtration=((1, (2, 0)), (1, (-1, 1))),
-                ),
-            ),
-        )
         with pytest.raises(BoundaryMismatch):
-            esp(broken, (1, 1))
+            esp(_diagonal_mismatch(), (1, 1))
 
     def test_wrong_length(self):
         with pytest.raises(ValueError):
@@ -339,6 +342,11 @@ class TestValidate:
         )
         report = validate(model)
         assert any("lies in no chamber" in v for v in report.violations)
+
+    def test_chamber_disagreement_violation(self):
+        report = validate(_diagonal_mismatch())
+        assert "chambers disagree on shared point (1, 1)" in report.violations
+        assert not any("lies in no chamber" in v for v in report.violations)
 
     def test_non_positive_degree_on_generator(self):
         model = VarietyModel(
