@@ -53,7 +53,6 @@ from .variety import (
     liberated_lower_bound,
     pbundle,
     toy_rho1,
-    toy_rho2,
     validate,
 )
 from .counting import (

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import counting as cnt
 from . import nodal, splitting, stability, variety
 from .errors import DomainError, int_token
-from .modelio import fixture_path, load_model_file
+from .modelio import LoadedModel, fixture_path, load_model_file
 
 __all__ = ["run", "script"]
 
@@ -58,14 +58,14 @@ def _build_alignment(token, rank: int) -> nodal.Alignment:
     return nodal.Alignment.from_one_based(token)
 
 
-def _resolve_model(path: str) -> Path:
+def _load_model(path: str) -> LoadedModel:
+    """Load ``--model``: a file path, or the name of a bundled fixture."""
     p = Path(path)
-    if p.exists():
-        return p
-    bundled = fixture_path(path)
-    if bundled.exists():
-        return bundled
-    raise DomainError(f"model file not found: {path}")
+    if not p.exists():
+        p = fixture_path(path)
+        if not p.exists():
+            raise DomainError(f"model file not found: {path}")
+    return load_model_file(p)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -76,7 +76,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _counting_config(args) -> tuple[variety.VarietyModel, cnt.CountingConfig]:
-    loaded = load_model_file(_resolve_model(args.model))
+    loaded = _load_model(args.model)
     cfg = loaded.counting
     if cfg is None:
         raise DomainError(f"model file {args.model} has no counting block")
@@ -129,7 +129,7 @@ def _cmd_balance(args) -> str:
 
 
 def _cmd_esp(args) -> str:
-    loaded = load_model_file(_resolve_model(args.model))
+    loaded = _load_model(args.model)
     panel = variety.esp(loaded.model, args.cls)
     bound = variety.liberated_lower_bound(loaded.model, args.cls)
     deg = loaded.model.degree(args.cls)
@@ -238,6 +238,11 @@ def run(argv=None) -> int:
 
 
 def script() -> None:
+    """Process entry point.  Exact values may run past the 4,300 digits that
+    int-to-str conversion allows by default, so lift that limit here, not in
+    ``run``, which callers use in-process; 3.10.0-3.10.6 have no limit."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     sys.exit(run())
 
 

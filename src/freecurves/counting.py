@@ -250,7 +250,6 @@ class CountRow:
 class CountReport:
     rows: tuple[CountRow, ...]
     d0: int | None
-    delta: Fraction
 
     def render_tsv(self) -> str:
         lines = [
@@ -310,4 +309,4 @@ def ratio_check(model: VarietyModel, cfg: CountingConfig, d_values) -> CountRepo
             d0 = row.d
         else:
             break
-    return CountReport(tuple(rows), d0, cfg.delta)
+    return CountReport(tuple(rows), d0)

@@ -3,13 +3,15 @@
 A model file is a single JSON object with fields ``dim``, ``rho``,
 ``minusK``, ``nef`` (facets plus optional generators), ``chambers`` and an
 optional ``counting`` block.  Rational data is carried as integer
-numerators over a single positive denominator.  Unknown fields are
-rejected so that typos cannot silently change a model.
+numerators over a single positive denominator.  Unknown and repeated
+fields are rejected so that typos cannot silently change a model.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -74,6 +76,21 @@ def _int_matrix(x, where: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_int_list(row, where) for row in x)
 
 
+def _fractions(nums, den, where: str) -> tuple[Fraction, ...]:
+    """Integer numerators over the denominator ``den`` read at ``where``: the
+    one place the rule that a denominator is positive lives, checked once
+    even for no numerators."""
+    if _int(den, where) <= 0:
+        raise ModelFormatError(f"{where} must be positive")
+    return tuple(Fraction(n, den) for n in nums)
+
+
+def _fraction(obj, field: str, where: str) -> Fraction:
+    """The rational ``{field}_num / {field}_den`` of the object at ``where``."""
+    num = _int(obj[field + "_num"], f"{where}.{field}_num")
+    return _fractions((num,), obj[field + "_den"], f"{where}.{field}_den")[0]
+
+
 def _parse_eps(obj):
     if not isinstance(obj, dict):
         raise ModelFormatError("counting.eps: expected an object")
@@ -83,41 +100,31 @@ def _parse_eps(obj):
         if not isinstance(rows, list):
             raise ModelFormatError("counting.eps.table: expected a list")
         entries = []
-        for row in rows:
+        for i, row in enumerate(rows):
             vals = _int_list(row, "counting.eps.table row")
             if len(vals) != 3:
                 raise ModelFormatError("counting.eps.table row: need [d, num, den]")
             d, num, den = vals
-            if den <= 0:
-                raise ModelFormatError("counting.eps.table row: denominator <= 0")
-            entries.append((d, Fraction(num, den)))
+            (value,) = _fractions((num,), den, f"counting.eps.table[{i}][2]")
+            entries.append((d, value))
         return EpsTable(entries)
     _check_keys(obj, _EPS_POWER_KEYS, _EPS_POWER_KEYS, "counting.eps")
-    c_den = _int(obj["c_den"], "counting.eps.c_den")
-    p_den = _int(obj["p_den"], "counting.eps.p_den")
-    if c_den <= 0 or p_den <= 0:
-        raise ModelFormatError("counting.eps: denominators must be positive")
     return EpsPower(
-        Fraction(_int(obj["c_num"], "counting.eps.c_num"), c_den),
-        Fraction(_int(obj["p_num"], "counting.eps.p_num"), p_den),
+        _fraction(obj, "c", "counting.eps"), _fraction(obj, "p", "counting.eps")
     )
 
 
 def _parse_counting(obj) -> CountingConfig:
     _check_keys(obj, _COUNTING_KEYS, _COUNTING_KEYS, "counting")
-    q_den = _int(obj["q_den"], "counting.q_den")
-    delta_den = _int(obj["delta_den"], "counting.delta_den")
-    if q_den <= 0 or delta_den <= 0:
-        raise ModelFormatError("counting: denominators must be positive")
     try:
         return CountingConfig(
-            q=Fraction(_int(obj["q_num"], "counting.q_num"), q_den),
+            q=_fraction(obj, "q", "counting"),
             br=_int(obj["br"], "counting.br"),
             m_cap=_int(obj["M"], "counting.M"),
             beta=_int_list(obj["beta"], "counting.beta"),
             outside_xi=_int(obj["outside_xi"], "counting.outside_xi"),
             eps=_parse_eps(obj["eps"]),
-            delta=Fraction(_int(obj["delta_num"], "counting.delta_num"), delta_den),
+            delta=_fraction(obj, "delta", "counting"),
         )
     except ValueError as exc:
         raise ModelFormatError(f"counting: {exc}") from exc
@@ -133,13 +140,9 @@ def _parse_chamber(obj, index: int) -> Chamber:
     for pi, piece in enumerate(pieces):
         pw = f"{where}.filtration[{pi}]"
         _check_keys(piece, _PIECE_KEYS, _PIECE_KEYS, pw)
-        den = _int(piece["slope_den"], f"{pw}.slope_den")
-        if den <= 0:
-            raise ModelFormatError(f"{pw}: slope_den must be positive")
         nums = _int_list(piece["slope_num"], f"{pw}.slope_num")
-        filtration.append(
-            (_int(piece["rank"], f"{pw}.rank"), tuple(Fraction(n, den) for n in nums))
-        )
+        slopes = _fractions(nums, piece["slope_den"], f"{pw}.slope_den")
+        filtration.append((_int(piece["rank"], f"{pw}.rank"), slopes))
     try:
         return Chamber(_int_matrix(obj["facets"], f"{where}.facets"), filtration)
     except ValueError as exc:
@@ -179,14 +182,39 @@ def load_model(data: dict) -> LoadedModel:
     return LoadedModel(model, counting)
 
 
+def _unique_fields(pairs) -> dict:
+    """A decoded JSON object; a repeated field raises rather than letting the
+    last one win."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        repeated = sorted(key for key, n in counts.items() if n > 1)
+        raise ModelFormatError(f"repeated field(s) {repeated}")
+    return obj
+
+
+# built once: json.loads given a hook builds a new decoder on every call
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_fields)
+# Reading an integer takes time quadratic in its digits (a million take
+# seconds), so model files keep the interpreter's default 4,300-digit limit
+# even where it is lifted, as the freecurves entry point does to print long
+# results.  The lookbehind keeps the scan linear.
+_LONG_INTEGER = re.compile(r"(?<![0-9])[0-9]{4301}")
+
+
 def load_model_file(path) -> LoadedModel:
     """Load and strictly validate a model file."""
     raw = Path(path).read_bytes()
     try:
-        data = json.loads(raw.decode("utf-8"))
+        text = raw.decode("utf-8")
+        if _LONG_INTEGER.search(text):
+            raise ModelFormatError(f"{path}: an integer has more than 4,300 digits")
+        data = _DECODER.decode(text)
     except UnicodeDecodeError as exc:
         raise ModelFormatError(f"{path}: not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and integers past a digit limit
+        # set lower than the default; RecursionError covers nesting too deep
         raise ModelFormatError(f"{path}: invalid JSON: {exc}") from exc
     return load_model(data)
 

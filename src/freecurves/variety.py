@@ -39,7 +39,6 @@ __all__ = [
     "cone_rays",
     "pbundle",
     "toy_rho1",
-    "toy_rho2",
     "RAY_ENUM_RHO_CAP",
 ]
 
@@ -377,35 +376,4 @@ def toy_rho1(c: int, dim: int = 2) -> VarietyModel:
         nef_facets=((1,),),
         nef_generators=((1,),),
         chambers=(chamber,),
-    )
-
-
-def toy_rho2() -> VarietyModel:
-    """Quadrant model with two chambers split along the diagonal.
-
-    Both chambers keep the smaller expected panel entry at least one half,
-    so every nef class of large degree certifies a liberation bound.
-    """
-    quarter = Fraction(1, 4)
-    c1 = Chamber(
-        facets=((1, -1),),
-        filtration=(
-            (1, (3 * quarter, quarter)),
-            (1, (quarter, 3 * quarter)),
-        ),
-    )
-    c2 = Chamber(
-        facets=((-1, 1),),
-        filtration=(
-            (1, (quarter, 3 * quarter)),
-            (1, (3 * quarter, quarter)),
-        ),
-    )
-    return VarietyModel(
-        rho=2,
-        dim_n=2,
-        minus_k=(1, 1),
-        nef_facets=((1, 0), (0, 1)),
-        nef_generators=((1, 0), (0, 1)),
-        chambers=(c1, c2),
     )

@@ -1,11 +1,20 @@
 """Exhaustive enumerators and brute-force oracles shared by the test modules."""
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from freecurves.counting import lattice_slice, r_min, xi_value
+from freecurves.modelio import fixture_path, load_model_file
 from freecurves.splitting import SplittingType, is_sequential
 from freecurves.variety import liberated_lower_bound
+
+
+@cache
+def toy_rho2():
+    """The bundled quadrant model with two chambers split along the diagonal
+    (docs/fixtures.md)."""
+    return load_model_file(fixture_path("toy_rho2.json")).model
 
 
 def nonincreasing_sequences(rank, lo, hi):

@@ -1,5 +1,6 @@
 """Command-line surface and model-file loading."""
 
+import contextlib
 import json
 import os
 import pathlib
@@ -8,13 +9,14 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from freecurves.cli import run
 from freecurves.errors import ModelFormatError
 from freecurves.modelio import fixture_path, load_model, load_model_file
 from freecurves.nodal import parse_nodal_type
 from freecurves.splitting import parse_splitting_type
-from freecurves.variety import pbundle, toy_rho1, toy_rho2, validate
+from freecurves.variety import pbundle, toy_rho1, validate
 
 
 def invoke(capsys, *argv):
@@ -39,6 +41,24 @@ class TestCommands:
         )
         assert proc.returncode == 0
         assert proc.stdout == "panel: 4/3,1,1,2/3  min_ratio: 2/3\n"
+
+    def test_prints_values_past_digit_limit(self):
+        # N at d = 500 and q = 10^9 has 4,501 digits, past the default
+        # int-to-str limit of 4,300 that the entry point lifts
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        argv = ["count", "--model", "toy_rho1.json", "--dmax", "500", "--q", "1000000000"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "freecurves.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        last = proc.stdout.splitlines()[-1].split("\t")
+        assert last[0] == "500"
+        # N = q + q^2 + ... + q^500: a one every nine digits, then nine zeros
+        assert last[3] == "1" + "000000001" * 499 + "0" * 9
+        assert len(last[3]) == 4501
 
     def test_sp_negative_slope(self, capsys):
         # a leading minus needs the = form, as usual for argparse values
@@ -318,7 +338,6 @@ class TestModelFiles:
             3, 2, [3, 0, 0]
         )
         assert load_model_file(fixture_path("toy_rho1.json")).model == toy_rho1(1)
-        assert load_model_file(fixture_path("toy_rho2.json")).model == toy_rho2()
 
     def test_unknown_top_level_field_rejected(self):
         data = json.loads(fixture_path("toy_rho1.json").read_text())
@@ -393,3 +412,156 @@ class TestModelFiles:
         path.write_text("{", encoding="utf-8")
         with pytest.raises(ModelFormatError):
             load_model_file(path)
+
+    @pytest.mark.parametrize(
+        "block, fields, name",
+        [
+            ("counting", {"q_den": 0}, "counting.q_den"),
+            ("counting", {"delta_den": -3}, "counting.delta_den"),
+            ("eps", {"c_den": 0}, "counting.eps.c_den"),
+            ("eps", {"p_den": -1}, "counting.eps.p_den"),
+            (
+                "counting",
+                {"eps": {"table": [[1, 1, 2], [3, 1, 0]]}},
+                "counting.eps.table[1][2]",
+            ),
+            # the denominator is checked even when it divides no numerator
+            (
+                "piece",
+                {"slope_num": [], "slope_den": 0},
+                "chambers[0].filtration[0].slope_den",
+            ),
+        ],
+    )
+    def test_denominator_must_be_positive(self, block, fields, name):
+        data = json.loads(fixture_path("toy_rho1.json").read_text())
+        target = {
+            "counting": data["counting"],
+            "eps": data["counting"]["eps"],
+            "piece": data["chambers"][0]["filtration"][0],
+        }[block]
+        target.update(fields)
+        with pytest.raises(ModelFormatError) as err:
+            load_model(data)
+        assert str(err.value) == f"{name} must be positive"
+
+    def test_repeated_field_rejected(self, capsys, tmp_path):
+        # the last "dim" used to win: esp printed 3/2,3/2 for the class 4
+        text = fixture_path("toy_rho1.json").read_text(encoding="utf-8")
+        path = tmp_path / "twice.json"
+        path.write_text(text.replace('"dim": 2,', '"dim": 2, "dim": 3,'), "utf-8")
+        with pytest.raises(ModelFormatError, match="repeated field.*'dim'"):
+            load_model_file(path)
+        code, out, err = invoke(capsys, "esp", "--model", str(path), "--class", "4")
+        assert (code, out) == (1, "")
+        assert "ModelFormatError" in err
+
+    def test_deep_nesting_rejected(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"dim": ' + "[" * 100_000 + "]" * 100_000 + "}", "utf-8")
+        with pytest.raises(ModelFormatError, match="invalid JSON"):
+            load_model_file(path)
+        code, out, err = invoke(capsys, "esp", "--model", str(path), "--class", "4")
+        assert (code, out) == (1, "")
+        assert "ModelFormatError" in err
+
+    def test_integer_past_digit_limit_rejected(self, tmp_path):
+        # in-process, the interpreter's default limit used to end the decode
+        # in a bare ValueError; the CLI lifts that limit, and must still
+        # refuse the literal rather than read it in quadratic time
+        text = fixture_path("toy_rho1.json").read_text(encoding="utf-8")
+        path = tmp_path / "long.json"
+        path.write_text(text.replace('"dim": 2,', f'"dim": 1{"0" * 4300},'), "utf-8")
+        with pytest.raises(ModelFormatError, match="more than 4,300 digits"):
+            load_model_file(path)
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "freecurves.cli", "esp", "--model", str(path)]
+            + ["--class", "4"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "ModelFormatError" in proc.stderr and "4,300 digits" in proc.stderr
+
+    def test_integer_at_digit_limit_is_read(self, tmp_path):
+        text = fixture_path("toy_rho1.json").read_text(encoding="utf-8")
+        path = tmp_path / "long.json"
+        path.write_text(text.replace('"dim": 2,', f'"dim": 1{"0" * 4299},'), "utf-8")
+        assert load_model_file(path).model.dim_n == 10**4299
+
+
+class _Pairs(list):
+    """A JSON object as a list of [field, value] entries, so that a mutation
+    can repeat a field."""
+
+
+class _Deep:
+    """A value wrapped in arrays nested past any recursion limit."""
+
+    def __init__(self, value):
+        self.value = value
+
+
+def _mutable(text: str):
+    return json.loads(text, object_pairs_hook=lambda pairs: _Pairs(map(list, pairs)))
+
+
+def _json_text(node) -> str:
+    if isinstance(node, _Pairs):
+        fields = (f"{json.dumps(k)}: {_json_text(v)}" for k, v in node)
+        return "{" + ", ".join(fields) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(map(_json_text, node)) + "]"
+    if isinstance(node, _Deep):
+        return "[" * 10_000 + _json_text(node.value) + "]" * 10_000
+    return json.dumps(node)
+
+
+def _slots(node):
+    """Every (container, index) below ``node``."""
+    if isinstance(node, list):
+        for i, child in enumerate(node):
+            yield node, i
+            yield from _slots(child[1] if isinstance(node, _Pairs) else child)
+
+
+# a float, a bool, null, a string, a list, an object, a 40-digit int
+_ODD_VALUES = ("1.5", "2.0", "true", "null", '"1"', "[]", "[1, 2]", '{"x": 1}')
+_ODD_VALUES += ("1" + "0" * 39, "-1" + "0" * 39)
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    name=st.sampled_from(["pbundle.json", "toy_rho1.json", "toy_rho2.json"]),
+    data=st.data(),
+)
+def test_loader_raises_only_model_format_error(tmp_path, name, data):
+    """A fixture with one to three values replaced by odd ones, deleted,
+    repeated or nested too deep loads, or raises ModelFormatError: never
+    another exception."""
+    doc = _mutable(fixture_path(name).read_text(encoding="utf-8"))
+    for _ in range(data.draw(st.integers(1, 3))):
+        container, i = data.draw(st.sampled_from(list(_slots(doc))))
+        kind = data.draw(st.sampled_from(["replace", "delete", "repeat", "deep"]))
+        if kind == "delete":
+            del container[i]
+        elif kind == "repeat":
+            container.insert(i, container[i])
+        else:
+            # an object's value sits at entry[1], an array's at its index
+            pairs = isinstance(container, _Pairs)
+            cell, j = (container[i], 1) if pairs else (container, i)
+            if kind == "deep":
+                cell[j] = _Deep(cell[j])
+            else:
+                cell[j] = _mutable(data.draw(st.sampled_from(_ODD_VALUES)))
+    path = tmp_path / "mutated.json"
+    path.write_text(_json_text(doc), encoding="utf-8")
+    with contextlib.suppress(ModelFormatError):
+        load_model_file(path)

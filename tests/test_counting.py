@@ -23,9 +23,9 @@ from freecurves.errors import (
     UnboundedSlice,
     ZeroFunctional,
 )
-from freecurves.variety import VarietyModel, pbundle, toy_rho1, toy_rho2
+from freecurves.variety import VarietyModel, pbundle, toy_rho1
 
-from helpers import direct_counts
+from helpers import direct_counts, toy_rho2
 
 
 eps_powers = st.builds(

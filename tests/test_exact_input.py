@@ -31,8 +31,9 @@ from freecurves.variety import (
     liberated_lower_bound,
     pbundle,
     toy_rho1,
-    toy_rho2,
 )
+
+from helpers import toy_rho2
 
 
 def _rho1(**overrides):

@@ -20,9 +20,10 @@ from freecurves.variety import (
     liberated_lower_bound,
     pbundle,
     toy_rho1,
-    toy_rho2,
     validate,
 )
+
+from helpers import toy_rho2
 
 
 def _in_conic_hull(pt, rays):
