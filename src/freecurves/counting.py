@@ -212,12 +212,6 @@ def xi_value(model: VarietyModel, cfg: CountingConfig, alpha) -> int:
     return cfg.br if in_nef(model, shifted) else cfg.outside_xi
 
 
-def _weigh(model: VarietyModel, cfg: CountingConfig, alpha) -> tuple[int, Fraction]:
-    """Degree of a class and its summand xi(alpha) * q^degree in N."""
-    deg = model.degree(alpha)
-    return deg, xi_value(model, cfg, alpha) * cfg.q**deg
-
-
 def count_N(model: VarietyModel, cfg: CountingConfig, d: int) -> Fraction:
     """Counting function at degree step d (exact); needs no chambers."""
     d = exact_int(d, "d")
@@ -225,7 +219,8 @@ def count_N(model: VarietyModel, cfg: CountingConfig, d: int) -> Fraction:
         raise ValueError("d must be positive")
     _check_beta(model, cfg)
     points = lattice_slice(model, d * r_min(model))
-    return sum((_weigh(model, cfg, alpha)[1] for alpha in points), Fraction(0))
+    weights = (xi_value(model, cfg, a) * cfg.q ** model.degree(a) for a in points)
+    return sum(weights, Fraction(0))
 
 
 def count_N_liberated(model: VarietyModel, cfg: CountingConfig, d: int) -> Fraction:
@@ -286,7 +281,8 @@ def ratio_check(model: VarietyModel, cfg: CountingConfig, d_values) -> CountRepo
     new_lib = [0] * (len(ds) + 1)
     new_lib_weight = [Fraction(0)] * (len(ds) + 1)
     for alpha in lattice_slice(model, ds[-1] * step):
-        deg, weight = _weigh(model, cfg, alpha)
+        deg = model.degree(alpha)
+        weight = xi_value(model, cfg, alpha) * cfg.q**deg
         bound = liberated_lower_bound(model, alpha)
         # degrees are multiples of step, so deg // step is the entry degree
         enter = bisect_left(ds, deg // step)

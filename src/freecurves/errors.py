@@ -112,7 +112,7 @@ class ZeroDegree(DomainError):
 
 
 class BoundaryMismatch(DomainError):
-    """Chambers sharing a face disagree on the expanded slope vector."""
+    """Chambers sharing a face disagree on the piece slopes."""
 
 
 class ZeroFunctional(DomainError):

@@ -57,16 +57,6 @@ class NodalType:
     def total_degree(self) -> int:
         return sum(a + b for a, b in self.pairs)
 
-    def restrict_z1(self) -> SplittingType:
-        return SplittingType(a for a, _ in self.pairs)
-
-    def restrict_z2(self) -> SplittingType:
-        return SplittingType(b for _, b in self.pairs)
-
-    def swapped(self) -> "NodalType":
-        """Exchange the two components."""
-        return NodalType((b, a) for a, b in self.pairs)
-
     def __iter__(self):
         return iter(self.pairs)
 

@@ -93,7 +93,7 @@ def minimal_slope_ratio(t: SplittingType) -> Fraction:
         raise ZeroSlope(f"minimal slope ratio undefined for degree-zero type {t}")
     if mu < 0:
         raise NegativeSlope(f"minimal slope ratio needs positive slope, got {mu}")
-    return slope_panel(t)[-1]
+    return t.degrees[-1] / mu
 
 
 def specializes_to(general: SplittingType, special: SplittingType) -> bool:

@@ -7,7 +7,7 @@ functionals of the successive filtration quotients.  From these it computes
 expected slope panels and certified lower bounds for the minimal slope
 ratio.  Integers are checked once, where they enter; behind that, lattice
 arithmetic is plain int and a Fraction appears only in slopes and ratios.
-Cone rays come from integer minors of facet subsets (rho <= 4 only).
+Cone rays come from integer minors of facet subsets.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .errors import (
     BoundaryMismatch,
     NoChamber,
     NotInNefCone,
-    RankTooLarge,
     ZeroDegree,
     exact_fraction,
     exact_int,
@@ -39,10 +38,7 @@ __all__ = [
     "cone_rays",
     "pbundle",
     "toy_rho1",
-    "RAY_ENUM_RHO_CAP",
 ]
-
-RAY_ENUM_RHO_CAP = 4
 
 
 def dot(u, v):
@@ -63,15 +59,27 @@ def _inside(facets, alpha) -> bool:
 
 
 def _det(rows) -> int:
-    """Integer determinant by cofactor expansion along the first row."""
-    if not rows:
-        return 1
-    first, rest = rows[0], rows[1:]
-    return sum(
-        (-1) ** j * a * _det([r[:j] + r[j + 1 :] for r in rest])
-        for j, a in enumerate(first)
-        if a
-    )
+    """Integer determinant by Bareiss fraction-free elimination, O(n^3).
+
+    Every division is exact (Sylvester's identity), so all entries stay int.
+    """
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        top, pivot = m[k], m[k][k]
+        for row in m[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    return sign * m[-1][-1] if n else 1
 
 
 def cone_rays(facets, rho: int) -> list[tuple[int, ...]]:
@@ -81,12 +89,8 @@ def cone_rays(facets, rho: int) -> list[tuple[int, ...]]:
     determinant; otherwise it contains a line and ValueError is raised.
     Candidates are the normals to (rho-1)-subsets of facets: the signed
     maximal minors divided by their gcd, zero (and skipped) when the subset
-    is dependent.  Supported only up to lattice rank 4.
+    is dependent.
     """
-    if rho > RAY_ENUM_RHO_CAP:
-        raise RankTooLarge(
-            f"lattice rank {rho} exceeds ray enumeration cap {RAY_ENUM_RHO_CAP}"
-        )
     facets = [tuple(exact_int(c, "facet entry") for c in f) for f in facets]
     if not any(_det(sub) for sub in combinations(facets, rho)):
         raise ValueError("cone contains a line: facet normals do not span")
@@ -173,57 +177,71 @@ def in_nef(model: VarietyModel, alpha) -> bool:
     return _inside(model.nef_facets, alpha)
 
 
-def _chamber_slopes(model: VarietyModel, alpha) -> list[Fraction]:
-    """Per-summand slopes of alpha: each piece slope repeated by its rank.
+def _chamber_pieces(model: VarietyModel, alpha) -> list[tuple[int, Fraction]]:
+    """(rank, slope) pieces of alpha in filtration order, neighbours of equal
+    slope merged: the run-length form of the per-summand slopes.
 
-    Every chamber holding alpha must give the same values; NoChamber is
+    Every chamber holding alpha must give the same pieces; NoChamber is
     raised when none holds it and BoundaryMismatch when two disagree.
     """
     found = None
     for ch in model.chambers:
         if _inside(ch.facets, alpha):
-            slopes = [b for r, svec in ch.filtration for b in [dot(svec, alpha)] * r]
+            pieces: list[tuple[int, Fraction]] = []
+            for r, svec in ch.filtration:
+                b = dot(svec, alpha)
+                if pieces and pieces[-1][1] == b:
+                    r += pieces.pop()[0]
+                pieces.append((r, b))
             if found is None:
-                found = slopes
-            elif slopes != found:
+                found = pieces
+            elif pieces != found:
                 raise BoundaryMismatch(f"chambers disagree at {alpha}")
     if found is None:
         raise NoChamber(f"{alpha} lies in no chamber")
     return found
 
 
-def esp(model: VarietyModel, alpha) -> tuple[Fraction, ...]:
-    """Expected slope panel of a nef class: piece slopes over the bundle slope.
-
-    The class must lie in the nef cone, have positive anticanonical degree,
-    and belong to at least one chamber.  On a shared chamber face all
-    containing chambers must give the same slopes.
-    """
+def _class_pieces(model: VarietyModel, alpha) -> tuple[int, list]:
+    """Degree and chamber pieces of a nef class of positive degree."""
     alpha = _int_vector(alpha, model.rho, "class")
     if not in_nef(model, alpha):
         raise NotInNefCone(f"{alpha} violates a nef facet")
     deg = model.degree(alpha)
     if deg <= 0:
         raise ZeroDegree(f"anticanonical degree {deg} of {alpha} is not positive")
-    slopes = _chamber_slopes(model, alpha)
+    return deg, _chamber_pieces(model, alpha)
+
+
+def esp(model: VarietyModel, alpha) -> tuple[Fraction, ...]:
+    """Expected slope panel of a nef class: piece slopes over the bundle slope,
+    each repeated by its rank.
+
+    The class must lie in the nef cone, have positive anticanonical degree,
+    and belong to at least one chamber.  On a shared chamber face all
+    containing chambers must give the same slopes.
+    """
+    deg, pieces = _class_pieces(model, alpha)
     mu = Fraction(deg, model.dim_n)
-    return tuple(b / mu for b in slopes)
+    return tuple(e for r, b in pieces for e in [b / mu] * r)
 
 
 def liberated_lower_bound(model: VarietyModel, alpha) -> Fraction:
     """Certified lower bound for the minimal slope ratio of class alpha.
 
-    Smallest expected-panel entry minus dim^2 / (2 deg); non-positive values
-    certify nothing.
+    Smallest expected-panel entry minus dim^2 / (2 deg), that is
+    (2 dim b - dim^2) / (2 deg) for the least piece slope b; non-positive
+    values certify nothing.
     """
-    alpha = _int_vector(alpha, model.rho, "class")
-    return min(esp(model, alpha)) - Fraction(model.dim_n**2, 2 * model.degree(alpha))
+    deg, pieces = _class_pieces(model, alpha)
+    n = model.dim_n
+    b = min(s for _, s in pieces)
+    return Fraction(2 * n * b.numerator - n**2 * b.denominator, 2 * deg * b.denominator)
 
 
 @dataclass(frozen=True)
 class ValidationReport:
     violations: tuple[str, ...]
-    notes: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
@@ -232,7 +250,6 @@ class ValidationReport:
     def render(self) -> str:
         lines = [f"violations: {len(self.violations)}"]
         lines += [f"  {v}" for v in self.violations]
-        lines += [f"note: {n}" for n in self.notes]
         return "\n".join(lines)
 
 
@@ -258,16 +275,12 @@ def _sample_points(
 def validate(model: VarietyModel) -> ValidationReport:
     """Check the model invariants; returns a report rather than raising."""
     bad: list[str] = []
-    notes: list[str] = []
 
     rays: list[tuple[int, ...]] | None = None
-    if model.rho <= RAY_ENUM_RHO_CAP:
-        try:
-            rays = cone_rays(model.nef_facets, model.rho)
-        except ValueError as exc:
-            bad.append(f"nef cone: {exc}")
-    else:
-        notes.append(f"rho {model.rho} > {RAY_ENUM_RHO_CAP}: ray checks skipped")
+    try:
+        rays = cone_rays(model.nef_facets, model.rho)
+    except ValueError as exc:
+        bad.append(f"nef cone: {exc}")
 
     gens = model.nef_generators
     if gens is not None:
@@ -314,13 +327,13 @@ def validate(model: VarietyModel) -> ValidationReport:
 
     for p in _sample_points(model, rays):
         try:
-            _chamber_slopes(model, p)
+            _chamber_pieces(model, p)
         except NoChamber:
             bad.append(f"nef point {p} lies in no chamber")
         except BoundaryMismatch:
             bad.append(f"chambers disagree on shared point {p}")
 
-    return ValidationReport(tuple(bad), tuple(notes))
+    return ValidationReport(tuple(bad))
 
 
 def pbundle(n0: int, m: int, a_list) -> VarietyModel:

@@ -17,6 +17,19 @@ def toy_rho2():
     return load_model_file(fixture_path("toy_rho2.json")).model
 
 
+def cofactor_det(rows):
+    """Integer determinant by cofactor expansion along the first row: the
+    factorial-time oracle for the elimination in ``variety``."""
+    if not rows:
+        return 1
+    first, rest = rows[0], rows[1:]
+    return sum(
+        (-1) ** j * a * cofactor_det([r[:j] + r[j + 1 :] for r in rest])
+        for j, a in enumerate(first)
+        if a
+    )
+
+
 def nonincreasing_sequences(rank, lo, hi):
     """All non-increasing integer tuples of the given rank with entries in
     [lo, hi]."""

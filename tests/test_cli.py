@@ -158,6 +158,24 @@ class TestCommands:
         assert lines[1] == "d\tpoints\tliberated\tN\tN_lib\tratio"
         assert lines[4].split("\t")[3] == "14"
 
+    def test_count_with_piece_rank_past_index_size(self, capsys, tmp_path):
+        # the certified bound needs only the least piece slope, so a piece
+        # of rank 10^30 is never expanded into summands
+        data = json.loads(fixture_path("toy_rho1.json").read_text())
+        data["dim"] = data["chambers"][0]["filtration"][0]["rank"] = 10**30
+        path = tmp_path / "huge_rank.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = invoke(capsys, "count", "--model", str(path), "--dmax", "3")
+        assert (code, err) == (0, "")
+        _, plain, _ = invoke(capsys, "count", "--model", "toy_rho1.json", "--dmax", "3")
+        rows = [line.split("\t") for line in out.splitlines()[2:]]
+        plain_rows = [line.split("\t") for line in plain.splitlines()[2:]]
+        assert [(r[0], r[1], r[3]) for r in rows] == [
+            (r[0], r[1], r[3]) for r in plain_rows
+        ]
+        assert all((r[2], r[4], r[5]) == ("0", "0", "0") for r in rows)
+        assert out.splitlines()[-1] == "3\t3\t0\t14\t0\t0"
+
     def test_check_reports_threshold_degree(self, capsys):
         code, out, _ = invoke(
             capsys, "check", "--model", "toy_rho2.json", "--dmax", "45"

@@ -1,6 +1,7 @@
 """Counting functions, threshold schedules, and the ratio report."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,6 @@ from freecurves.counting import (
 from freecurves.errors import (
     DomainError,
     NoChamber,
-    RankTooLarge,
     UnboundedSlice,
     ZeroFunctional,
 )
@@ -121,15 +121,21 @@ class TestLatticeSlice:
         with pytest.raises(UnboundedSlice):
             lattice_slice(model, 3)
 
-    def test_lattice_rank_cap(self):
+    def test_rho5_orthant_matches_box_scan(self):
         facets = tuple(
             tuple(1 if i == j else 0 for j in range(5)) for i in range(5)
         )
         model = VarietyModel(
             rho=5, dim_n=2, minus_k=(1,) * 5, nef_facets=facets, chambers=()
         )
-        with pytest.raises(RankTooLarge):
-            lattice_slice(model, 3)
+        # the box reaches past the slice on every side
+        expected = [
+            pt
+            for pt in product(range(-1, 5), repeat=5)
+            if min(pt) >= 0 and 0 < sum(pt) <= 3
+        ]
+        assert len(expected) == 55
+        assert lattice_slice(model, 3) == expected
 
     def test_pbundle_slice_is_finite(self):
         pts = lattice_slice(pbundle(3, 2, [3, 0, 0]), 20)

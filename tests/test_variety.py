@@ -3,16 +3,20 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from freecurves.counting import lattice_slice, r_min
 from freecurves.errors import (
     BoundaryMismatch,
     NoChamber,
     NotInNefCone,
     ZeroDegree,
 )
+from freecurves.modelio import fixture_path, load_model_file
 from freecurves.variety import (
     Chamber,
     VarietyModel,
+    _det,
     cone_rays,
     dot,
     esp,
@@ -23,7 +27,17 @@ from freecurves.variety import (
     validate,
 )
 
-from helpers import toy_rho2
+from helpers import cofactor_det, toy_rho2
+
+# square integer matrices up to 6x6, about half of the entries zero, so
+# singular matrices and zero pivots come up often
+square_matrices = st.integers(0, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.just(0) | st.integers(-9, 9), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
 
 
 def _in_conic_hull(pt, rays):
@@ -42,6 +56,18 @@ def _in_conic_hull(pt, rays):
     lam1 = Fraction(pt[0] * by - pt[1] * bx, det)
     lam2 = Fraction(ax * pt[1] - ay * pt[0], det)
     return lam1 >= 0 and lam2 >= 0
+
+
+class TestDet:
+    @given(square_matrices)
+    @example([])
+    @example([[0, 1], [1, 0]])
+    @example([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    @settings(max_examples=300, deadline=None)
+    def test_bareiss_matches_cofactor_expansion(self, rows):
+        det = _det(rows)
+        assert type(det) is int
+        assert det == cofactor_det(rows)
 
 
 class TestConeRays:
@@ -267,12 +293,74 @@ class TestEsp:
         with pytest.raises(BoundaryMismatch):
             esp(_diagonal_mismatch(), (1, 1))
 
+    def test_merged_pieces_meet_on_a_wall(self):
+        # the rank-2 piece of x >= y meets the two rank-1 pieces of y >= x,
+        # whose slopes x and y agree on the diagonal; there the panels match
+        # summand by summand, so the wall is consistent
+        model = VarietyModel(
+            rho=2,
+            dim_n=2,
+            minus_k=(1, 1),
+            nef_facets=((1, 0), (0, 1)),
+            chambers=(
+                Chamber(
+                    facets=((1, -1),),
+                    filtration=((2, (Fraction(1, 2), Fraction(1, 2))),),
+                ),
+                Chamber(facets=((-1, 1),), filtration=((1, (0, 1)), (1, (1, 0)))),
+            ),
+        )
+        assert esp(model, (1, 1)) == (1, 1)
+        assert esp(model, (1, 2)) == (Fraction(4, 3), Fraction(2, 3))
+        assert liberated_lower_bound(model, (1, 1)) == 0
+        assert validate(model).ok
+        with pytest.raises(BoundaryMismatch):
+            esp(_diagonal_mismatch(), (1, 1))
+
     def test_wrong_length(self):
         with pytest.raises(ValueError):
             esp(toy_rho2(), (1, 2, 3))
 
 
+def _fixtures():
+    return [
+        load_model_file(fixture_path(name)).model
+        for name in ("pbundle.json", "toy_rho1.json", "toy_rho2.json")
+    ]
+
+
+slopes = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def two_chamber_models(draw):
+    """Quadrant models split along the diagonal, the chamber y >= x mirroring
+    the pieces of x >= y so that the two agree on the wall."""
+    pieces = draw(
+        st.lists(st.tuples(st.integers(1, 3), slopes, slopes), min_size=1, max_size=3)
+    )
+    return VarietyModel(
+        rho=2,
+        dim_n=sum(r for r, _, _ in pieces),
+        minus_k=draw(st.tuples(st.integers(1, 4), st.integers(1, 4))),
+        nef_facets=((1, 0), (0, 1)),
+        chambers=(
+            Chamber(facets=((1, -1),), filtration=[(r, (a, b)) for r, a, b in pieces]),
+            Chamber(facets=((-1, 1),), filtration=[(r, (b, a)) for r, a, b in pieces]),
+        ),
+    )
+
+
 class TestLiberatedLowerBound:
+    @given(st.sampled_from(_fixtures()) | two_chamber_models())
+    @settings(max_examples=80, deadline=None)
+    def test_least_piece_slope_matches_panel(self, model):
+        n = model.dim_n
+        for alpha in lattice_slice(model, 8 * r_min(model)):
+            deg = model.degree(alpha)
+            expected = min(esp(model, alpha)) - Fraction(n * n, 2 * deg)
+            assert liberated_lower_bound(model, alpha) == expected
+
     def test_pbundle_value(self):
         model = pbundle(3, 2, [3, 0, 0])
         assert liberated_lower_bound(model, (10, 0)) == Fraction(13, 24)
@@ -362,6 +450,29 @@ class TestValidate:
         )
         report = validate(model)
         assert any("not positive on generator" in v for v in report.violations)
+
+    @pytest.mark.parametrize("rho", [5, 6])
+    def test_ray_checks_past_lattice_rank_four(self, rho):
+        # slope 1 is negative only on the last coordinate ray
+        last = tuple(int(i == rho - 1) for i in range(rho))
+        model = VarietyModel(
+            rho=rho,
+            dim_n=2,
+            minus_k=(1,) * rho,
+            nef_facets=[tuple(int(i == j) for j in range(rho)) for i in range(rho)],
+            chambers=(
+                Chamber(
+                    facets=(),
+                    filtration=(
+                        (1, tuple(1 + c for c in last)),
+                        (1, tuple(-c for c in last)),
+                    ),
+                ),
+            ),
+        )
+        report = validate(model)
+        assert report.violations == (f"chamber 0: slope 1 negative on ray {last}",)
+        assert report.render() == f"violations: 1\n  {report.violations[0]}"
 
     def test_unpointed_nef_cone_reported(self):
         model = VarietyModel(
