@@ -115,12 +115,7 @@ def _cmd_glue(args) -> str:
 
 
 def _cmd_balance(args) -> str:
-    trace = stability.balance(
-        args.type,
-        max_steps=args.max_steps,
-        policy=args.policy,
-        sequential=args.sequential,
-    )
+    trace = stability.balance(args.type, max_steps=args.max_steps, policy=args.policy)
     lines = [f"state {i}: {t}" for i, t in enumerate(trace.states)]
     lines.append(f"steps: {trace.steps}")
     lines.append(f"copies: {trace.copies}")
@@ -196,9 +191,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--type", type=splitting.parse_splitting_type, required=True)
     p.add_argument("--max-steps", type=int_token, default=8)
     p.add_argument("--policy", choices=("worst", "best"), default="worst")
-    p.add_argument(
-        "--sequential", action=argparse.BooleanOptionalAction, default=True
-    )
     p.set_defaults(func=_cmd_balance)
 
     p = sub.add_parser(

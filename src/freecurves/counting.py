@@ -7,10 +7,11 @@ keeps only classes whose certified minimal-slope-ratio bound beats a
 decreasing threshold schedule; the ratio report locates the degree beyond
 which the liberated count stays above the 1 - delta fraction.
 
-``ratio_check`` is the one summation core (``count_N_liberated`` is one of
-its rows).  It classifies each class of the largest slice once and bisects
-the sorted degrees twice: for the first d whose slice holds the class, and
-for the first d from there whose threshold admits its bound.  The latter
+``ratio_check`` is the one summation core: ``count_N`` and
+``count_N_liberated`` are its N and N_lib columns at a single d.  It
+classifies each class of the largest slice once and bisects the sorted
+degrees twice: for the first d whose slice holds the class, and for the
+first d from there whose threshold admits its bound.  The latter
 needs admission monotone in d: c * d^(-p) falls as d grows, and table values
 do not increase from a first degree <= 1.  Rows are running sums.
 
@@ -35,7 +36,7 @@ from .errors import (
     exact_fraction,
     exact_int,
 )
-from .variety import VarietyModel, cone_rays, in_nef, liberated_lower_bound
+from .variety import VarietyModel, cone_rays, dot, in_nef, liberated_lower_bound
 
 __all__ = [
     "EpsPower",
@@ -197,30 +198,10 @@ def lattice_slice(model: VarietyModel, bound: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _check_beta(model: VarietyModel, cfg: CountingConfig) -> None:
-    if len(cfg.beta) != model.rho:
-        raise ValueError(
-            f"translate length {len(cfg.beta)} does not match lattice rank {model.rho}"
-        )
-
-
-def xi_value(model: VarietyModel, cfg: CountingConfig, alpha) -> int:
-    """Component count: br on the beta-translate of the nef cone, the
-    outside value elsewhere."""
-    _check_beta(model, cfg)
-    shifted = tuple(a - b for a, b in zip(alpha, cfg.beta))
-    return cfg.br if in_nef(model, shifted) else cfg.outside_xi
-
-
 def count_N(model: VarietyModel, cfg: CountingConfig, d: int) -> Fraction:
-    """Counting function at degree step d (exact); needs no chambers."""
-    d = exact_int(d, "d")
-    if d < 1:
-        raise ValueError("d must be positive")
-    _check_beta(model, cfg)
-    points = lattice_slice(model, d * r_min(model))
-    weights = (xi_value(model, cfg, a) * cfg.q ** model.degree(a) for a in points)
-    return sum(weights, Fraction(0))
+    """Counting function at degree step d (exact): the N column of
+    ``ratio_check``, so every class of the slice must lie in a chamber."""
+    return ratio_check(model, cfg, [d]).rows[0].n_value
 
 
 def count_N_liberated(model: VarietyModel, cfg: CountingConfig, d: int) -> Fraction:
@@ -271,7 +252,13 @@ def ratio_check(model: VarietyModel, cfg: CountingConfig, d_values) -> CountRepo
     ds = sorted({exact_int(d, "d value") for d in d_values})
     if not ds or ds[0] < 1:
         raise ValueError("d values must be positive")
-    _check_beta(model, cfg)
+    if len(cfg.beta) != model.rho:
+        raise ValueError(
+            f"translate length {len(cfg.beta)} does not match lattice rank {model.rho}"
+        )
+    # xi is br on the beta-translate of the nef cone, the outside value
+    # elsewhere: alpha - beta is nef when <f, alpha> >= <f, beta> for every f
+    facet_floors = [(f, dot(f, cfg.beta)) for f in model.nef_facets]
     step = r_min(model)
     admits = cfg.eps.admits
     # Buckets per index of ds: classes entering the slice there, and classes
@@ -282,7 +269,8 @@ def ratio_check(model: VarietyModel, cfg: CountingConfig, d_values) -> CountRepo
     new_lib_weight = [Fraction(0)] * (len(ds) + 1)
     for alpha in lattice_slice(model, ds[-1] * step):
         deg = model.degree(alpha)
-        weight = xi_value(model, cfg, alpha) * cfg.q**deg
+        inside = all(dot(f, alpha) >= fb for f, fb in facet_floors)
+        weight = (cfg.br if inside else cfg.outside_xi) * cfg.q**deg
         bound = liberated_lower_bound(model, alpha)
         # degrees are multiples of step, so deg // step is the entry degree
         enter = bisect_left(ds, deg // step)

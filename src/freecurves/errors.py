@@ -95,10 +95,6 @@ class NotSequential(DomainError):
     """Balancing requires consecutive degree gaps of at most one."""
 
 
-class NoAdmissibleSmoothing(DomainError):
-    """A balance step found no admissible sequential smoothing."""
-
-
 class NotInNefCone(DomainError):
     """Curve class violates a facet inequality of the nef cone."""
 

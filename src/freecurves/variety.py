@@ -282,14 +282,12 @@ def validate(model: VarietyModel) -> ValidationReport:
     except ValueError as exc:
         bad.append(f"nef cone: {exc}")
 
-    gens = model.nef_generators
-    if gens is not None:
-        for g in gens:
-            if not in_nef(model, g):
-                bad.append(f"generator {g} violates a nef facet")
-            if dot(model.minus_k, g) <= 0:
-                bad.append(f"anticanonical degree not positive on generator {g}")
-    elif rays is not None:
+    for g in model.nef_generators or ():
+        if not in_nef(model, g):
+            bad.append(f"generator {g} violates a nef facet")
+        if dot(model.minus_k, g) <= 0:
+            bad.append(f"anticanonical degree not positive on generator {g}")
+    if rays is not None:
         for g in rays:
             if dot(model.minus_k, g) <= 0:
                 bad.append(f"anticanonical degree not positive on nef ray {g}")

@@ -4,10 +4,10 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from freecurves.counting import lattice_slice, r_min, xi_value
+from freecurves.counting import lattice_slice, r_min
 from freecurves.modelio import fixture_path, load_model_file
 from freecurves.splitting import SplittingType, is_sequential
-from freecurves.variety import liberated_lower_bound
+from freecurves.variety import in_nef, liberated_lower_bound
 
 
 @cache
@@ -74,11 +74,14 @@ def sequential_zero_slope_types(rank):
 
 def direct_counts(model, cfg, d):
     """Brute-force row of the ratio report at one d: (points, liberated, N,
-    N_lib), testing every class of the slice against the threshold at d."""
+    N_lib), testing every class of the slice against the threshold at d.
+    xi is br where alpha - beta is nef and the outside value elsewhere."""
     points = liberated = 0
     n_value = n_lib = Fraction(0)
     for alpha in lattice_slice(model, d * r_min(model)):
-        weight = xi_value(model, cfg, alpha) * cfg.q ** int(model.degree(alpha))
+        shifted = tuple(a - b for a, b in zip(alpha, cfg.beta))
+        xi = cfg.br if in_nef(model, shifted) else cfg.outside_xi
+        weight = xi * cfg.q ** int(model.degree(alpha))
         points += 1
         n_value += weight
         if cfg.eps.admits(liberated_lower_bound(model, alpha), d):

@@ -132,6 +132,14 @@ class TestCommands:
         assert code == 0
         assert "state 1: 0,0,0,0,0" in out
 
+    def test_balance_has_no_sequential_switch(self, capsys):
+        # balancing is defined for sequential types only, so the switch that
+        # turned the rule off is gone and is an unknown argument
+        with pytest.raises(SystemExit) as err:
+            run(["balance", "--type=2,1,0", "--no-sequential"])
+        assert err.value.code == 2
+        assert "--no-sequential" in capsys.readouterr().err
+
     def test_balance_non_integer_slope(self, capsys):
         code, _, err = invoke(capsys, "balance", "--type", "1,0")
         assert code == 1

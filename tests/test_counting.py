@@ -15,7 +15,6 @@ from freecurves.counting import (
     lattice_slice,
     r_min,
     ratio_check,
-    xi_value,
 )
 from freecurves.errors import (
     DomainError,
@@ -163,11 +162,13 @@ class TestLatticeSlice:
 
 class TestXi:
     def test_translate(self):
-        model = toy_rho2()
+        # at q = 2 the classes of degree 1, 2 and 3 weigh 2, 4 and 8; xi is 3
+        # on the translate by (1, 1) and 1 outside it.  Degree 1: (1, 0) and
+        # (0, 1), both outside.  Degree 2: (1, 1) on the boundary is inside,
+        # (2, 0) and (0, 2) are outside.  Degree 3: (2, 1) and (1, 2) are
+        # inside, (3, 0) and (0, 3) outside.
         cfg = config(br=3, m_cap=3, outside_xi=1, beta=(1, 1))
-        assert xi_value(model, cfg, (2, 1)) == 3
-        assert xi_value(model, cfg, (2, 0)) == 1
-        assert xi_value(model, cfg, (1, 1)) == 3
+        assert count_N(toy_rho2(), cfg, 3) == 2 * 2 + 5 * 4 + 8 * 8 == 88
 
 
 class TestCountN:
@@ -197,13 +198,14 @@ class TestCountN:
         everywhere = config()
         assert count_N(model, inside_only, 3) < count_N(model, everywhere, 3)
 
-    def test_needs_no_chambers(self):
-        # N classifies nothing, so a model without chambers still counts;
-        # the liberated count needs a chamber for every class
+    def test_needs_chambers(self):
+        # N and N_lib are columns of one sweep, which classifies every
+        # class, so both need a chamber for every class
         bare = VarietyModel(
             rho=2, dim_n=2, minus_k=(1, 1), nef_facets=((1, 0), (0, 1)), chambers=()
         )
-        assert count_N(bare, config(), 2) == count_N(toy_rho2(), config(), 2) == 16
+        with pytest.raises(NoChamber):
+            count_N(bare, config(), 2)
         with pytest.raises(NoChamber):
             count_N_liberated(bare, config(), 2)
 

@@ -3,10 +3,21 @@
 import pytest
 
 from freecurves.errors import NonIntegerSlope, NotSequential, RankTooLarge
-from freecurves.splitting import SplittingType, balance_width
-from freecurves.stability import balance, balance_step, integer_slope_copies
+from freecurves.nodal import Alignment, admissible_smoothings, glue
+from freecurves.splitting import (
+    SplittingType,
+    balance_width,
+    is_sequential,
+    most_balanced,
+)
+from freecurves.stability import (
+    BALANCE_RANK_CAP,
+    balance,
+    balance_step,
+    integer_slope_copies,
+)
 
-from helpers import sequential_zero_slope_types
+from helpers import nonincreasing_sequences, sequential_zero_slope_types
 
 
 def T(*degrees):
@@ -31,8 +42,6 @@ class TestBalanceStep:
     def test_rank5_candidate_set(self):
         # the sequential smoothings of the transversal self-gluing, from
         # which the worst-case policy picks the widest
-        from freecurves.nodal import Alignment, admissible_smoothings, glue
-
         t = T(2, 1, 0, -1, -2)
         glued = glue(t, t, Alignment.dual(5))
         assert admissible_smoothings(glued, require_sequential=True) == [
@@ -61,19 +70,46 @@ class TestBalanceStep:
         with pytest.raises(NotSequential):
             balance_step(T(3, 1))
 
-    def test_unrestricted_smoothing_mode(self):
-        # with the sequential filter off the worst candidate may keep a
-        # larger gap, but the step still runs and reports exactly
-        out = balance_step(T(2, 1, 0, -1, -2), sequential=False)
-        assert out.rank == 5 and out.total_degree == 0
-        assert balance_step(T(3, 1), sequential=False) == T(4, 4)
-
     def test_never_widens(self):
         for rank in range(2, 6):
             for t in sequential_zero_slope_types(rank):
                 for c in (-2, 0, 1):
                     u = shifted(t, c)
                     assert balance_width(balance_step(u)) <= balance_width(u)
+
+
+def integer_slope_types(lo, hi):
+    """Every integer-slope type of rank at most 5 with degrees in [lo, hi]."""
+    return [
+        T(*degs)
+        for rank in range(1, BALANCE_RANK_CAP + 1)
+        for degs in nonincreasing_sequences(rank, lo, hi)
+        if sum(degs) % rank == 0
+    ]
+
+
+class TestBalancedTypeIsAdmissible:
+    def test_balanced_type_is_a_sequential_smoothing(self):
+        # sequential or not: the degree bounds alone admit the balanced type
+        types = integer_slope_types(-4, 4)
+        assert len(types) == 479
+        for t in types:
+            glued = glue(t, t, Alignment.dual(t.rank))
+            smoothings = admissible_smoothings(glued, require_sequential=True)
+            assert most_balanced(t.rank, 2 * t.total_degree) in smoothings, t
+
+    def test_best_step_matches_the_widthwise_minimum(self):
+        # oracle: the least (width, degrees) over the listed smoothings
+        checked = 0
+        for t in integer_slope_types(-4, 4):
+            if not is_sequential(t) or balance_width(t) == 0:
+                continue
+            glued = glue(t, t, Alignment.dual(t.rank))
+            candidates = admissible_smoothings(glued, require_sequential=True)
+            expected = min(candidates, key=lambda u: (balance_width(u), u.degrees))
+            assert balance_step(t, "best") == expected, t
+            checked += 1
+        assert checked > 0
 
 
 class TestBalance:

@@ -10,6 +10,7 @@ from freecurves.errors import (
     BoundaryMismatch,
     NoChamber,
     NotInNefCone,
+    UnboundedSlice,
     ZeroDegree,
 )
 from freecurves.modelio import fixture_path, load_model_file
@@ -450,6 +451,24 @@ class TestValidate:
         )
         report = validate(model)
         assert any("not positive on generator" in v for v in report.violations)
+
+    def test_generators_missing_a_ray_keep_the_ray_degree_check(self):
+        # the generators omit the ray (0, 1), on which minus_k is negative
+        # and the degree slice is unbounded
+        model = VarietyModel(
+            rho=2,
+            dim_n=2,
+            minus_k=(1, -1),
+            nef_facets=((1, 0), (0, 1)),
+            nef_generators=((1, 0),),
+            chambers=(Chamber(facets=(), filtration=((1, (1, 0)), (1, (0, -1)))),),
+        )
+        assert validate(model).violations == (
+            "anticanonical degree not positive on nef ray (0, 1)",
+            "chamber 0: slope 1 negative on ray (0, 1)",
+        )
+        with pytest.raises(UnboundedSlice):
+            lattice_slice(model, 3)
 
     @pytest.mark.parametrize("rho", [5, 6])
     def test_ray_checks_past_lattice_rank_four(self, rho):
