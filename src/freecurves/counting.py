@@ -9,11 +9,16 @@ which the liberated count stays above the 1 - delta fraction.
 
 ``ratio_check`` is the one summation core: ``count_N`` and
 ``count_N_liberated`` are its N and N_lib columns at a single d.  It
-classifies each class of the largest slice once and bisects the sorted
-degrees twice: for the first d whose slice holds the class, and for the
-first d from there whose threshold admits its bound.  The latter
-needs admission monotone in d: c * d^(-p) falls as d grows, and table values
-do not increase from a first degree <= 1.  Rows are running sums.
+classifies each class of the largest slice once, in ints only: its degree,
+its xi, its certified bound as an integer pair
+(``VarietyModel.certified_bound``), the index of the first tested d whose
+slice holds it, and the index of the first d from there whose threshold
+admits its bound.  Each schedule builds that last lookup once per call
+(``first_admitting``); it needs admission monotone in d: c * d^(-p) falls as
+d grows, and table values do not increase from a first degree <= 1.  Classes
+are tallied by (admitting index, degree); q^degree is applied once per
+degree over the common denominator q_den^top, and a Fraction is built only
+for the N, N_lib and ratio fields of each row.  Rows are running sums.
 
 Degree exponents use the class degree itself; a dimension-shift convention
 would rescale every sum by the same power of q and leave all ratios
@@ -22,12 +27,12 @@ unchanged.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate, product
-from math import ceil, floor, gcd
+from math import gcd, lcm
 
 from .errors import (
     DomainError,
@@ -36,7 +41,7 @@ from .errors import (
     exact_fraction,
     exact_int,
 )
-from .variety import VarietyModel, cone_rays, dot, in_nef, liberated_lower_bound
+from .variety import VarietyModel, cone_rays, dot, in_nef
 
 __all__ = [
     "EpsPower",
@@ -77,6 +82,24 @@ class EpsPower:
         pn = self.p.numerator
         return bound**pd * d**pn > self.c**pd
 
+    def first_admitting(self, ds):
+        """Lookup for the sorted positive degrees ``ds``: ``first(num, den,
+        lo)`` is the index of the first d in ``ds[lo:]`` that admits the bound
+        num / den (den > 0), or len(ds) when none does."""
+        pn, pd = self.p.numerator, self.p.denominator
+        powers = [d**pn for d in ds]
+        c_num, c_den = self.c.numerator**pd, self.c.denominator**pd
+        never = len(ds)
+
+        def first(num: int, den: int, lo: int) -> int:
+            if num <= 0:
+                return never
+            # (num / den)^pd * d^pn > c^pd  <=>  the integer d^pn exceeds the
+            # floor of c^pd den^pd / num^pd
+            return bisect_right(powers, c_num * den**pd // (num**pd * c_den), lo)
+
+        return first
+
 
 @dataclass(frozen=True)
 class EpsTable:
@@ -115,6 +138,21 @@ class EpsTable:
 
     def admits(self, bound: Fraction, d: int) -> bool:
         return bound > self.value_at(d)
+
+    def first_admitting(self, ds):
+        """Lookup for the sorted positive degrees ``ds``, as for
+        ``EpsPower.first_admitting``."""
+        values = [self.value_at(d) for d in ds]
+        scale = lcm(*(v.denominator for v in values))
+        # the values as integers over one denominator, negated so that they
+        # do not decrease
+        rising = [-v.numerator * (scale // v.denominator) for v in values]
+
+        def first(num: int, den: int, lo: int) -> int:
+            # num / den > v / scale  <=>  v <= (num * scale - 1) // den
+            return bisect_left(rising, -((num * scale - 1) // den), lo)
+
+        return first
 
 
 @dataclass(frozen=True)
@@ -179,7 +217,8 @@ def lattice_slice(model: VarietyModel, bound: int) -> list[tuple[int, ...]]:
 
     The slice polytope is the convex hull of the origin and the scaled rays
     (bound / ray degree) * ray, so its bounding box comes straight from the
-    rays; the box points are then filtered by the facet and degree cuts.
+    rays, by floor and ceiling division; the box points are then filtered by
+    the facet and degree cuts.
     """
     bound = exact_int(bound, "slice bound")
     if bound < 1:
@@ -187,10 +226,14 @@ def lattice_slice(model: VarietyModel, bound: int) -> list[tuple[int, ...]]:
     rays = _positive_rays(model)
     if not rays:
         return []
-    corners = [(0,) * model.rho] + [
-        tuple(Fraction(bound * c, model.degree(ray)) for c in ray) for ray in rays
+    scaled = [(bound * c, model.degree(ray)) for ray in rays for c in ray]
+    box = [
+        range(
+            min(0, *(n // d for n, d in col)),
+            max(0, *(-(-n // d) for n, d in col)) + 1,
+        )
+        for col in (scaled[i :: model.rho] for i in range(model.rho))
     ]
-    box = [range(floor(min(col)), ceil(max(col)) + 1) for col in zip(*corners)]
     return [
         pt
         for pt in product(*box)
@@ -260,30 +303,51 @@ def ratio_check(model: VarietyModel, cfg: CountingConfig, d_values) -> CountRepo
     # elsewhere: alpha - beta is nef when <f, alpha> >= <f, beta> for every f
     facet_floors = [(f, dot(f, cfg.beta)) for f in model.nef_facets]
     step = r_min(model)
-    admits = cfg.eps.admits
-    # Buckets per index of ds: classes entering the slice there, and classes
-    # first certified there; the extra last slot holds the never-certified.
-    new_points = [0] * len(ds)
-    new_weight = [Fraction(0)] * len(ds)
-    new_lib = [0] * (len(ds) + 1)
-    new_lib_weight = [Fraction(0)] * (len(ds) + 1)
+    first_lib = cfg.eps.first_admitting(ds)
+    # per (first admitting index, degree): classes, and their summed xi; the
+    # index len(ds) holds the never-certified
+    classes: defaultdict[tuple[int, int], int] = defaultdict(int)
+    xi_sum: defaultdict[tuple[int, int], int] = defaultdict(int)
     for alpha in lattice_slice(model, ds[-1] * step):
         deg = model.degree(alpha)
         inside = all(dot(f, alpha) >= fb for f, fb in facet_floors)
-        weight = (cfg.br if inside else cfg.outside_xi) * cfg.q**deg
-        bound = liberated_lower_bound(model, alpha)
         # degrees are multiples of step, so deg // step is the entry degree
         enter = bisect_left(ds, deg // step)
-        lib = bisect_left(ds, True, lo=enter, key=partial(admits, bound))
-        new_points[enter] += 1
+        key = (first_lib(*model.certified_bound(alpha, deg), enter), deg)
+        classes[key] += 1
+        xi_sum[key] += cfg.br if inside else cfg.outside_xi
+
+    # Buckets per index of ds: classes entering the slice there, and classes
+    # first certified there, with their weights times q_den^top
+    top = ds[-1] * step
+    q_num, q_den = cfg.q.numerator, cfg.q.denominator
+    power = {deg: q_num**deg * q_den ** (top - deg) for _, deg in classes}
+    new_points = [0] * len(ds)
+    new_weight = [0] * len(ds)
+    new_lib = [0] * (len(ds) + 1)
+    new_lib_weight = [0] * (len(ds) + 1)
+    for (lib, deg), count in classes.items():
+        enter = bisect_left(ds, deg // step)
+        weight = xi_sum[lib, deg] * power[deg]
+        new_points[enter] += count
         new_weight[enter] += weight
-        new_lib[lib] += 1
+        new_lib[lib] += count
         new_lib_weight[lib] += weight
 
+    scale = q_den**top
     buckets = (new_points, new_lib, new_weight, new_lib_weight)
     rows = [
-        CountRow(d, npts, nlib, n_val, n_lib, n_lib / n_val if n_val > 0 else None)
-        for d, (npts, nlib, n_val, n_lib) in zip(ds, zip(*map(accumulate, buckets)))
+        CountRow(
+            d,
+            npts,
+            nlib,
+            Fraction(weight, scale),
+            Fraction(lib_weight, scale),
+            Fraction(lib_weight, weight) if weight > 0 else None,
+        )
+        for d, (npts, nlib, weight, lib_weight) in zip(
+            ds, zip(*map(accumulate, buckets))
+        )
     ]
 
     threshold = 1 - cfg.delta

@@ -6,28 +6,34 @@ carrying filtration data: per chamber, the ranks and linear slope
 functionals of the successive filtration quotients.  From these it computes
 expected slope panels and certified lower bounds for the minimal slope
 ratio.  Integers are checked once, where they enter; behind that, lattice
-arithmetic is plain int and a Fraction appears only in slopes and ratios.
-Cone rays come from integer minors of facet subsets.
+arithmetic is plain int.  When a model is built its chamber slopes are
+scaled once to integer numerators over one model denominator, the lcm of
+every slope denominator, so finding and comparing the chamber pieces of a
+class is int work; ``esp`` and ``liberated_lower_bound`` divide once at the
+end and return Fractions.  Cone rays come from integer minors of facet
+subsets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .errors import (
     BoundaryMismatch,
     NoChamber,
     NotInNefCone,
+    RankTooLarge,
     ZeroDegree,
     exact_fraction,
     exact_int,
 )
 
 __all__ = [
+    "MAX_PANEL_LENGTH",
     "Chamber",
     "VarietyModel",
     "ValidationReport",
@@ -143,6 +149,10 @@ class VarietyModel:
     nef_facets: tuple[tuple[int, ...], ...]
     nef_generators: tuple[tuple[int, ...], ...] | None
     chambers: tuple[Chamber, ...]
+    # Set up once from the chambers: D, the lcm of every slope denominator,
+    # and per chamber its facets and its (rank, D * slope) integer pieces.
+    slope_den: int = field(init=False, repr=False, compare=False)
+    _scaled_chambers: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(
         self, rho, dim_n, minus_k, nef_facets, chambers, nef_generators=None
@@ -168,49 +178,75 @@ class VarietyModel:
         object.__setattr__(self, "nef_facets", nf)
         object.__setattr__(self, "nef_generators", gens)
         object.__setattr__(self, "chambers", chs)
+        den = lcm(*(c.denominator for ch in chs for _, sv in ch.filtration for c in sv))
+        scaled = tuple(
+            (
+                ch.facets,
+                tuple(
+                    (r, tuple(c.numerator * (den // c.denominator) for c in sv))
+                    for r, sv in ch.filtration
+                ),
+            )
+            for ch in chs
+        )
+        object.__setattr__(self, "slope_den", den)
+        object.__setattr__(self, "_scaled_chambers", scaled)
 
     def degree(self, alpha) -> int:
         return dot(self.minus_k, alpha)
+
+    def chamber_pieces(self, alpha) -> list[tuple[int, int]]:
+        """(rank, slope numerator over ``slope_den``) pieces of alpha in
+        filtration order, neighbours of equal slope merged: the run-length
+        form of the per-summand slopes.
+
+        Every chamber holding alpha must give the same pieces; NoChamber is
+        raised when none holds it and BoundaryMismatch when two disagree.
+        """
+        found = None
+        for facets, scaled in self._scaled_chambers:
+            if _inside(facets, alpha):
+                pieces: list[tuple[int, int]] = []
+                for r, svec in scaled:
+                    b = dot(svec, alpha)
+                    if pieces and pieces[-1][1] == b:
+                        r += pieces.pop()[0]
+                    pieces.append((r, b))
+                if found is None:
+                    found = pieces
+                elif pieces != found:
+                    raise BoundaryMismatch(f"chambers disagree at {alpha}")
+        if found is None:
+            raise NoChamber(f"{alpha} lies in no chamber")
+        return found
+
+    def certified_bound(self, alpha, deg: int) -> tuple[int, int]:
+        """The certified bound of a class alpha of degree deg > 0 as an
+        integer pair (numerator, positive denominator): (2 n b - n^2 D,
+        2 D deg) for dim n, least piece slope b / D and D = ``slope_den``."""
+        n, den = self.dim_n, self.slope_den
+        b = min(s for _, s in self.chamber_pieces(alpha))
+        return 2 * n * b - n * n * den, 2 * den * deg
 
 
 def in_nef(model: VarietyModel, alpha) -> bool:
     return _inside(model.nef_facets, alpha)
 
 
-def _chamber_pieces(model: VarietyModel, alpha) -> list[tuple[int, Fraction]]:
-    """(rank, slope) pieces of alpha in filtration order, neighbours of equal
-    slope merged: the run-length form of the per-summand slopes.
-
-    Every chamber holding alpha must give the same pieces; NoChamber is
-    raised when none holds it and BoundaryMismatch when two disagree.
-    """
-    found = None
-    for ch in model.chambers:
-        if _inside(ch.facets, alpha):
-            pieces: list[tuple[int, Fraction]] = []
-            for r, svec in ch.filtration:
-                b = dot(svec, alpha)
-                if pieces and pieces[-1][1] == b:
-                    r += pieces.pop()[0]
-                pieces.append((r, b))
-            if found is None:
-                found = pieces
-            elif pieces != found:
-                raise BoundaryMismatch(f"chambers disagree at {alpha}")
-    if found is None:
-        raise NoChamber(f"{alpha} lies in no chamber")
-    return found
-
-
-def _class_pieces(model: VarietyModel, alpha) -> tuple[int, list]:
-    """Degree and chamber pieces of a nef class of positive degree."""
+def _nef_class(model: VarietyModel, alpha) -> tuple[tuple[int, ...], int]:
+    """A nef class of positive degree, checked, and its degree."""
     alpha = _int_vector(alpha, model.rho, "class")
     if not in_nef(model, alpha):
         raise NotInNefCone(f"{alpha} violates a nef facet")
     deg = model.degree(alpha)
     if deg <= 0:
         raise ZeroDegree(f"anticanonical degree {deg} of {alpha} is not positive")
-    return deg, _chamber_pieces(model, alpha)
+    return alpha, deg
+
+
+# The longest panel ``esp`` lists, one entry per summand; a chamber piece of
+# larger rank is refused before anything is expanded.
+MAX_PANEL_LENGTH = 10**6
 
 
 def esp(model: VarietyModel, alpha) -> tuple[Fraction, ...]:
@@ -219,24 +255,29 @@ def esp(model: VarietyModel, alpha) -> tuple[Fraction, ...]:
 
     The class must lie in the nef cone, have positive anticanonical degree,
     and belong to at least one chamber.  On a shared chamber face all
-    containing chambers must give the same slopes.
+    containing chambers must give the same slopes.  A panel of more than
+    ``MAX_PANEL_LENGTH`` entries raises RankTooLarge.
     """
-    deg, pieces = _class_pieces(model, alpha)
-    mu = Fraction(deg, model.dim_n)
-    return tuple(e for r, b in pieces for e in [b / mu] * r)
+    alpha, deg = _nef_class(model, alpha)
+    pieces = model.chamber_pieces(alpha)
+    length = sum(r for r, _ in pieces)
+    if length > MAX_PANEL_LENGTH:
+        raise RankTooLarge(f"panel of {length} entries exceeds {MAX_PANEL_LENGTH}")
+    # slope b / D over the bundle slope deg / dim
+    scale = model.slope_den * deg
+    return tuple(
+        e for r, b in pieces for e in [Fraction(b * model.dim_n, scale)] * r
+    )
 
 
 def liberated_lower_bound(model: VarietyModel, alpha) -> Fraction:
     """Certified lower bound for the minimal slope ratio of class alpha.
 
-    Smallest expected-panel entry minus dim^2 / (2 deg), that is
-    (2 dim b - dim^2) / (2 deg) for the least piece slope b; non-positive
-    values certify nothing.
+    Smallest expected-panel entry minus dim^2 / (2 deg), the pair of
+    ``VarietyModel.certified_bound`` as a Fraction; non-positive values
+    certify nothing.
     """
-    deg, pieces = _class_pieces(model, alpha)
-    n = model.dim_n
-    b = min(s for _, s in pieces)
-    return Fraction(2 * n * b.numerator - n**2 * b.denominator, 2 * deg * b.denominator)
+    return Fraction(*model.certified_bound(*_nef_class(model, alpha)))
 
 
 @dataclass(frozen=True)
@@ -325,7 +366,7 @@ def validate(model: VarietyModel) -> ValidationReport:
 
     for p in _sample_points(model, rays):
         try:
-            _chamber_pieces(model, p)
+            model.chamber_pieces(p)
         except NoChamber:
             bad.append(f"nef point {p} lies in no chamber")
         except BoundaryMismatch:

@@ -2,12 +2,11 @@
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
+from math import gcd
 
-from freecurves.counting import lattice_slice, r_min
 from freecurves.modelio import fixture_path, load_model_file
 from freecurves.splitting import SplittingType, is_sequential
-from freecurves.variety import in_nef, liberated_lower_bound
 
 
 @cache
@@ -72,19 +71,56 @@ def sequential_zero_slope_types(rank):
     return [t for t in types_in_class(rank, 0, -rank, rank) if is_sequential(t)]
 
 
+def _pairing(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _satisfies(facets, alpha):
+    return all(_pairing(f, alpha) >= 0 for f in facets)
+
+
+def orthant_slice(model, bound):
+    """Nef classes with 0 < degree <= bound, by a scan of the box [0, bound]^rho.
+
+    The box holds the whole slice when the coordinate facets are nef facets
+    (the nef cone lies in the orthant) and every entry of the anticanonical
+    functional is at least 1, so that no coordinate exceeds the degree.
+    """
+    rho = model.rho
+    units = [tuple(int(i == j) for j in range(rho)) for i in range(rho)]
+    assert all(u in model.nef_facets for u in units), "nef cone not in the orthant"
+    assert min(model.minus_k) >= 1, "a coordinate may exceed the degree"
+    return [
+        alpha
+        for alpha in product(range(bound + 1), repeat=rho)
+        if _satisfies(model.nef_facets, alpha)
+        and 0 < _pairing(model.minus_k, alpha) <= bound
+    ]
+
+
+def fraction_bound(model, alpha):
+    """Certified bound n * b / deg - n^2 / (2 deg), with b the least slope
+    of the first chamber holding alpha, read as Fractions from
+    ``Chamber.filtration``."""
+    chamber = next(ch for ch in model.chambers if _satisfies(ch.facets, alpha))
+    b = min(_pairing(svec, alpha) for _, svec in chamber.filtration)
+    n, deg = model.dim_n, _pairing(model.minus_k, alpha)
+    return n * b / deg - Fraction(n * n, 2 * deg)
+
+
 def direct_counts(model, cfg, d):
     """Brute-force row of the ratio report at one d: (points, liberated, N,
     N_lib), testing every class of the slice against the threshold at d.
     xi is br where alpha - beta is nef and the outside value elsewhere."""
     points = liberated = 0
     n_value = n_lib = Fraction(0)
-    for alpha in lattice_slice(model, d * r_min(model)):
+    for alpha in orthant_slice(model, d * gcd(*model.minus_k)):
         shifted = tuple(a - b for a, b in zip(alpha, cfg.beta))
-        xi = cfg.br if in_nef(model, shifted) else cfg.outside_xi
-        weight = xi * cfg.q ** int(model.degree(alpha))
+        xi = cfg.br if _satisfies(model.nef_facets, shifted) else cfg.outside_xi
+        weight = xi * cfg.q ** _pairing(model.minus_k, alpha)
         points += 1
         n_value += weight
-        if cfg.eps.admits(liberated_lower_bound(model, alpha), d):
+        if cfg.eps.admits(fraction_bound(model, alpha), d):
             liberated += 1
             n_lib += weight
     return points, liberated, n_value, n_lib

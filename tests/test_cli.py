@@ -184,6 +184,17 @@ class TestCommands:
         assert all((r[2], r[4], r[5]) == ("0", "0", "0") for r in rows)
         assert out.splitlines()[-1] == "3\t3\t0\t14\t0\t0"
 
+    def test_esp_refuses_a_panel_of_rank_past_index_size(self, capsys, tmp_path):
+        # esp lists one entry per summand, so a piece of rank 10^30 is a
+        # named domain error, exit 1, not an OverflowError traceback
+        data = json.loads(fixture_path("toy_rho1.json").read_text())
+        data["dim"] = data["chambers"][0]["filtration"][0]["rank"] = 10**30
+        path = tmp_path / "huge_rank.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = invoke(capsys, "esp", "--model", str(path), "--class", "3")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: RankTooLarge: panel of 10")
+
     def test_check_reports_threshold_degree(self, capsys):
         code, out, _ = invoke(
             capsys, "check", "--model", "toy_rho2.json", "--dmax", "45"

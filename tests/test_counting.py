@@ -17,12 +17,13 @@ from freecurves.counting import (
     ratio_check,
 )
 from freecurves.errors import (
+    BoundaryMismatch,
     DomainError,
     NoChamber,
     UnboundedSlice,
     ZeroFunctional,
 )
-from freecurves.variety import VarietyModel, pbundle, toy_rho1
+from freecurves.variety import Chamber, VarietyModel, pbundle, toy_rho1
 
 from helpers import direct_counts, toy_rho2
 
@@ -30,8 +31,58 @@ from helpers import direct_counts, toy_rho2
 eps_powers = st.builds(
     EpsPower,
     st.fractions(min_value=Fraction(1, 10), max_value=2, max_denominator=10),
-    st.fractions(min_value=Fraction(1, 5), max_value=3, max_denominator=5),
+    st.fractions(min_value=Fraction(1, 5), max_value=3, max_denominator=5)
+    | st.sampled_from([Fraction(3, 2), Fraction(2, 3)]),
 )
+# weight bases above 1, most with a denominator other than 1
+q_values = st.builds(
+    lambda den, extra: Fraction(den + extra, den), st.integers(1, 4), st.integers(1, 4)
+)
+
+
+def split_model(minus_k, ray, ranks, t):
+    """A model whose chamber pieces sum to ``minus_k``: two pieces of ranks
+    (r1, r2) with slopes (minus_k + r2 w) / n and (minus_k - r1 w) / n, which
+    differ by w.  At lattice rank 2 the quadrant is split along ``ray`` =
+    (u, v) and w = t (v, -u) vanishes on it, so the two chambers, which list
+    the pieces in opposite orders, agree on the wall.  At rank 1 there is
+    one chamber and w = t."""
+    (r1, r2), n = ranks, sum(ranks)
+    if len(minus_k) == 1:
+        w = (t,)
+    else:
+        (u, v) = ray
+        w = (t * v, -t * u)
+    s1 = (r1, tuple(Fraction(m + r2 * x, n) for m, x in zip(minus_k, w)))
+    s2 = (r2, tuple(Fraction(m - r1 * x, n) for m, x in zip(minus_k, w)))
+    if len(minus_k) == 1:
+        chambers = (Chamber(facets=(), filtration=(s1, s2)),)
+    else:
+        chambers = (
+            Chamber(facets=((ray[1], -ray[0]),), filtration=(s1, s2)),
+            Chamber(facets=((-ray[1], ray[0]),), filtration=(s2, s1)),
+        )
+    rho = len(minus_k)
+    return VarietyModel(
+        rho=rho,
+        dim_n=n,
+        minus_k=minus_k,
+        nef_facets=tuple(tuple(int(i == j) for j in range(rho)) for i in range(rho)),
+        chambers=chambers,
+    )
+
+
+@st.composite
+def split_models(draw):
+    """Random models of lattice rank 1 or 2 on the orthant (see
+    ``split_model``); t = 0 merges the two pieces."""
+    rho = draw(st.integers(1, 2))
+    return split_model(
+        minus_k=tuple(draw(st.integers(1, 3)) for _ in range(rho)),
+        ray=(draw(st.integers(1, 3)), draw(st.integers(1, 3))),
+        ranks=(draw(st.integers(1, 3)), draw(st.integers(1, 3))),
+        t=draw(st.fractions(min_value=0, max_value=3, max_denominator=4)),
+    )
 
 
 @st.composite
@@ -209,6 +260,36 @@ class TestCountN:
         with pytest.raises(NoChamber):
             count_N_liberated(bare, config(), 2)
 
+    def test_classification_errors_reach_every_column(self):
+        # chambers that disagree on the diagonal: the slice at d = 1 misses
+        # it, the slice at d = 2 holds (1, 1)
+        mismatch = VarietyModel(
+            rho=2,
+            dim_n=2,
+            minus_k=(1, 1),
+            nef_facets=((1, 0), (0, 1)),
+            chambers=(
+                Chamber(((1, -1),), ((2, (Fraction(1, 2), Fraction(1, 2))),)),
+                Chamber(((-1, 1),), ((1, (2, 0)), (1, (-1, 1)))),
+            ),
+        )
+        assert ratio_check(mismatch, config(), [1]).rows[0].points == 2
+        for column in (count_N, count_N_liberated):
+            with pytest.raises(BoundaryMismatch, match=r"disagree at \(1, 1\)"):
+                column(mismatch, config(), 2)
+        with pytest.raises(BoundaryMismatch):
+            ratio_check(mismatch, config(), [1, 2])
+        unbounded = VarietyModel(
+            rho=2,
+            dim_n=2,
+            minus_k=(1, 0),
+            nef_facets=((1, 0), (0, 1)),
+            chambers=mismatch.chambers,
+        )
+        for column in (count_N, count_N_liberated):
+            with pytest.raises(UnboundedSlice):
+                column(unbounded, config(), 1)
+
 
 class TestCountLiberated:
     def test_threshold_one_certifies_nothing(self):
@@ -273,6 +354,59 @@ class TestEpsSchedules:
             EpsTable([(2, 1), (3, Fraction(1, 2))])
         assert EpsTable([(0, 1)]).value_at(1) == 1
         assert EpsTable([(-3, 1), (1, Fraction(1, 2))]).value_at(1) == Fraction(1, 2)
+
+
+def first_admitting_oracle(eps, ds, num, den, lo):
+    bound = Fraction(num, den)
+    return next(
+        (i for i in range(lo, len(ds)) if eps.admits(bound, ds[i])), len(ds)
+    )
+
+
+class TestFirstAdmitting:
+    @given(
+        st.one_of(eps_powers, eps_tables()),
+        st.lists(st.integers(1, 40), min_size=1, max_size=10, unique=True).map(sorted),
+        st.integers(-20, 60),
+        st.integers(1, 40),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_admits(self, eps, ds, num, den, data):
+        lo = data.draw(st.integers(0, len(ds)))
+        first = eps.first_admitting(ds)
+        assert first(num, den, lo) == first_admitting_oracle(eps, ds, num, den, lo)
+
+    def test_non_positive_bound_is_never_admitted(self):
+        ds = list(range(1, 50))
+        for eps in (EpsPower(Fraction(1, 100), 3), EpsTable([(1, Fraction(1, 100))])):
+            first = eps.first_admitting(ds)
+            for num in (0, -1, -10**6):
+                assert first(num, 7, 0) == len(ds)
+
+    def test_equality_is_not_admitted(self):
+        # the bound 1/2 equals 4^(-1/2), so d = 4 fails and d = 5 is first
+        ds = [1, 2, 3, 4, 5, 6]
+        first = EpsPower(1, Fraction(1, 2)).first_admitting(ds)
+        assert first(1, 2, 0) == first(2, 4, 0) == ds.index(5)
+        assert first(1, 2, 5) == 5
+        # unreduced pairs as ratio_check passes them: 3/6 at d = 4 again
+        assert first(3, 6, ds.index(4)) == ds.index(5)
+        table = EpsTable([(1, Fraction(1, 2)), (4, Fraction(1, 3))])
+        first = table.first_admitting(ds)
+        assert first(1, 2, 0) == ds.index(4)
+        assert first(1, 3, 0) == len(ds)
+        assert first(2, 5, 0) == ds.index(4)
+        assert first(2, 3, 0) == 0
+
+    def test_table_steps_and_start(self):
+        table = EpsTable([(-2, 1), (3, Fraction(1, 2)), (10, Fraction(1, 5))])
+        ds = [1, 3, 9, 10, 20]
+        first = table.first_admitting(ds)
+        assert first(1, 1, 0) == 1  # 1 > 1/2 from d = 3 on
+        assert first(1, 4, 0) == 3  # 1/4 > 1/5 from d = 10 on
+        assert first(1, 4, 4) == 4
+        assert first(1, 5, 0) == len(ds)
 
 
 class TestConfigValidation:
@@ -345,19 +479,20 @@ class TestRatioCheck:
             assert row.points == len(lattice_slice(model, row.d))
 
     @given(st.data())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_rows_match_oracle_property(self, data):
         model = data.draw(
             st.sampled_from(
                 [toy_rho1(1), toy_rho1(3), toy_rho2(), pbundle(3, 2, [3, 0, 0])]
             )
+            | split_models()
         )
         cfg = config(
-            q=data.draw(st.sampled_from([Fraction(2), Fraction(3, 2)])),
-            br=data.draw(st.integers(0, 2)),
-            m_cap=2,
-            beta=tuple(data.draw(st.integers(-1, 2)) for _ in range(model.rho)),
-            outside_xi=data.draw(st.integers(0, 2)),
+            q=data.draw(q_values),
+            br=data.draw(st.integers(0, 3)),
+            m_cap=3,
+            beta=tuple(data.draw(st.integers(-1, 3)) for _ in range(model.rho)),
+            outside_xi=data.draw(st.integers(0, 3)),
             eps=data.draw(st.one_of(eps_powers, eps_tables())),
         )
         # unsorted, duplicated and gapped degree sets
@@ -371,6 +506,30 @@ class TestRatioCheck:
                 assert row.ratio == row.n_liberated / row.n_value
             else:
                 assert row.ratio is None
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(q=Fraction(3, 2)),
+            dict(q=Fraction(7, 3), eps=EpsPower(Fraction(1, 2), Fraction(3, 2))),
+            dict(eps=EpsPower(Fraction(3, 4), Fraction(2, 3))),
+            dict(eps=EpsTable([(1, Fraction(3, 4)), (4, Fraction(1, 3)), (9, Fraction(1, 5))])),
+            dict(beta=(2, 1), br=3, outside_xi=1, q=Fraction(5, 4)),
+            dict(beta=(1, 0), br=0, outside_xi=2),
+        ],
+        ids=["q", "q-p3/2", "p2/3", "table", "beta-br3-out1", "beta-br0-out2"],
+    )
+    def test_rows_match_oracle_on_fixed_configs(self, overrides):
+        # q with a non-unit denominator, p = 3/2 and p = 2/3, a table,
+        # nonzero beta with br != outside_xi, on a split model whose slopes
+        # are over 3 * 4 and on toy_rho2
+        model = split_model((2, 1), (1, 2), (1, 2), Fraction(3, 4))
+        assert model.slope_den == 12
+        for m in (model, toy_rho2()):
+            cfg = config(m_cap=3, **overrides)
+            for row in ratio_check(m, cfg, range(1, 13)).rows:
+                row_data = (row.points, row.liberated, row.n_value, row.n_liberated)
+                assert row_data == direct_counts(m, cfg, row.d)
 
     def test_loose_delta_first_positive_suffix(self):
         report = ratio_check(toy_rho2(), config(delta=Fraction(99, 100)), range(1, 31))

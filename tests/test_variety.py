@@ -10,11 +10,13 @@ from freecurves.errors import (
     BoundaryMismatch,
     NoChamber,
     NotInNefCone,
+    RankTooLarge,
     UnboundedSlice,
     ZeroDegree,
 )
 from freecurves.modelio import fixture_path, load_model_file
 from freecurves.variety import (
+    MAX_PANEL_LENGTH,
     Chamber,
     VarietyModel,
     _det,
@@ -321,6 +323,40 @@ class TestEsp:
     def test_wrong_length(self):
         with pytest.raises(ValueError):
             esp(toy_rho2(), (1, 2, 3))
+
+    def test_panel_length_is_capped(self):
+        # the panel lists one entry per summand, so a piece of larger rank
+        # is refused before it is expanded; the bound reads the piece once
+        assert len(esp(toy_rho1(1, dim=MAX_PANEL_LENGTH), (1,))) == MAX_PANEL_LENGTH
+        for rank in (MAX_PANEL_LENGTH + 1, 10**30):
+            model = toy_rho1(1, dim=rank)
+            with pytest.raises(RankTooLarge, match="exceeds"):
+                esp(model, (3,))
+            assert liberated_lower_bound(model, (3,)) == 1 - Fraction(rank * rank, 6)
+
+
+class TestScaledSlopes:
+    def test_model_denominator_is_the_lcm(self):
+        # pbundle's slopes are (3, 3/2) and (4/3, 0); toy_rho2's are over 4
+        assert pbundle(3, 2, [3, 0, 0]).slope_den == 6
+        assert toy_rho2().slope_den == 4
+        assert toy_rho1(3).slope_den == 2
+        bare = VarietyModel(
+            rho=1, dim_n=1, minus_k=(1,), nef_facets=((1,),), chambers=()
+        )
+        assert bare.slope_den == 1
+
+    def test_pieces_are_integer_numerators(self):
+        model = pbundle(3, 2, [3, 0, 0])
+        # slopes 6/2 * 1 + 3/2 * 2 = 6 and 4/3 over D = 6
+        assert model.chamber_pieces((1, 2)) == [(2, 36), (3, 8)]
+        assert all(type(b) is int for _, b in model.chamber_pieces((1, 2)))
+        # on the wall of toy_rho2 both pieces have slope (x + y) / 2 and merge
+        assert toy_rho2().chamber_pieces((3, 3)) == [(2, 12)]
+
+    def test_scaled_data_stays_out_of_equality(self):
+        assert pbundle(3, 2, [3, 0, 0]) == pbundle(3, 2, [3, 0, 0])
+        assert "slope_den" not in repr(toy_rho1(1))
 
 
 def _fixtures():
