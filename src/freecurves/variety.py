@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import gcd, lcm
 from operator import mul
@@ -27,6 +28,7 @@ from .errors import (
     NoChamber,
     NotInNefCone,
     RankTooLarge,
+    UnboundedSlice,
     ZeroDegree,
     exact_fraction,
     exact_int,
@@ -150,7 +152,8 @@ class VarietyModel:
     nef_generators: tuple[tuple[int, ...], ...] | None
     chambers: tuple[Chamber, ...]
     # Set up once from the chambers: D, the lcm of every slope denominator,
-    # and per chamber its facets and its (rank, D * slope) integer pieces.
+    # and per chamber its facets and its (rank, D * slope) integer pieces
+    # (also read by the fibre walk in ``counting``).
     slope_den: int = field(init=False, repr=False, compare=False)
     _scaled_chambers: tuple = field(init=False, repr=False, compare=False)
 
@@ -194,6 +197,32 @@ class VarietyModel:
 
     def degree(self, alpha) -> int:
         return dot(self.minus_k, alpha)
+
+    # The nef rays are found on first use and kept, so loading a model or
+    # asking ``esp`` pays nothing for them.  A cached_property keeps no
+    # value when it raises: the error comes again on every use.
+    @cached_property
+    def _nef_rays(self) -> tuple[tuple[int, ...], ...]:
+        """``cone_rays`` of the nef facets; ValueError when the cone
+        contains a line."""
+        return tuple(cone_rays(self.nef_facets, self.rho))
+
+    @cached_property
+    def _slice_rays(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(ray, degree) per nef ray.  UnboundedSlice when a slice of
+        bounded degree is unbounded: the cone contains a line, or the
+        degree is not positive on a ray."""
+        try:
+            rays = self._nef_rays
+        except ValueError as exc:
+            raise UnboundedSlice(str(exc)) from exc
+        pairs = tuple((ray, self.degree(ray)) for ray in rays)
+        for ray, deg in pairs:
+            if deg <= 0:
+                raise UnboundedSlice(
+                    f"anticanonical degree not positive on nef ray {ray}"
+                )
+        return pairs
 
     def chamber_pieces(self, alpha) -> list[tuple[int, int]]:
         """(rank, slope numerator over ``slope_den``) pieces of alpha in
@@ -296,7 +325,7 @@ class ValidationReport:
 
 def _sample_points(
     model: VarietyModel,
-    rays: list[tuple[int, ...]] | None,
+    rays: tuple[tuple[int, ...], ...] | None,
     span: int = 3,
 ) -> list[tuple[int, ...]]:
     """Nonzero nef lattice points from a box around the origin, plus the
@@ -317,9 +346,9 @@ def validate(model: VarietyModel) -> ValidationReport:
     """Check the model invariants; returns a report rather than raising."""
     bad: list[str] = []
 
-    rays: list[tuple[int, ...]] | None = None
+    rays: tuple[tuple[int, ...], ...] | None = None
     try:
-        rays = cone_rays(model.nef_facets, model.rho)
+        rays = model._nef_rays
     except ValueError as exc:
         bad.append(f"nef cone: {exc}")
 

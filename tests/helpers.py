@@ -79,6 +79,19 @@ def _satisfies(facets, alpha):
     return all(_pairing(f, alpha) >= 0 for f in facets)
 
 
+def box_slice(model, bound, radius):
+    """Nef classes with 0 < degree <= bound, lexicographically sorted, by a
+    scan of the box [-radius, radius]^rho that keeps each point passing
+    every facet and both degree cuts: the brute-force oracle for the fibre
+    walk in ``counting``.  The box must hold the slice."""
+    return [
+        alpha
+        for alpha in product(range(-radius, radius + 1), repeat=model.rho)
+        if _satisfies(model.nef_facets, alpha)
+        and 0 < _pairing(model.minus_k, alpha) <= bound
+    ]
+
+
 def orthant_slice(model, bound):
     """Nef classes with 0 < degree <= bound, by a scan of the box [0, bound]^rho.
 

@@ -1,10 +1,10 @@
 """Counting functions, threshold schedules, and the ratio report."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from freecurves.counting import (
     CountingConfig,
@@ -23,9 +23,15 @@ from freecurves.errors import (
     UnboundedSlice,
     ZeroFunctional,
 )
-from freecurves.variety import Chamber, VarietyModel, pbundle, toy_rho1
+from freecurves.variety import (
+    Chamber,
+    VarietyModel,
+    cone_rays,
+    pbundle,
+    toy_rho1,
+)
 
-from helpers import direct_counts, toy_rho2
+from helpers import box_slice, cofactor_det, direct_counts, toy_rho2
 
 
 eps_powers = st.builds(
@@ -40,27 +46,23 @@ q_values = st.builds(
 )
 
 
-def split_model(minus_k, ray, ranks, t):
-    """A model whose chamber pieces sum to ``minus_k``: two pieces of ranks
-    (r1, r2) with slopes (minus_k + r2 w) / n and (minus_k - r1 w) / n, which
-    differ by w.  At lattice rank 2 the quadrant is split along ``ray`` =
-    (u, v) and w = t (v, -u) vanishes on it, so the two chambers, which list
-    the pieces in opposite orders, agree on the wall.  At rank 1 there is
-    one chamber and w = t."""
+def wall_model(minus_k, normal, ranks, t):
+    """A model on the orthant whose chamber pieces sum to ``minus_k``: two
+    pieces of ranks (r1, r2) with slopes (minus_k + r2 w) / n and
+    (minus_k - r1 w) / n for w = t * normal, which differ by w.  At lattice
+    rank 1 there is one chamber.  Above it the orthant is split by the wall
+    <normal, x> = 0, on which w vanishes, into two chambers that list the
+    pieces in opposite orders and so agree on the wall."""
     (r1, r2), n = ranks, sum(ranks)
-    if len(minus_k) == 1:
-        w = (t,)
-    else:
-        (u, v) = ray
-        w = (t * v, -t * u)
+    w = tuple(t * c for c in normal)
     s1 = (r1, tuple(Fraction(m + r2 * x, n) for m, x in zip(minus_k, w)))
     s2 = (r2, tuple(Fraction(m - r1 * x, n) for m, x in zip(minus_k, w)))
     if len(minus_k) == 1:
         chambers = (Chamber(facets=(), filtration=(s1, s2)),)
     else:
         chambers = (
-            Chamber(facets=((ray[1], -ray[0]),), filtration=(s1, s2)),
-            Chamber(facets=((-ray[1], ray[0]),), filtration=(s2, s1)),
+            Chamber(facets=(normal,), filtration=(s1, s2)),
+            Chamber(facets=(tuple(-c for c in normal),), filtration=(s2, s1)),
         )
     rho = len(minus_k)
     return VarietyModel(
@@ -70,6 +72,13 @@ def split_model(minus_k, ray, ranks, t):
         nef_facets=tuple(tuple(int(i == j) for j in range(rho)) for i in range(rho)),
         chambers=chambers,
     )
+
+
+def split_model(minus_k, ray, ranks, t):
+    """``wall_model`` at lattice rank 1, where w = t, or 2, where the
+    quadrant is split along ``ray`` = (u, v), the wall of normal (v, -u)."""
+    normal = (1,) if len(minus_k) == 1 else (ray[1], -ray[0])
+    return wall_model(minus_k, normal, ranks, t)
 
 
 @st.composite
@@ -83,6 +92,51 @@ def split_models(draw):
         ranks=(draw(st.integers(1, 3)), draw(st.integers(1, 3))),
         t=draw(st.fractions(min_value=0, max_value=3, max_denominator=4)),
     )
+
+
+def cone_model(facets, coefficients):
+    """A model without chambers on the cone cut out by ``facets``, with
+    minus_k the combination of the facets by ``coefficients``.  When the
+    coefficients are positive and the cone is pointed, minus_k is positive
+    on every nonzero nef class, so every degree slice is bounded."""
+    rho = len(facets[0])
+    minus_k = tuple(
+        sum(c * f[i] for c, f in zip(coefficients, facets)) for i in range(rho)
+    )
+    return VarietyModel(
+        rho=rho, dim_n=2, minus_k=minus_k, nef_facets=facets, chambers=()
+    )
+
+
+def box_radius(model, bound):
+    """The least radius of a box centred at the origin that holds the slice
+    0 < degree <= bound: the slice is the hull of the origin and the rays
+    scaled to degree bound."""
+    return max(
+        (
+            -(-bound * abs(c) // model.degree(ray))
+            for ray in cone_rays(model.nef_facets, model.rho)
+            for c in ray
+        ),
+        default=0,
+    )
+
+
+@st.composite
+def pointed_cones(draw):
+    """``cone_model``s on random pointed cones of lattice rank 1 to 3; facet
+    entries, the last ones included, may be zero or negative."""
+    rho = draw(st.integers(1, 3))
+    facets = draw(
+        st.lists(
+            st.tuples(*[st.integers(-2, 2)] * rho), min_size=rho, max_size=rho + 2
+        )
+    )
+    assume(any(cofactor_det(list(sub)) for sub in combinations(facets, rho)))
+    coefficients = draw(
+        st.lists(st.integers(1, 2), min_size=len(facets), max_size=len(facets))
+    )
+    return cone_model(tuple(facets), coefficients)
 
 
 @st.composite
@@ -209,6 +263,66 @@ class TestLatticeSlice:
             if y >= 0 and x >= y and 0 < 2 * x - y <= 4
         )
         assert lattice_slice(model, 4) == expected
+
+    @pytest.mark.parametrize(
+        "facets",
+        [
+            # last facet coefficients 0 and -1; minus_k = (2, -1)
+            ((1, 0), (1, -1)),
+            # last coefficients 0, 0, -1 and 1; minus_k = (2, 2, 0)
+            ((1, 0, 0), (0, 1, 0), (1, 1, -1), (0, 0, 1)),
+            # last coefficients -1, 0 and -2; minus_k = (2, 0, -3)
+            ((0, 1, -1), (1, 0, 0), (1, -1, -2)),
+        ],
+    )
+    def test_non_positive_last_coefficients_match_box_scan(self, facets):
+        model = cone_model(facets, (1,) * len(facets))
+        assert any(f[-1] == 0 for f in facets)
+        assert any(f[-1] < 0 for f in facets)
+        assert model.minus_k[-1] <= 0
+        for bound in range(1, 9):
+            assert lattice_slice(model, bound) == box_slice(
+                model, bound, box_radius(model, bound)
+            )
+
+    @given(pointed_cones(), st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_box_scan_property(self, model, bound):
+        radius = box_radius(model, bound)
+        assume(radius ** model.rho <= 2000)
+        assert lattice_slice(model, bound) == box_slice(model, bound, radius)
+
+    @pytest.mark.parametrize(
+        "minus_k, facets, message",
+        [
+            (
+                (1, 1),
+                ((1, 1),),
+                "cone contains a line: facet normals do not span",
+            ),
+            (
+                (1, 0),
+                ((1, 0), (0, 1)),
+                "anticanonical degree not positive on nef ray (0, 1)",
+            ),
+            (
+                (1, -1, 1),
+                ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                "anticanonical degree not positive on nef ray (0, 1, 0)",
+            ),
+        ],
+    )
+    def test_unbounded_messages_on_every_call(self, minus_k, facets, message):
+        model = VarietyModel(
+            rho=len(minus_k), dim_n=2, minus_k=minus_k, nef_facets=facets, chambers=()
+        )
+        for _ in range(2):
+            with pytest.raises(UnboundedSlice) as exc:
+                lattice_slice(model, 3)
+            assert str(exc.value) == message
+            with pytest.raises(UnboundedSlice) as exc:
+                ratio_check(model, config(beta=(0,) * len(minus_k)), [2])
+            assert str(exc.value) == message
 
 
 class TestXi:
@@ -542,6 +656,30 @@ class TestRatioCheck:
         assert report.d0 is None
         assert all(row.liberated == 0 for row in report.rows)
 
+    def test_d0_threshold_equality_is_strict(self):
+        # delta = 1 - ratio of a row puts that row's ratio exactly on the
+        # threshold: it does not qualify, as with the Fraction comparison
+        model = toy_rho2()
+        rows = ratio_check(model, config(), range(1, 31)).rows
+        tied = 0
+        for row in rows:
+            if row.ratio is None or not 0 < row.ratio < 1:
+                continue
+            threshold = row.ratio
+            report = ratio_check(model, config(delta=1 - threshold), range(1, 31))
+            expected = None
+            for later in reversed(report.rows):
+                if later.ratio is None or not later.ratio > threshold:
+                    break
+                expected = later.d
+            assert report.d0 == expected
+            assert expected is None or expected > row.d
+            tied += 1
+        assert tied >= 20
+        # the last row on the threshold leaves no qualifying suffix
+        last = rows[-1].ratio
+        assert ratio_check(model, config(delta=1 - last), range(1, 31)).d0 is None
+
     def test_tsv_rendering(self):
         report = ratio_check(toy_rho1(1), config(beta=(0,)), range(1, 4))
         text = report.render_tsv()
@@ -556,6 +694,89 @@ class TestRatioCheck:
             ratio_check(toy_rho2(), config(), [])
         with pytest.raises(ValueError):
             ratio_check(toy_rho2(), config(), [0, 1])
+
+
+def assert_rows_match_oracle(model, cfg, dmax):
+    for row in ratio_check(model, cfg, range(1, dmax + 1)).rows:
+        row_data = (row.points, row.liberated, row.n_value, row.n_liberated)
+        assert row_data == direct_counts(model, cfg, row.d)
+
+
+def quadrant_model(*chambers):
+    """Semistable-degree quadrant model, minus_k = (1, 1), with the given
+    chambers."""
+    return VarietyModel(
+        rho=2,
+        dim_n=2,
+        minus_k=(1, 1),
+        nef_facets=((1, 0), (0, 1)),
+        chambers=chambers,
+    )
+
+
+SEMISTABLE = ((2, (Fraction(1, 2), Fraction(1, 2))),)
+
+
+class TestFibreClassification:
+    """``ratio_check`` classifies a class held by one chamber from its
+    fibre's affine piece numerators, and any other class by
+    ``chamber_pieces``; both must match the per-class oracle and raise the
+    same first error."""
+
+    @pytest.mark.parametrize("ray", [(1, 1), (2, 1), (1, 3), (3, 2)])
+    def test_walls_across_fibres(self, ray):
+        # the wall through (u, v) meets the fibre {x = a} at y = a v / u: at
+        # a lattice point when u divides a v, between two points otherwise
+        model = split_model((2, 1), ray, (1, 2), Fraction(3, 4))
+        cfg = config(m_cap=3, beta=(1, 0), br=2, outside_xi=1)
+        assert_rows_match_oracle(model, cfg, 12)
+
+    @pytest.mark.parametrize("normal", [(1, 0, -1), (1, -2, 1), (0, 2, -3)])
+    def test_two_chambers_at_lattice_rank_three(self, normal):
+        # the prefix box is 2-D: fibres run along the last coordinate
+        model = wall_model((1, 2, 1), normal, (1, 2), Fraction(1, 2))
+        cfg = config(m_cap=3, beta=(0, 1, 0), br=3, outside_xi=1, q=Fraction(3, 2))
+        assert_rows_match_oracle(model, cfg, 7)
+
+    def test_overlapping_chambers_that_agree(self):
+        # the whole quadrant, x >= y and x >= 2 y all give the same pieces,
+        # so classes are held by one, two or three chambers
+        model = quadrant_model(
+            Chamber((), SEMISTABLE),
+            Chamber(((1, -1),), SEMISTABLE),
+            Chamber(((1, -2),), SEMISTABLE),
+        )
+        assert_rows_match_oracle(model, config(beta=(1, 0)), 12)
+
+    def test_overlapping_chambers_that_disagree(self):
+        # y <= 2 x and y >= 4 x leave the gap 2 x < y < 4 x; the chamber
+        # 2 y <= x <= 3 y lies in the first and disagrees with it.  (1, 3)
+        # is the first gap class and (2, 1) the first disagreement: by
+        # degree (3 < 4) the disagreement comes first, but classes are
+        # classified in lexicographic order
+        model = quadrant_model(
+            Chamber(((2, -1),), SEMISTABLE),
+            Chamber(((-4, 1),), SEMISTABLE),
+            Chamber(((1, -2), (-1, 3)), ((1, (1, 0)), (1, (0, 1)))),
+        )
+        assert ratio_check(model, config(), [1, 2]).rows[-1].points == 5
+        with pytest.raises(BoundaryMismatch) as exc:
+            ratio_check(model, config(), [3])
+        assert str(exc.value) == "chambers disagree at (2, 1)"
+        with pytest.raises(NoChamber) as exc:
+            ratio_check(model, config(), range(1, 5))
+        assert str(exc.value) == "(1, 3) lies in no chamber"
+
+    def test_gap(self):
+        # x >= 2 y and y >= 2 x leave out the open cone between them
+        model = quadrant_model(
+            Chamber(((1, -2),), SEMISTABLE), Chamber(((-2, 1),), SEMISTABLE)
+        )
+        assert ratio_check(model, config(), [1]).rows[0].points == 2
+        for d in (2, 9):
+            with pytest.raises(NoChamber) as exc:
+                ratio_check(model, config(), [d])
+            assert str(exc.value) == "(1, 1) lies in no chamber"
 
 
 class TestEhrhartGrowth:

@@ -543,6 +543,74 @@ class TestValidate:
         assert any("nef cone" in v for v in report.violations)
 
 
+def line_cone():
+    """A model whose nef cone is a half-plane, so it contains a line."""
+    return VarietyModel(
+        rho=2,
+        dim_n=2,
+        minus_k=(1, 1),
+        nef_facets=((1, 1),),
+        chambers=(
+            Chamber(facets=(), filtration=((2, (Fraction(1, 2), Fraction(1, 2))),)),
+        ),
+    )
+
+
+class TestNefRayCache:
+    """The nef rays are found on first use and kept per model; a failure is
+    not kept, so it is raised again on every use."""
+
+    def test_rays_found_once_per_model(self, monkeypatch):
+        calls = []
+
+        def counted(facets, rho):
+            calls.append(rho)
+            return cone_rays(facets, rho)
+
+        monkeypatch.setattr("freecurves.variety.cone_rays", counted)
+        model = load_model_file(fixture_path("toy_rho2.json")).model
+        esp(model, (2, 1))
+        assert calls == []
+        for bound in (3, 5, 9):
+            lattice_slice(model, bound)
+        assert calls == [2]
+        # validate reads the kept nef rays; it finds each chamber's own
+        validate(model)
+        assert len(calls) == 1 + len(model.chambers)
+
+    def test_cone_with_a_line(self):
+        # the model builds; validate reports the cone and every slice
+        # refuses it, on the second call as on the first
+        model = line_cone()
+        message = "cone contains a line: facet normals do not span"
+        for _ in range(2):
+            assert f"nef cone: {message}" in validate(model).violations
+            with pytest.raises(UnboundedSlice) as exc:
+                lattice_slice(model, 3)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "name", ["pbundle.json", "toy_rho1.json", "toy_rho2.json", "line", "f1"]
+    )
+    def test_validate_report_unchanged_by_the_cache(self, name):
+        def build():
+            if name == "line":
+                return line_cone()
+            if name == "f1":
+                return pbundle(1, 1, [1, 0])
+            return load_model_file(fixture_path(name)).model
+
+        fresh = validate(build()).render()
+        model = build()
+        try:
+            lattice_slice(model, 4)
+        except UnboundedSlice:
+            pass
+        assert validate(model).render() == fresh
+        if name.endswith(".json"):
+            assert fresh == "violations: 0"
+
+
 class TestInNef:
     def test_membership(self):
         model = toy_rho2()
