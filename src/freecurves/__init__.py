@@ -62,7 +62,6 @@ from .counting import (
     EpsTable,
     count_N,
     count_N_liberated,
-    lattice_slice,
     r_min,
     ratio_check,
 )

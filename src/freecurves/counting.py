@@ -7,33 +7,27 @@ keeps only classes whose certified minimal-slope-ratio bound beats a
 decreasing threshold schedule; the ratio report locates the degree beyond
 which the liberated count stays above the 1 - delta fraction.
 
-The slice is walked fibre by fibre: the leading coordinates run over the
-bounding box of the slice, which comes from the nef rays (found once per
-model), and the last coordinate t over its exact range, clipped by floor
-division from every nef facet and both degree cuts.  No class of a fibre is
-tested and thrown away, and the order is lexicographic, as
-``lattice_slice`` lists it.
-
 ``ratio_check`` is the one summation core: ``count_N`` and
 ``count_N_liberated`` are its N and N_lib columns at a single d.  It walks
-the fibres of the largest slice and classifies each class once, in ints
-only: its degree, its xi, its certified bound as an integer pair
-(``VarietyModel.certified_bound``), the index of the first tested d whose
-slice holds it, and the index of the first d from there whose threshold
-admits its bound.  Along a fibre the degree and the facet values are affine
-in t, so the xi translate is one t-interval, each chamber is one
-t-interval, and each chamber piece's slope numerator is b0 + s * t.  A
-class held by exactly one chamber takes the least of its pieces' b0 + s * t;
-a class held by none or by several goes through
-``VarietyModel.chamber_pieces``, which raises NoChamber or BoundaryMismatch
-at the first such class in order.  Each schedule builds the admission
-lookup once per call (``first_admitting``); it needs admission monotone in
-d: c * d^(-p) falls as d grows, and table values do not increase from a
-first degree <= 1.  Classes are tallied by (admitting index, degree);
-q^degree is applied once per degree over the common denominator q_den^top,
-and a Fraction is built only for the N, N_lib and ratio fields of each row.
-Rows are running sums, and ``d0`` compares them with 1 - delta by
-cross-multiplying the integer sums.
+the fibres of the largest slice (``VarietyModel.slice_fibres``: the leading
+coordinates over the slice's bounding box, the last coordinate t over its
+exact range, in lexicographic order) and classifies each class once, in
+ints only: its degree, its xi, its certified bound as an integer pair, the
+index of the first tested d whose slice holds it, and the index of the first
+d from there whose threshold admits its bound.  Along a fibre the degree and
+the facet values are affine in t, so the xi translate is one t-interval, and
+``VarietyModel.chamber_runs``, the model's one chamber rule, splits the
+fibre into runs whose piece slope numerators are b0 + s * t; every class
+takes the least of them.  The runs raise NoChamber or BoundaryMismatch at
+the first class, in lexicographic order, that no chamber holds or on which
+holders disagree.  Each schedule builds the admission lookup once per call
+(``first_admitting``); it needs admission monotone in d: c * d^(-p) falls
+as d grows, and table values do not increase from a first degree <= 1.
+Classes are tallied by (admitting index, degree); q^degree is applied once
+per degree over the common denominator q_den^top, and a Fraction is built
+only for the N, N_lib and ratio fields of each row.  Rows are running sums,
+and ``d0`` compares them with 1 - delta by cross-multiplying the integer
+sums.
 
 Degree exponents use the class degree itself; a dimension-shift convention
 would rescale every sum by the same power of q and leave all ratios
@@ -46,7 +40,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate
 from math import gcd, lcm
 
 from .errors import (
@@ -55,7 +49,7 @@ from .errors import (
     exact_fraction,
     exact_int,
 )
-from .variety import VarietyModel, dot
+from .variety import VarietyModel, _clip, _cut, dot
 
 __all__ = [
     "EpsPower",
@@ -64,7 +58,6 @@ __all__ = [
     "CountRow",
     "CountReport",
     "r_min",
-    "lattice_slice",
     "count_N",
     "count_N_liberated",
     "ratio_check",
@@ -213,75 +206,6 @@ def r_min(model: VarietyModel) -> int:
     return gcd(*(abs(c) for c in model.minus_k))
 
 
-def _clip(cuts, prefix, lo: int, hi: int) -> tuple[int, int]:
-    """[lo, hi] narrowed to the t with <head, prefix> + last * t >= floor
-    for every cut (head, last, floor), by floor and ceiling division; empty
-    when lo > hi."""
-    for head, last, floor in cuts:
-        rest = floor - dot(head, prefix)
-        if last > 0:
-            lo = max(lo, -(-rest // last))
-        elif last < 0:
-            hi = min(hi, rest // last)
-        elif rest > 0:
-            return lo, lo - 1
-    return lo, hi
-
-
-def _cut(vec, floor: int):
-    """The inequality <vec, x> >= floor split as (head, last, floor) for
-    ``_clip``."""
-    return vec[:-1], vec[-1], floor
-
-
-def _fibres(model: VarietyModel, bound: int):
-    """(prefix, lo, hi) per nonempty fibre of the slice with 0 < degree <=
-    bound, in lexicographic order: the classes are prefix + (t,) for lo <= t
-    <= hi.
-
-    The prefix runs over the slice's bounding box, which comes from the
-    rays: the slice is the convex hull of the origin and the scaled rays
-    (bound / ray degree) * ray.  The last coordinate's range is exact: the
-    box's last range clipped by every nef facet and both degree cuts.
-    """
-    rays = model._slice_rays
-    if not rays:
-        return
-    box = [
-        range(
-            min(0, *(bound * ray[i] // deg for ray, deg in rays)),
-            max(0, *(-(-bound * ray[i] // deg) for ray, deg in rays)) + 1,
-        )
-        for i in range(model.rho)
-    ]
-    mk = model.minus_k
-    cuts = [_cut(f, 0) for f in model.nef_facets]
-    cuts += [_cut(mk, 1), _cut(tuple(-c for c in mk), -bound)]
-    t_lo, t_hi = box[-1][0], box[-1][-1]
-    for prefix in product(*box[:-1]):
-        lo, hi = _clip(cuts, prefix, t_lo, t_hi)
-        if lo <= hi:
-            yield prefix, lo, hi
-
-
-def lattice_slice(model: VarietyModel, bound: int) -> list[tuple[int, ...]]:
-    """Nef lattice classes with 0 < degree <= bound, lexicographically sorted.
-
-    The classes are read fibre by fibre: the leading coordinates run over
-    the slice's bounding box, and the last one over its exact range from the
-    nef facets and the degree cuts, so no point is tested and thrown away
-    along a fibre.
-    """
-    bound = exact_int(bound, "slice bound")
-    if bound < 1:
-        raise ValueError("slice bound must be positive")
-    return [
-        prefix + (t,)
-        for prefix, lo, hi in _fibres(model, bound)
-        for t in range(lo, hi + 1)
-    ]
-
-
 def count_N(model: VarietyModel, cfg: CountingConfig, d: int) -> Fraction:
     """Counting function at degree step d (exact): the N column of
     ``ratio_check``, so every class of the slice must lie in a chamber."""
@@ -348,43 +272,23 @@ def ratio_check(model: VarietyModel, cfg: CountingConfig, d_values) -> CountRepo
     # xi is br on the beta-translate of the nef cone, the outside value
     # elsewhere: alpha - beta is nef when <f, alpha> >= <f, beta> for every f
     xi_cuts = [_cut(f, dot(f, cfg.beta)) for f in model.nef_facets]
-    chambers = [
-        ([_cut(f, 0) for f in facets], [(sv[:-1], sv[-1]) for _, sv in pieces])
-        for facets, pieces in model._scaled_chambers
-    ]
     # per (first admitting index, degree): classes, and those on the
     # translate; the index len(ds) holds the never-certified
     classes: defaultdict[tuple[int, int], int] = defaultdict(int)
     inside: defaultdict[tuple[int, int], int] = defaultdict(int)
-    for prefix, lo, hi in _fibres(model, top):
-        # along the fibre the degree is deg0 + mk_last * t, the translate
-        # one t-interval, and each chamber one t-interval on which its piece
-        # numerators are b0 + s * t
+    for prefix, lo, hi in model.slice_fibres(top):
+        # along the fibre the degree is deg0 + mk_last * t and the translate
+        # one t-interval; the model's chamber rule splits the fibre into
+        # runs whose piece numerators are b0 + s * t
         deg0 = dot(mk_head, prefix)
         in_lo, in_hi = _clip(xi_cuts, prefix, lo, hi)
-        # the chamber intervals cut the fibre into runs held by the same
-        # chambers
-        spans, cuts_at = [], {lo, hi + 1}
-        for cuts, pieces in chambers:
-            c_lo, c_hi = _clip(cuts, prefix, lo, hi)
-            if c_lo <= c_hi:
-                spans.append((c_lo, c_hi, [(dot(h, prefix), s) for h, s in pieces]))
-                cuts_at.update((c_lo, c_hi + 1))
-        ends = sorted(cuts_at)
-        for start, stop in zip(ends, ends[1:]):
-            held = [lines for c_lo, c_hi, lines in spans if c_lo <= start <= c_hi]
-            # a class held by exactly one chamber takes its least numerator;
-            # any other goes through the model's one chamber rule, which
-            # raises NoChamber or BoundaryMismatch
-            lines = held[0] if len(held) == 1 else None
+        for start, stop, lines in model.chamber_runs(prefix, lo, hi):
             for t in range(start, stop):
                 deg = deg0 + mk_last * t
-                if lines is None:
-                    num, den = model.certified_bound(prefix + (t,), deg)
-                else:
-                    # VarietyModel.certified_bound's pair
-                    least = min([b0 + s * t for b0, s in lines])
-                    num, den = 2 * n * least - n * n * sden, 2 * sden * deg
+                # the certified bound (2 n b - n^2 D) / (2 D deg) of the
+                # least piece slope b / D
+                least = min([b0 + s * t for _, b0, s in lines])
+                num, den = 2 * n * least - n * n * sden, 2 * sden * deg
                 # degrees are multiples of step, so deg // step is the entry
                 # degree
                 key = (first_lib(num, den, bisect_left(ds, deg // step)), deg)

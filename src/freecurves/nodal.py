@@ -108,7 +108,11 @@ class Alignment:
 
     @classmethod
     def from_one_based(cls, images) -> "Alignment":
-        return cls(exact_int(i, "alignment index") - 1 for i in images)
+        """The alignment of 1-based images, checked and named as given."""
+        ones = tuple(exact_int(i, "alignment index") for i in images)
+        if sorted(ones) != list(range(1, len(ones) + 1)):
+            raise ValueError(f"not a permutation of 1..{len(ones)}: {ones}")
+        return cls(i - 1 for i in ones)
 
 
 def glue(t1: SplittingType, t2: SplittingType, align: Alignment) -> NodalType:

@@ -8,10 +8,17 @@ expected slope panels and certified lower bounds for the minimal slope
 ratio.  Integers are checked once, where they enter; behind that, lattice
 arithmetic is plain int.  When a model is built its chamber slopes are
 scaled once to integer numerators over one model denominator, the lcm of
-every slope denominator, so finding and comparing the chamber pieces of a
-class is int work; ``esp`` and ``liberated_lower_bound`` divide once at the
-end and return Fractions.  Cone rays come from integer minors of facet
-subsets.
+every slope denominator.
+
+One chamber rule serves every answer.  ``VarietyModel.slice_fibres`` walks
+the slice of bounded degree fibre by fibre along the last coordinate t, and
+``VarietyModel.chamber_runs`` splits a fibre into runs of t held by the same
+chambers: each chamber's facets clip the fibre to one t-interval, and its
+piece numerators are affine in t.  The counting core reads whole fibres;
+``chamber_pieces`` is the one-point case, which ``esp``,
+``liberated_lower_bound`` and ``validate`` call.  Both are int work; ``esp``
+and ``liberated_lower_bound`` divide once at the end and return Fractions.
+Cone rays come from integer minors of facet subsets.
 """
 
 from __future__ import annotations
@@ -64,6 +71,39 @@ def _int_vector(values, rho: int, what: str) -> tuple[int, ...]:
 def _inside(facets, alpha) -> bool:
     """Whether alpha meets every facet inequality <f, alpha> >= 0."""
     return all(dot(f, alpha) >= 0 for f in facets)
+
+
+def _cut(vec, floor: int):
+    """The inequality <vec, x> >= floor split as (head, last, floor) for
+    ``_clip``."""
+    return vec[:-1], vec[-1], floor
+
+
+def _clip(cuts, prefix, lo: int, hi: int) -> tuple[int, int]:
+    """[lo, hi] narrowed to the t with <head, prefix> + last * t >= floor
+    for every cut (head, last, floor), by floor and ceiling division; empty
+    when lo > hi."""
+    for head, last, floor in cuts:
+        rest = floor - dot(head, prefix)
+        if last > 0:
+            lo = max(lo, -(-rest // last))
+        elif last < 0:
+            hi = min(hi, rest // last)
+        elif rest > 0:
+            return lo, lo - 1
+    return lo, hi
+
+
+def _merged(lines, t: int) -> list[tuple[int, int]]:
+    """(rank, b0 + s * t) per line (rank, b0, s), neighbours of equal slope
+    numerator merged."""
+    pieces: list[tuple[int, int]] = []
+    for r, b0, s in lines:
+        b = b0 + s * t
+        if pieces and pieces[-1][1] == b:
+            r += pieces.pop()[0]
+        pieces.append((r, b))
+    return pieces
 
 
 def _det(rows) -> int:
@@ -152,8 +192,8 @@ class VarietyModel:
     nef_generators: tuple[tuple[int, ...], ...] | None
     chambers: tuple[Chamber, ...]
     # Set up once from the chambers: D, the lcm of every slope denominator,
-    # and per chamber its facets and its (rank, D * slope) integer pieces
-    # (also read by the fibre walk in ``counting``).
+    # and per chamber its facets as ``_cut``s and its pieces as (rank, head,
+    # last) of the integer slope vector D * slope, split as the facets are.
     slope_den: int = field(init=False, repr=False, compare=False)
     _scaled_chambers: tuple = field(init=False, repr=False, compare=False)
 
@@ -184,10 +224,11 @@ class VarietyModel:
         den = lcm(*(c.denominator for ch in chs for _, sv in ch.filtration for c in sv))
         scaled = tuple(
             (
-                ch.facets,
+                tuple(_cut(f, 0) for f in ch.facets),
                 tuple(
-                    (r, tuple(c.numerator * (den // c.denominator) for c in sv))
+                    (r, vec[:-1], vec[-1])
                     for r, sv in ch.filtration
+                    for vec in [tuple(c.numerator * (den // c.denominator) for c in sv)]
                 ),
             )
             for ch in chs
@@ -224,38 +265,84 @@ class VarietyModel:
                 )
         return pairs
 
+    def slice_fibres(self, bound):
+        """(prefix, lo, hi) per nonempty fibre of the slice of nef classes
+        with 0 < degree <= bound, in lexicographic order: the classes are
+        prefix + (t,) for lo <= t <= hi.
+
+        The prefix runs over the slice's bounding box, which comes from the
+        rays: the slice is the convex hull of the origin and the scaled rays
+        (bound / ray degree) * ray.  The last coordinate's range is exact:
+        the box's last range clipped by every nef facet and both degree
+        cuts.  UnboundedSlice is raised when the slice is unbounded.
+        """
+        bound = exact_int(bound, "slice bound")
+        if bound < 1:
+            raise ValueError("slice bound must be positive")
+        rays = self._slice_rays
+        if not rays:
+            return iter(())
+        box = [
+            range(
+                min(0, *(bound * ray[i] // deg for ray, deg in rays)),
+                max(0, *(-(-bound * ray[i] // deg) for ray, deg in rays)) + 1,
+            )
+            for i in range(self.rho)
+        ]
+        mk = self.minus_k
+        cuts = [_cut(f, 0) for f in self.nef_facets]
+        cuts += [_cut(mk, 1), _cut(tuple(-c for c in mk), -bound)]
+        t_lo, t_hi = box[-1][0], box[-1][-1]
+        return (
+            (prefix, lo, hi)
+            for prefix in product(*box[:-1])
+            for lo, hi in [_clip(cuts, prefix, t_lo, t_hi)]
+            if lo <= hi
+        )
+
+    def chamber_runs(self, prefix, lo: int, hi: int):
+        """(start, stop, lines) per run start <= t < stop of the classes
+        prefix + (t,), lo <= t <= hi, held by the same chambers, in order;
+        ``prefix`` is a tuple.
+
+        Along the fibre the facet values are affine in t, so each chamber
+        holds one t-interval, and ``lines`` are the first holder's pieces as
+        (rank, b0, s): slope numerator b0 + s * t over ``slope_den``.  This
+        is the one chamber rule: NoChamber is raised at the first class that
+        no chamber holds, and BoundaryMismatch at the first class where two
+        holders' pieces, equal neighbours merged, differ.  An empty range
+        yields no run.
+        """
+        if lo > hi:
+            return
+        spans, ends = [], {lo, hi + 1}
+        for cuts, pieces in self._scaled_chambers:
+            c_lo, c_hi = _clip(cuts, prefix, lo, hi)
+            if c_lo <= c_hi:
+                spans.append((c_lo, c_hi, [(r, dot(h, prefix), s) for r, h, s in pieces]))
+                ends.update((c_lo, c_hi + 1))
+        ends = sorted(ends)
+        for start, stop in zip(ends, ends[1:]):
+            held = [lines for c_lo, c_hi, lines in spans if c_lo <= start <= c_hi]
+            if not held:
+                raise NoChamber(f"{prefix + (start,)} lies in no chamber")
+            first, *others = held
+            if others:
+                for t in range(start, stop):
+                    pieces = _merged(first, t)
+                    if any(_merged(lines, t) != pieces for lines in others):
+                        raise BoundaryMismatch(f"chambers disagree at {prefix + (t,)}")
+            yield start, stop, first
+
     def chamber_pieces(self, alpha) -> list[tuple[int, int]]:
         """(rank, slope numerator over ``slope_den``) pieces of alpha in
         filtration order, neighbours of equal slope merged: the run-length
-        form of the per-summand slopes.
-
-        Every chamber holding alpha must give the same pieces; NoChamber is
-        raised when none holds it and BoundaryMismatch when two disagree.
-        """
-        found = None
-        for facets, scaled in self._scaled_chambers:
-            if _inside(facets, alpha):
-                pieces: list[tuple[int, int]] = []
-                for r, svec in scaled:
-                    b = dot(svec, alpha)
-                    if pieces and pieces[-1][1] == b:
-                        r += pieces.pop()[0]
-                    pieces.append((r, b))
-                if found is None:
-                    found = pieces
-                elif pieces != found:
-                    raise BoundaryMismatch(f"chambers disagree at {alpha}")
-        if found is None:
-            raise NoChamber(f"{alpha} lies in no chamber")
-        return found
-
-    def certified_bound(self, alpha, deg: int) -> tuple[int, int]:
-        """The certified bound of a class alpha of degree deg > 0 as an
-        integer pair (numerator, positive denominator): (2 n b - n^2 D,
-        2 D deg) for dim n, least piece slope b / D and D = ``slope_den``."""
-        n, den = self.dim_n, self.slope_den
-        b = min(s for _, s in self.chamber_pieces(alpha))
-        return 2 * n * b - n * n * den, 2 * den * deg
+        form of the per-summand slopes.  The one-point case of
+        ``chamber_runs``, with its NoChamber and BoundaryMismatch."""
+        alpha = tuple(alpha)
+        t = alpha[-1]
+        ((_, _, lines),) = self.chamber_runs(alpha[:-1], t, t)
+        return _merged(lines, t)
 
 
 def in_nef(model: VarietyModel, alpha) -> bool:
@@ -302,11 +389,14 @@ def esp(model: VarietyModel, alpha) -> tuple[Fraction, ...]:
 def liberated_lower_bound(model: VarietyModel, alpha) -> Fraction:
     """Certified lower bound for the minimal slope ratio of class alpha.
 
-    Smallest expected-panel entry minus dim^2 / (2 deg), the pair of
-    ``VarietyModel.certified_bound`` as a Fraction; non-positive values
-    certify nothing.
+    Smallest expected-panel entry minus dim^2 / (2 deg): for dim n, least
+    piece slope b / D and D = ``slope_den``, (2 n b - n^2 D) / (2 D deg).
+    Non-positive values certify nothing.
     """
-    return Fraction(*model.certified_bound(*_nef_class(model, alpha)))
+    alpha, deg = _nef_class(model, alpha)
+    n, den = model.dim_n, model.slope_den
+    b = min(s for _, s in model.chamber_pieces(alpha))
+    return Fraction(2 * n * b - n * n * den, 2 * den * deg)
 
 
 @dataclass(frozen=True)

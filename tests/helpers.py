@@ -5,6 +5,7 @@ from functools import cache
 from itertools import combinations, product
 from math import gcd
 
+from freecurves.errors import BoundaryMismatch, NoChamber
 from freecurves.modelio import fixture_path, load_model_file
 from freecurves.splitting import SplittingType, is_sequential
 
@@ -79,11 +80,17 @@ def _satisfies(facets, alpha):
     return all(_pairing(f, alpha) >= 0 for f in facets)
 
 
+def slice_classes(model, bound):
+    """The classes of ``VarietyModel.slice_fibres(bound)``, in its order."""
+    fibres = model.slice_fibres(bound)
+    return [prefix + (t,) for prefix, lo, hi in fibres for t in range(lo, hi + 1)]
+
+
 def box_slice(model, bound, radius):
     """Nef classes with 0 < degree <= bound, lexicographically sorted, by a
     scan of the box [-radius, radius]^rho that keeps each point passing
-    every facet and both degree cuts: the brute-force oracle for the fibre
-    walk in ``counting``.  The box must hold the slice."""
+    every facet and both degree cuts: the brute-force oracle for
+    ``VarietyModel.slice_fibres``.  The box must hold the slice."""
     return [
         alpha
         for alpha in product(range(-radius, radius + 1), repeat=model.rho)
@@ -109,6 +116,30 @@ def orthant_slice(model, bound):
         if _satisfies(model.nef_facets, alpha)
         and 0 < _pairing(model.minus_k, alpha) <= bound
     ]
+
+
+def pieces_oracle(model, alpha):
+    """(rank, slope) pieces of alpha, neighbours of equal slope merged, read
+    as Fractions from ``Chamber.filtration`` of every chamber whose facets
+    alpha meets, one class at a time: the oracle for
+    ``VarietyModel.chamber_runs``.  Raises NoChamber when no chamber holds
+    alpha and BoundaryMismatch when two holders disagree."""
+    found = None
+    for chamber in model.chambers:
+        if _satisfies(chamber.facets, alpha):
+            pieces = []
+            for r, svec in chamber.filtration:
+                b = _pairing(svec, alpha)
+                if pieces and pieces[-1][1] == b:
+                    r += pieces.pop()[0]
+                pieces.append((r, b))
+            if found is None:
+                found = pieces
+            elif pieces != found:
+                raise BoundaryMismatch(f"chambers disagree at {alpha}")
+    if found is None:
+        raise NoChamber(f"{alpha} lies in no chamber")
+    return found
 
 
 def fraction_bound(model, alpha):

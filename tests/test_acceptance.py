@@ -15,7 +15,6 @@ from freecurves.counting import (
     EpsPower,
     count_N,
     count_N_liberated,
-    lattice_slice,
     ratio_check,
 )
 from freecurves.modelio import fixture_path, load_model_file
@@ -38,7 +37,11 @@ from freecurves.splitting import (
 from freecurves.stability import balance, balance_step
 from freecurves.variety import esp, pbundle
 
-from helpers import nonincreasing_sequences, sequential_zero_slope_types
+from helpers import (
+    nonincreasing_sequences,
+    sequential_zero_slope_types,
+    slice_classes,
+)
 
 
 def passed(number, detail):
@@ -159,8 +162,8 @@ def test_c08_counting_closed_forms():
 def test_c09_lattice_growth():
     model = load_model_file(fixture_path("toy_rho2.json")).model
     start = time.monotonic()
-    small = len(lattice_slice(model, 40))
-    large = len(lattice_slice(model, 80))
+    small = len(slice_classes(model, 40))
+    large = len(slice_classes(model, 80))
     elapsed = time.monotonic() - start
     ratio = Fraction(large, small)
     assert abs(ratio - 4) <= Fraction(4, 5)

@@ -113,6 +113,21 @@ class TestCommands:
         assert code == 0
         assert out == "2/1,1/2\n"
 
+    @pytest.mark.parametrize(
+        "images, message",
+        [
+            ("0,1,2", "not a permutation of 1..3: (0, 1, 2)"),
+            ("1,1,2", "not a permutation of 1..3: (1, 1, 2)"),
+        ],
+    )
+    def test_glue_bad_permutation_names_one_based_input(self, capsys, images, message):
+        code, out, err = invoke(
+            capsys, "glue", "--type", "2,1,0", "--align", f"perm:{images}"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"usage error: {message}\n"
+
     def test_glue_rank_mismatch(self, capsys):
         code, _, err = invoke(capsys, "glue", "--type", "1,0", "--type", "5,0,0")
         assert code == 1

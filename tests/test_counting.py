@@ -12,7 +12,6 @@ from freecurves.counting import (
     EpsTable,
     count_N,
     count_N_liberated,
-    lattice_slice,
     r_min,
     ratio_check,
 )
@@ -31,7 +30,14 @@ from freecurves.variety import (
     toy_rho1,
 )
 
-from helpers import box_slice, cofactor_det, direct_counts, toy_rho2
+from helpers import (
+    box_slice,
+    cofactor_det,
+    direct_counts,
+    pieces_oracle,
+    slice_classes,
+    toy_rho2,
+)
 
 
 eps_powers = st.builds(
@@ -194,7 +200,7 @@ class TestRMin:
 
 class TestLatticeSlice:
     def test_quadrant_degree_two(self):
-        assert lattice_slice(toy_rho2(), 2) == [
+        assert slice_classes(toy_rho2(), 2) == [
             (0, 1),
             (0, 2),
             (1, 0),
@@ -203,27 +209,33 @@ class TestLatticeSlice:
         ]
 
     def test_below_minimal_degree_is_empty(self):
-        assert lattice_slice(toy_rho1(3), 2) == []
+        assert slice_classes(toy_rho1(3), 2) == []
 
     def test_ray_count(self):
-        assert len(lattice_slice(toy_rho1(2), 11)) == 5
+        assert len(slice_classes(toy_rho1(2), 11)) == 5
 
     def test_origin_excluded(self):
-        assert (0, 0) not in lattice_slice(toy_rho2(), 5)
+        assert (0, 0) not in slice_classes(toy_rho2(), 5)
+
+    def test_bound_must_be_positive(self):
+        # checked at the call, before any fibre is asked for
+        for bound in (0, -3):
+            with pytest.raises(ValueError, match="slice bound must be positive"):
+                toy_rho2().slice_fibres(bound)
 
     def test_unbounded_when_degree_vanishes_on_ray(self):
         model = VarietyModel(
             rho=2, dim_n=2, minus_k=(1, 0), nef_facets=((1, 0), (0, 1)), chambers=()
         )
         with pytest.raises(UnboundedSlice):
-            lattice_slice(model, 3)
+            slice_classes(model, 3)
 
     def test_unbounded_when_cone_has_a_line(self):
         model = VarietyModel(
             rho=2, dim_n=2, minus_k=(1, 1), nef_facets=((1, 1),), chambers=()
         )
         with pytest.raises(UnboundedSlice):
-            lattice_slice(model, 3)
+            slice_classes(model, 3)
 
     def test_rho5_orthant_matches_box_scan(self):
         facets = tuple(
@@ -239,10 +251,10 @@ class TestLatticeSlice:
             if min(pt) >= 0 and 0 < sum(pt) <= 3
         ]
         assert len(expected) == 55
-        assert lattice_slice(model, 3) == expected
+        assert slice_classes(model, 3) == expected
 
     def test_pbundle_slice_is_finite(self):
-        pts = lattice_slice(pbundle(3, 2, [3, 0, 0]), 20)
+        pts = slice_classes(pbundle(3, 2, [3, 0, 0]), 20)
         assert all(0 < 10 * x + 3 * y <= 20 for x, y in pts)
         assert (1, 3) in pts and (2, 0) in pts
 
@@ -262,7 +274,7 @@ class TestLatticeSlice:
             for y in range(-20, 21)
             if y >= 0 and x >= y and 0 < 2 * x - y <= 4
         )
-        assert lattice_slice(model, 4) == expected
+        assert slice_classes(model, 4) == expected
 
     @pytest.mark.parametrize(
         "facets",
@@ -281,7 +293,7 @@ class TestLatticeSlice:
         assert any(f[-1] < 0 for f in facets)
         assert model.minus_k[-1] <= 0
         for bound in range(1, 9):
-            assert lattice_slice(model, bound) == box_slice(
+            assert slice_classes(model, bound) == box_slice(
                 model, bound, box_radius(model, bound)
             )
 
@@ -290,7 +302,7 @@ class TestLatticeSlice:
     def test_matches_box_scan_property(self, model, bound):
         radius = box_radius(model, bound)
         assume(radius ** model.rho <= 2000)
-        assert lattice_slice(model, bound) == box_slice(model, bound, radius)
+        assert slice_classes(model, bound) == box_slice(model, bound, radius)
 
     @pytest.mark.parametrize(
         "minus_k, facets, message",
@@ -318,7 +330,7 @@ class TestLatticeSlice:
         )
         for _ in range(2):
             with pytest.raises(UnboundedSlice) as exc:
-                lattice_slice(model, 3)
+                slice_classes(model, 3)
             assert str(exc.value) == message
             with pytest.raises(UnboundedSlice) as exc:
                 ratio_check(model, config(beta=(0,) * len(minus_k)), [2])
@@ -590,7 +602,7 @@ class TestRatioCheck:
             assert row_data == direct_counts(model, cfg, row.d)
             assert row.n_value == count_N(model, cfg, row.d)
             assert row.n_liberated == count_N_liberated(model, cfg, row.d)
-            assert row.points == len(lattice_slice(model, row.d))
+            assert row.points == len(slice_classes(model, row.d))
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -717,11 +729,97 @@ def quadrant_model(*chambers):
 SEMISTABLE = ((2, (Fraction(1, 2), Fraction(1, 2))),)
 
 
+slopes = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
+filtrations = st.lists(
+    st.tuples(st.integers(1, 2), st.tuples(slopes, slopes)), min_size=1, max_size=3
+)
+
+
+@st.composite
+def chambered_quadrants(draw):
+    """Quadrant models with 1 to 3 chambers, each cut by up to two random
+    walls through the origin.  The chambers may overlap or leave gaps, and
+    their filtrations come from a pool of two, so overlapping chambers
+    agree or disagree; small slopes make neighbouring pieces meet on
+    lattice lines, where they merge."""
+    pool = draw(st.lists(filtrations, min_size=1, max_size=2))
+    walls = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=2)
+    chambers = draw(
+        st.lists(st.builds(Chamber, walls, st.sampled_from(pool)), min_size=1, max_size=3)
+    )
+    return VarietyModel(
+        rho=2,
+        dim_n=sum(r for r, _ in pool[0]),
+        minus_k=(draw(st.integers(1, 3)), draw(st.integers(1, 3))),
+        nef_facets=((1, 0), (0, 1)),
+        chambers=chambers,
+    )
+
+
+CHAMBER_ERRORS = (NoChamber, BoundaryMismatch)
+
+
+def oracle_first_error(model, classes):
+    """The oracle's error at the first class of ``classes`` that no chamber
+    holds or on which holders disagree; None when there is none."""
+    for alpha in classes:
+        try:
+            pieces_oracle(model, alpha)
+        except CHAMBER_ERRORS as exc:
+            return exc
+    return None
+
+
 class TestFibreClassification:
-    """``ratio_check`` classifies a class held by one chamber from its
-    fibre's affine piece numerators, and any other class by
-    ``chamber_pieces``; both must match the per-class oracle and raise the
-    same first error."""
+    """``VarietyModel.chamber_runs`` is the one chamber rule: ``ratio_check``
+    classifies every class from its run's affine piece numerators, and
+    ``chamber_pieces`` is the rule's one-point case.  Both must match the
+    per-class oracle and raise the same first error."""
+
+    @given(chambered_quadrants(), st.integers(1, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_chamber_rule_matches_oracle_property(self, model, d):
+        bound = d * r_min(model)
+        classes = box_slice(model, bound, bound)
+        # chamber_pieces takes a list as well as a tuple
+        for alpha in classes:
+            try:
+                pieces = pieces_oracle(model, alpha)
+            except CHAMBER_ERRORS as error:
+                with pytest.raises(type(error)) as exc:
+                    model.chamber_pieces(list(alpha))
+                assert str(exc.value) == str(error)
+            else:
+                expected = [(r, b * model.slope_den) for r, b in pieces]
+                assert model.chamber_pieces(list(alpha)) == expected
+        # the runs of each fibre follow one another from lo up to the first
+        # error or to hi, and each run's least piece is the oracle's
+        for prefix, lo, hi in model.slice_fibres(bound):
+            ends = [lo]
+            try:
+                for start, stop, lines in model.chamber_runs(prefix, lo, hi):
+                    assert start == ends[-1] < stop
+                    ends.append(stop)
+                    for t in range(start, stop):
+                        least = min(b for _, b in pieces_oracle(model, prefix + (t,)))
+                        assert min(b0 + s * t for _, b0, s in lines) == (
+                            least * model.slope_den
+                        )
+            except CHAMBER_ERRORS:
+                assert ends[-1] <= hi
+            else:
+                assert ends[-1] == hi + 1
+            assert list(model.chamber_runs(prefix, hi + 1, hi)) == []
+        cfg = config(m_cap=3, beta=(1, 0), br=2, outside_xi=1)
+        error = oracle_first_error(model, classes)
+        if error is None:
+            row = ratio_check(model, cfg, [d]).rows[0]
+            row_data = (row.points, row.liberated, row.n_value, row.n_liberated)
+            assert row_data == direct_counts(model, cfg, d)
+        else:
+            with pytest.raises(type(error)) as exc:
+                ratio_check(model, cfg, [d])
+            assert str(exc.value) == str(error)
 
     @pytest.mark.parametrize("ray", [(1, 1), (2, 1), (1, 3), (3, 2)])
     def test_walls_across_fibres(self, ray):
@@ -782,14 +880,14 @@ class TestFibreClassification:
 class TestEhrhartGrowth:
     def test_doubling_ratio_near_four(self):
         model = toy_rho2()
-        small = len(lattice_slice(model, 40))
-        large = len(lattice_slice(model, 80))
+        small = len(slice_classes(model, 40))
+        large = len(slice_classes(model, 80))
         ratio = Fraction(large, small)
         assert abs(ratio - 4) <= Fraction(4, 5)
 
     def test_doubling_ratio_rank_one(self):
         model = toy_rho1(1)
-        assert len(lattice_slice(model, 80)) == 2 * len(lattice_slice(model, 40))
+        assert len(slice_classes(model, 80)) == 2 * len(slice_classes(model, 40))
 
 
 class TestBetaMismatch:

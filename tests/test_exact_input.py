@@ -9,7 +9,6 @@ from freecurves.counting import (
     EpsPower,
     EpsTable,
     count_N,
-    lattice_slice,
     ratio_check,
 )
 from freecurves.errors import exact_fraction, exact_int, int_token
@@ -76,7 +75,7 @@ BOUNDARIES = {
     "pbundle m": lambda x: pbundle(3, x, [2, 1]),
     "toy_rho1 c": lambda x: toy_rho1(x),
     "toy_rho1 dim": lambda x: toy_rho1(2, dim=x),
-    "lattice_slice": lambda x: lattice_slice(toy_rho2(), x),
+    "slice_fibres": lambda x: list(toy_rho2().slice_fibres(x)),
     "count_N": lambda x: count_N(*_toy_rho2_counting(), x),
     "ratio_check": lambda x: ratio_check(*_toy_rho2_counting(), [x]),
 }

@@ -94,6 +94,11 @@ class TestGlue:
     def test_bad_permutation(self):
         with pytest.raises(ValueError):
             Alignment([0, 0])
+        # each constructor names its own input and index range
+        with pytest.raises(ValueError, match=r"^not a permutation of 0\.\.1: \(1, 2\)$"):
+            Alignment([1, 2])
+        with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.2: \(0, 1\)$"):
+            Alignment.from_one_based([0, 1])
 
 
 class TestDegbd:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from freecurves.counting import lattice_slice, r_min
+from freecurves.counting import r_min
 from freecurves.errors import (
     BoundaryMismatch,
     NoChamber,
@@ -30,7 +30,7 @@ from freecurves.variety import (
     validate,
 )
 
-from helpers import cofactor_det, toy_rho2
+from helpers import cofactor_det, slice_classes, toy_rho2
 
 # square integer matrices up to 6x6, about half of the entries zero, so
 # singular matrices and zero pivots come up often
@@ -393,7 +393,7 @@ class TestLiberatedLowerBound:
     @settings(max_examples=80, deadline=None)
     def test_least_piece_slope_matches_panel(self, model):
         n = model.dim_n
-        for alpha in lattice_slice(model, 8 * r_min(model)):
+        for alpha in slice_classes(model, 8 * r_min(model)):
             deg = model.degree(alpha)
             expected = min(esp(model, alpha)) - Fraction(n * n, 2 * deg)
             assert liberated_lower_bound(model, alpha) == expected
@@ -504,7 +504,7 @@ class TestValidate:
             "chamber 0: slope 1 negative on ray (0, 1)",
         )
         with pytest.raises(UnboundedSlice):
-            lattice_slice(model, 3)
+            slice_classes(model, 3)
 
     @pytest.mark.parametrize("rho", [5, 6])
     def test_ray_checks_past_lattice_rank_four(self, rho):
@@ -572,7 +572,7 @@ class TestNefRayCache:
         esp(model, (2, 1))
         assert calls == []
         for bound in (3, 5, 9):
-            lattice_slice(model, bound)
+            slice_classes(model, bound)
         assert calls == [2]
         # validate reads the kept nef rays; it finds each chamber's own
         validate(model)
@@ -586,7 +586,7 @@ class TestNefRayCache:
         for _ in range(2):
             assert f"nef cone: {message}" in validate(model).violations
             with pytest.raises(UnboundedSlice) as exc:
-                lattice_slice(model, 3)
+                slice_classes(model, 3)
             assert str(exc.value) == message
 
     @pytest.mark.parametrize(
@@ -603,7 +603,7 @@ class TestNefRayCache:
         fresh = validate(build()).render()
         model = build()
         try:
-            lattice_slice(model, 4)
+            slice_classes(model, 4)
         except UnboundedSlice:
             pass
         assert validate(model).render() == fresh
