@@ -147,7 +147,8 @@ def _cmd_count(args) -> str:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command's subparser by name."""
     parser = argparse.ArgumentParser(
         prog="freecurves",
         description="Exact splitting-type calculus for rational curves.",
@@ -155,26 +156,27 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="write output to a file")
+    commands = {}
 
-    p = sub.add_parser("sp", parents=[out], help="slope panel and minimal slope ratio")
+    def command(name, text, func):
+        # ``command`` repeats what the top-level parser stores there, so a
+        # namespace from the subparser alone is the same
+        p = commands[name] = sub.add_parser(name, parents=[out], help=text)
+        p.set_defaults(func=func, command=name)
+        return p
+
+    p = command("sp", "slope panel and minimal slope ratio", _cmd_sp)
     p.add_argument("--type", type=splitting.parse_splitting_type, required=True)
-    p.set_defaults(func=_cmd_sp)
 
-    p = sub.add_parser("degbd", parents=[out], help="degree bound for rank-m quotients")
+    p = command("degbd", "degree bound for rank-m quotients", _cmd_degbd)
     p.add_argument("--nodal", type=nodal.parse_nodal_type, required=True)
     p.add_argument("--m", type=int_token, required=True)
-    p.set_defaults(func=_cmd_degbd)
 
-    p = sub.add_parser(
-        "smooth", parents=[out], help="admissible smoothings of a nodal type"
-    )
+    p = command("smooth", "admissible smoothings of a nodal type", _cmd_smooth)
     p.add_argument("--nodal", type=nodal.parse_nodal_type, required=True)
     p.add_argument("--sequential", action="store_true")
-    p.set_defaults(func=_cmd_smooth)
 
-    p = sub.add_parser(
-        "glue", parents=[out], help="glue splitting types into a nodal type"
-    )
+    p = command("glue", "glue splitting types into a nodal type", _cmd_glue)
     p.add_argument(
         "--type",
         type=splitting.parse_splitting_type,
@@ -183,41 +185,48 @@ def _parser() -> argparse.ArgumentParser:
         help="give once to glue a type to itself, twice for two types",
     )
     p.add_argument("--align", type=_alignment_token, default="dual")
-    p.set_defaults(func=_cmd_glue)
 
-    p = sub.add_parser(
-        "balance", parents=[out], help="iterate worst-case glue-and-smooth steps"
-    )
+    p = command("balance", "iterate worst-case glue-and-smooth steps", _cmd_balance)
     p.add_argument("--type", type=splitting.parse_splitting_type, required=True)
     p.add_argument("--max-steps", type=int_token, default=8)
     p.add_argument("--policy", choices=("worst", "best"), default="worst")
-    p.set_defaults(func=_cmd_balance)
 
-    p = sub.add_parser(
-        "esp", parents=[out], help="expected slope panel of a curve class"
-    )
+    p = command("esp", "expected slope panel of a curve class", _cmd_esp)
     p.add_argument("--model", required=True)
     p.add_argument("--class", dest="cls", type=_class_vector, required=True)
-    p.set_defaults(func=_cmd_esp)
 
     tally_commands = (
         ("count", "tabulate per-degree counting sums"),
         ("check", "tabulate sums and locate the delta threshold"),
     )
     for name, text in tally_commands:
-        p = sub.add_parser(name, parents=[out], help=text)
+        p = command(name, text, _cmd_count)
         p.add_argument("--model", required=True)
         p.add_argument("--dmax", type=int_token, required=True)
         p.add_argument("--q", type=_fraction, default=None)
         p.add_argument("--delta", type=_fraction, default=None)
-        p.set_defaults(func=_cmd_count)
 
-    return parser
+    return parser, commands
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``argv`` parsed as the top-level parser would, in one pass when it
+    names a command: the top-level parser hands everything after the name to
+    that command's subparser.  Left-over arguments, no command, ``-h`` or an
+    unknown name go through the top-level parser, so its messages stay."""
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def run(argv=None) -> int:
     """Parse arguments, dispatch, and return the process exit code."""
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         _emit(args.func(args), args.out)
     except (DomainError, OSError) as exc:

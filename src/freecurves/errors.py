@@ -37,14 +37,20 @@ def exact_fraction(x, name: str) -> Fraction:
     """``x`` as a Fraction, if it is an int, a Fraction or an integral float.
 
     Anything else raises ValueError: a bool, a str, a non-integral float
-    (whose binary expansion is not the rational it was written as).
+    (whose binary expansion is not the rational it was written as).  A
+    Fraction is returned as it is, as ``exact_int`` returns an int.
     """
+    if type(x) is Fraction:
+        return x
     value = _exact_number(x)
     if value is None:
         raise ValueError(
             f"{name} must be an int, a Fraction or an integral float, got {x!r}"
         )
     return value
+
+
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 
 
 def int_token(text: str) -> int:
@@ -54,7 +60,7 @@ def int_token(text: str) -> int:
     ``\u0663`` as 3; any such token raises ValueError instead.
     """
     token = text.strip()
-    if not re.fullmatch(r"[+-]?[0-9]+", token):
+    if not _INT_TOKEN.fullmatch(token):
         raise ValueError(f"not an integer: {text!r}")
     return int(token)
 

@@ -219,6 +219,9 @@ def load_model_file(path) -> LoadedModel:
     return load_model(data)
 
 
+_FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
 def fixture_path(name: str) -> Path:
     """Path of a bundled fixture model file."""
-    return Path(__file__).resolve().parent / "fixtures" / name
+    return _FIXTURES / name

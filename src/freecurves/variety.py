@@ -499,7 +499,11 @@ def pbundle(n0: int, m: int, a_list) -> VarietyModel:
 
     ``a_list`` holds the m+1 non-increasing twist degrees, the first
     positive, with total at most n0.  Curve classes use the basis (section
-    class, fiber line); the filtration has the relative tangent piece first.
+    class, fiber line); the one chamber has the relative tangent piece
+    first.  That order holds on the whole nef cone only where the relative
+    slope is at least the base slope on the ray (1, 0); other twists (every
+    n0 = 1 bundle, the Hirzebruch surface F_1 among them) need a wall that
+    is not modelled, and raise ValueError.
     """
     n0, m = exact_int(n0, "n0"), exact_int(m, "m")
     a = tuple(exact_int(x, "twist degree") for x in a_list)
@@ -517,6 +521,12 @@ def pbundle(n0: int, m: int, a_list) -> VarietyModel:
     a0 = a[0]
     rel = (m * a0 + a0 - d, m + 1)
     base = (n0 + 1, 0)
+    if n0 * rel[0] < m * base[0]:
+        raise ValueError(
+            f"twists {list(a)} over P^{n0}: on ray (1, 0) the base slope "
+            f"{Fraction(base[0], n0)} exceeds the relative slope "
+            f"{Fraction(rel[0], m)}, which needs a second chamber"
+        )
     chamber = Chamber(
         facets=(),
         filtration=(

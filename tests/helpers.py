@@ -8,6 +8,7 @@ from math import gcd
 from freecurves.errors import BoundaryMismatch, NoChamber
 from freecurves.modelio import fixture_path, load_model_file
 from freecurves.splitting import SplittingType, is_sequential
+from freecurves.variety import Chamber, VarietyModel
 
 
 @cache
@@ -15,6 +16,42 @@ def toy_rho2():
     """The bundled quadrant model with two chambers split along the diagonal
     (docs/fixtures.md)."""
     return load_model_file(fixture_path("toy_rho2.json")).model
+
+
+def one_chamber_pbundle(n0, m, a):
+    """The model ``pbundle(n0, m, a)`` builds for any buildable twists, even
+    where it refuses them: one chamber, the relative piece first.  Where the
+    base slope is larger on ray (1, 0) it fails ``validate``."""
+    d, a0 = sum(a), a[0]
+    rel, base = (m * a0 + a0 - d, m + 1), (n0 + 1, 0)
+    chamber = Chamber(
+        facets=(),
+        filtration=(
+            (m, (Fraction(rel[0], m), Fraction(rel[1], m))),
+            (n0, (Fraction(base[0], n0), Fraction(base[1], n0))),
+        ),
+    )
+    return VarietyModel(
+        rho=2,
+        dim_n=n0 + m,
+        minus_k=(rel[0] + base[0], rel[1]),
+        nef_facets=((1, 0), (0, 1)),
+        nef_generators=((1, 0), (0, 1)),
+        chambers=(chamber,),
+    )
+
+
+def pbundle_twists(n0_max, m_max):
+    """Every (n0, m, twists) that passes pbundle's shape checks, n0 <= n0_max
+    and m <= m_max: m+1 non-increasing non-negative twists, the first
+    positive, with total at most n0."""
+    return [
+        (n0, m, list(a))
+        for n0 in range(1, n0_max + 1)
+        for m in range(1, m_max + 1)
+        for a in nonincreasing_sequences(m + 1, 0, n0)
+        if a[0] >= 1 and sum(a) <= n0
+    ]
 
 
 def cofactor_det(rows):

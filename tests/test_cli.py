@@ -1,6 +1,7 @@
 """Command-line surface and model-file loading."""
 
 import contextlib
+import io
 import json
 import os
 import pathlib
@@ -11,8 +12,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from freecurves.cli import run
-from freecurves.errors import ModelFormatError
+from freecurves import modelio
+from freecurves.cli import _parse_args, _parser, run
+from freecurves.errors import ModelFormatError, exact_fraction
 from freecurves.modelio import fixture_path, load_model, load_model_file
 from freecurves.nodal import parse_nodal_type
 from freecurves.splitting import parse_splitting_type
@@ -364,6 +366,91 @@ class TestCommands:
         )
         assert code == 0
         assert out.splitlines()[-1] == "# d0: 5"
+
+
+# One valid argument list per command, in the = and the space form, with an
+# abbreviated option and --out among them.
+VALID_ARGVS = [
+    ["sp", "--type=4,3,3,2"],
+    ["sp", "--ty", "2,1", "--out", "sp.txt"],
+    ["degbd", "--nodal=2/-1,-1/2", "--m", "1"],
+    ["smooth", "--nodal", "2/-1,-1/2", "--sequential"],
+    ["glue", "--type=2,1,0", "--type", "1,1,1", "--align=perm:3,1,2"],
+    ["glue", "--ty=2,1"],
+    ["balance", "--ty=2,1,0", "--policy", "best", "--max-steps=3"],
+    ["esp", "--model", "pbundle.json", "--class=1,0", "--out=esp.txt"],
+    ["count", "--model=toy_rho1.json", "--dmax", "3", "--q=3/2", "--delta", "1/2"],
+    ["check", "--model", "toy_rho2.json", "--dmax=5"],
+]
+
+# Argument lists the parsers refuse or answer with help, before or after a
+# command name.
+BAD_ARGVS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["--out", "x", "sp"],
+    ["balance", "-h"],
+    ["balance", "--type=2,1,0", "--bogus"],
+    ["balance", "--type=2,1,0", "stray"],
+    ["balance", "--type=2,1,0", "--policy=middle"],
+    ["degbd", "--nodal=1/1", "--m=x"],
+    ["sp", "--type=1.5"],
+    ["sp"],
+    ["count", "--model", "toy_rho1.json"],
+    ["count", "--model=toy_rho1.json", "--d=3"],
+    ["sp", "--type=1", "--out"],
+    ["sp", "--type=1", "--out", "x", "sp"],
+]
+
+
+def _parsed(parse, argv):
+    """What ``parse(argv)`` gives: its namespace, or its exit code, stdout and
+    stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(list(argv)))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+class TestDispatch:
+    """``run`` parses a named command with its subparser alone; the result
+    must be what the top-level parser gives, namespace or error."""
+
+    @pytest.mark.parametrize("argv", VALID_ARGVS, ids=" ".join)
+    def test_namespace_matches_top_level_parser(self, argv):
+        parser, _ = _parser()
+        got = _parsed(_parse_args, argv)
+        assert got == _parsed(parser.parse_args, argv)
+        assert got["command"] == argv[0]
+
+    @pytest.mark.parametrize("argv", BAD_ARGVS, ids=" ".join)
+    def test_refusal_matches_top_level_parser(self, argv):
+        parser, _ = _parser()
+        got = _parsed(_parse_args, argv)
+        assert type(got) is tuple
+        assert got == _parsed(parser.parse_args, argv)
+
+    def test_leftover_arguments_name_the_program(self):
+        code, _, err = _parsed(_parse_args, ["balance", "--type=2,1,0", "--bogus"])
+        assert code == 2
+        assert err.splitlines()[-1] == (
+            "freecurves: error: unrecognized arguments: --bogus"
+        )
+
+    def test_exact_fraction_keeps_a_fraction(self):
+        x = Fraction(3, 7)
+        assert exact_fraction(x, "x") is x
+        for bad in (True, 0.5, "1"):
+            with pytest.raises(ValueError, match="an int, a Fraction"):
+                exact_fraction(bad, "x")
+
+    def test_fixture_path(self):
+        here = pathlib.Path(modelio.__file__).resolve().parent
+        assert fixture_path("toy_rho2.json") == here / "fixtures" / "toy_rho2.json"
 
 
 class TestTextRoundTrips:

@@ -30,7 +30,13 @@ from freecurves.variety import (
     validate,
 )
 
-from helpers import cofactor_det, slice_classes, toy_rho2
+from helpers import (
+    cofactor_det,
+    one_chamber_pbundle,
+    pbundle_twists,
+    slice_classes,
+    toy_rho2,
+)
 
 # square integer matrices up to 6x6, about half of the entries zero, so
 # singular matrices and zero pivots come up often
@@ -181,6 +187,26 @@ class TestBuilders:
             pbundle(3, 2, [0, 3, 0])
         with pytest.raises(ValueError):
             pbundle(2, 1, [2, 1])
+
+    def test_pbundle_builds_exactly_the_valid_one_chamber_models(self):
+        # F_1 = pbundle(1, 1, [1, 0]) and (2, 1, [1, 0]) have the base slope
+        # above the relative one on ray (1, 0), so one chamber with the
+        # relative piece first fails validate there; pbundle refuses them
+        grid = pbundle_twists(6, 4)
+        assert len(grid) == 231
+        refused = 0
+        for n0, m, a in grid:
+            one = one_chamber_pbundle(n0, m, a)
+            try:
+                model = pbundle(n0, m, a)
+            except ValueError as exc:
+                assert f"twists {a} over P^{n0}" in str(exc)
+                assert not validate(one).ok, (n0, m, a)
+                refused += 1
+            else:
+                assert model == one
+                assert validate(model).ok, (n0, m, a)
+        assert 0 < refused < len(grid)
 
     def test_toys_validate(self):
         assert validate(toy_rho1(1)).ok
@@ -597,7 +623,9 @@ class TestNefRayCache:
             if name == "line":
                 return line_cone()
             if name == "f1":
-                return pbundle(1, 1, [1, 0])
+                # the one-chamber F_1 model, which fails validate; pbundle
+                # refuses to build it
+                return one_chamber_pbundle(1, 1, [1, 0])
             return load_model_file(fixture_path(name)).model
 
         fresh = validate(build()).render()
@@ -607,8 +635,8 @@ class TestNefRayCache:
         except UnboundedSlice:
             pass
         assert validate(model).render() == fresh
-        if name.endswith(".json"):
-            assert fresh == "violations: 0"
+        # the fixtures are valid; the line cone and the one-chamber F_1 not
+        assert (fresh == "violations: 0") == name.endswith(".json")
 
 
 class TestInNef:
