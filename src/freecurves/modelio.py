@@ -5,15 +5,25 @@ A model file is a single JSON object with fields ``dim``, ``rho``,
 optional ``counting`` block.  Rational data is carried as integer
 numerators over a single positive denominator.  Unknown and repeated
 fields are rejected so that typos cannot silently change a model.
+
+``load_model_file`` reads the file on every call but parses and builds a
+model only once per distinct content (and integer digit limit) per
+process, from a small LRU cache.  The ``LoadedModel`` it returns is shared
+between callers and immutable, so what a model finds lazily, such as its
+nef rays, is found once per content too.  An edit to the file is read on
+the next call; an error is never kept, so a malformed file raises on every
+call.  A one-shot ``freecurves`` process loads its one model as before.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from .counting import CountingConfig, EpsPower, EpsTable
@@ -202,21 +212,50 @@ _DECODER = json.JSONDecoder(object_pairs_hook=_unique_fields)
 _LONG_INTEGER = re.compile(r"(?<![0-9])[0-9]{4301}")
 
 
-def load_model_file(path) -> LoadedModel:
-    """Load and strictly validate a model file."""
-    raw = Path(path).read_bytes()
+# Distinct model contents kept per process: enough for every model a session
+# alternates between, small enough that the kept bytes stay negligible.
+_CACHE_SIZE = 16
+# What a fresh load returns depends only on the bytes and this limit (a
+# lower limit refuses integers that the default admits); 3.10.0-3.10.6 have
+# no limit.
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+
+
+class _Undecodable(Exception):
+    """Bytes that are not a JSON document; ``load_model_file`` names the
+    path they were read from."""
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _load_bytes(raw: bytes, digit_limit: int | None) -> LoadedModel:
+    """The model that ``raw`` holds.  ``digit_limit`` is only a key: the
+    decoder reads the interpreter's limit itself."""
     try:
         text = raw.decode("utf-8")
         if _LONG_INTEGER.search(text):
-            raise ModelFormatError(f"{path}: an integer has more than 4,300 digits")
+            raise _Undecodable("an integer has more than 4,300 digits")
         data = _DECODER.decode(text)
     except UnicodeDecodeError as exc:
-        raise ModelFormatError(f"{path}: not UTF-8: {exc}") from exc
+        raise _Undecodable(f"not UTF-8: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         # ValueError covers malformed JSON and integers past a digit limit
         # set lower than the default; RecursionError covers nesting too deep
-        raise ModelFormatError(f"{path}: invalid JSON: {exc}") from exc
+        raise _Undecodable(f"invalid JSON: {exc}") from exc
     return load_model(data)
+
+
+def load_model_file(path) -> LoadedModel:
+    """Load and strictly validate a model file.
+
+    The file is read on every call, so an edit shows on the next one, but
+    its content is parsed and built once per process: the same bytes, under
+    any path, give the same shared, immutable ``LoadedModel``.  Errors are
+    not kept; one that the bytes cause names ``path``."""
+    raw = Path(path).read_bytes()
+    try:
+        return _load_bytes(raw, _digit_limit())
+    except _Undecodable as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc.__cause__
 
 
 _FIXTURES = Path(__file__).resolve().parent / "fixtures"

@@ -1,7 +1,6 @@
 """Exhaustive enumerators and brute-force oracles shared by the test modules."""
 
 from fractions import Fraction
-from functools import cache
 from itertools import combinations, product
 from math import gcd
 
@@ -11,7 +10,6 @@ from freecurves.splitting import SplittingType, is_sequential
 from freecurves.variety import Chamber, VarietyModel
 
 
-@cache
 def toy_rho2():
     """The bundled quadrant model with two chambers split along the diagonal
     (docs/fixtures.md)."""

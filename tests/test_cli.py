@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from freecurves import modelio
+from freecurves import cli, modelio
 from freecurves.cli import _parse_args, _parser, run
 from freecurves.errors import ModelFormatError, exact_fraction
 from freecurves.modelio import fixture_path, load_model, load_model_file
@@ -629,6 +629,122 @@ class TestModelFiles:
         path = tmp_path / "long.json"
         path.write_text(text.replace('"dim": 2,', f'"dim": 1{"0" * 4299},'), "utf-8")
         assert load_model_file(path).model.dim_n == 10**4299
+
+
+class TestModelCache:
+    """A model file is parsed and built once per content per process; what
+    a fresh load would give decides every answer."""
+
+    FIXTURE_ARGVS = [
+        argv
+        for name, cls in [
+            ("pbundle.json", "1,0"),
+            ("toy_rho1.json", "4"),
+            ("toy_rho2.json", "2,1"),
+        ]
+        for argv in (
+            ["esp", "--model", name, "--class", cls],
+            ["count", "--model", name, "--dmax", "9"],
+            ["check", "--model", name, "--dmax", "9"],
+        )
+    ]
+
+    def test_same_bytes_give_the_same_model(self, tmp_path):
+        raw = fixture_path("toy_rho2.json").read_bytes()
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        first.write_bytes(raw)
+        second.write_bytes(raw)
+        assert load_model_file(first) is load_model_file(second)
+        by_name = cli._load_model("toy_rho2.json")
+        assert by_name is cli._load_model(str(fixture_path("toy_rho2.json")))
+        assert by_name is load_model_file(first)
+
+    def test_cache_is_bounded(self, tmp_path):
+        modelio._load_bytes.cache_clear()
+        text = fixture_path("toy_rho1.json").read_text(encoding="utf-8")
+        for dim in range(2, modelio._CACHE_SIZE + 3):
+            path = tmp_path / f"dim{dim}.json"
+            path.write_text(text.replace('"dim": 2,', f'"dim": {dim},'), "utf-8")
+            assert load_model_file(path).model.dim_n == dim
+        assert modelio._load_bytes.cache_info().currsize == modelio._CACHE_SIZE
+
+    def test_edit_of_the_same_length_is_read(self, capsys, tmp_path):
+        # the mtime is set back too, so neither a path nor an (mtime, size)
+        # key would see the edit
+        text = fixture_path("toy_rho1.json").read_text(encoding="utf-8")
+        path = tmp_path / "edited.json"
+        path.write_text(text, encoding="utf-8")
+        stamp = path.stat()
+        argv = ("esp", "--model", str(path), "--class", "4")
+        _, before, _ = invoke(capsys, *argv)
+        edited = text.replace('"slope_num": [1]', '"slope_num": [3]')
+        assert len(edited) == len(text) and edited != text
+        path.write_text(edited, encoding="utf-8")
+        os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+        assert path.stat().st_mtime_ns == stamp.st_mtime_ns
+        warm = invoke(capsys, *argv)
+        modelio._load_bytes.cache_clear()
+        cold = invoke(capsys, *argv)
+        assert warm == cold
+        assert warm[1] != before
+
+    def test_malformed_file_raises_on_every_call(self, tmp_path):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        first.write_bytes(fixture_path("toy_rho1.json").read_bytes())
+        load_model_file(first)
+        bad = b'{"dim": 2,'
+        first.write_bytes(bad)
+        second.write_bytes(bad)
+        for path in (first, first, second, second):
+            with pytest.raises(ModelFormatError) as err:
+                load_model_file(path)
+            assert str(err.value).startswith(f"{path}: invalid JSON: ")
+
+    def test_overrides_do_not_reach_the_shared_config(self, capsys, tmp_path):
+        # q = 3 from the file and from --q print the same; neither is kept
+        # for a later check without --q
+        text = fixture_path("toy_rho2.json").read_text(encoding="utf-8")
+        path = tmp_path / "q.json"
+        path.write_text(text.replace('"q_num": 2', '"q_num": 3'), "utf-8")
+        argv = ("check", "--model", str(path), "--dmax", "9")
+        q3 = invoke(capsys, *argv)
+        path.write_text(text, encoding="utf-8")
+        assert invoke(capsys, *argv, "--q", "3") == q3
+        warm = invoke(capsys, *argv)
+        modelio._load_bytes.cache_clear()
+        cold = invoke(capsys, *argv)
+        assert warm == cold
+        assert warm != q3
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"),
+        reason="the interpreter has no integer digit limit",
+    )
+    def test_lower_digit_limit_refuses_a_kept_model(self, tmp_path):
+        text = fixture_path("toy_rho1.json").read_text(encoding="utf-8")
+        path = tmp_path / "long.json"
+        path.write_text(text.replace('"dim": 2,', f'"dim": 1{"0" * 1499},'), "utf-8")
+        assert load_model_file(path).model.dim_n == 10**1499
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(1000)
+            with pytest.raises(ModelFormatError) as warm:
+                load_model_file(path)
+            modelio._load_bytes.cache_clear()
+            with pytest.raises(ModelFormatError) as cold:
+                load_model_file(path)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert str(warm.value) == str(cold.value)
+        assert "invalid JSON" in str(warm.value)
+        assert load_model_file(path).model.dim_n == 10**1499
+
+    @pytest.mark.parametrize("argv", FIXTURE_ARGVS, ids=" ".join)
+    def test_cold_and_warm_print_the_same(self, capsys, argv):
+        modelio._load_bytes.cache_clear()
+        cold = invoke(capsys, *argv)
+        assert cold[0] == 0
+        assert invoke(capsys, *argv) == invoke(capsys, *argv) == cold
 
 
 class _Pairs(list):

@@ -1,5 +1,6 @@
 """Variety models: cone machinery, expected panels, validation, builders."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from freecurves.errors import (
     UnboundedSlice,
     ZeroDegree,
 )
-from freecurves.modelio import fixture_path, load_model_file
+from freecurves.modelio import fixture_path, load_model, load_model_file
 from freecurves.variety import (
     MAX_PANEL_LENGTH,
     Chamber,
@@ -594,7 +595,10 @@ class TestNefRayCache:
             return cone_rays(facets, rho)
 
         monkeypatch.setattr("freecurves.variety.cone_rays", counted)
-        model = load_model_file(fixture_path("toy_rho2.json")).model
+        # built here, not loaded from the file: a loaded model is shared per
+        # content and may already hold its rays
+        text = fixture_path("toy_rho2.json").read_text(encoding="utf-8")
+        model = load_model(json.loads(text)).model
         esp(model, (2, 1))
         assert calls == []
         for bound in (3, 5, 9):
