@@ -12,7 +12,9 @@ process, from a small LRU cache.  The ``LoadedModel`` it returns is shared
 between callers and immutable, so what a model finds lazily, such as its
 nef rays, is found once per content too.  An edit to the file is read on
 the next call; an error is never kept, so a malformed file raises on every
-call.  A one-shot ``freecurves`` process loads its one model as before.
+call.  Only a caller that loads the same content again in one process
+(library code, in-process ``cli.run``) gains; a one-shot ``freecurves``
+process loads its one model once, as before.
 """
 
 from __future__ import annotations

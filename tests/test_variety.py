@@ -583,6 +583,13 @@ def line_cone():
     )
 
 
+def fresh_fixture(name):
+    """A bundled fixture's model built anew.  ``load_model_file`` shares one
+    model per content, which may already hold its nef rays."""
+    text = fixture_path(name).read_text(encoding="utf-8")
+    return load_model(json.loads(text)).model
+
+
 class TestNefRayCache:
     """The nef rays are found on first use and kept per model; a failure is
     not kept, so it is raised again on every use."""
@@ -595,10 +602,7 @@ class TestNefRayCache:
             return cone_rays(facets, rho)
 
         monkeypatch.setattr("freecurves.variety.cone_rays", counted)
-        # built here, not loaded from the file: a loaded model is shared per
-        # content and may already hold its rays
-        text = fixture_path("toy_rho2.json").read_text(encoding="utf-8")
-        model = load_model(json.loads(text)).model
+        model = fresh_fixture("toy_rho2.json")
         esp(model, (2, 1))
         assert calls == []
         for bound in (3, 5, 9):
@@ -630,7 +634,7 @@ class TestNefRayCache:
                 # the one-chamber F_1 model, which fails validate; pbundle
                 # refuses to build it
                 return one_chamber_pbundle(1, 1, [1, 0])
-            return load_model_file(fixture_path(name)).model
+            return fresh_fixture(name)
 
         fresh = validate(build()).render()
         model = build()
