@@ -1,10 +1,10 @@
 """Strict JSON loading for variety-model files.
 
 A model file is a single JSON object with fields ``dim``, ``rho``,
-``minusK``, ``nef`` (facets plus optional generators), ``chambers`` and an
-optional ``counting`` block.  Rational data is carried as integer
-numerators over a single positive denominator.  Unknown and repeated
-fields are rejected so that typos cannot silently change a model.
+``minusK``, ``nef`` (its facets), ``chambers`` and an optional ``counting``
+block.  Rational data is carried as integer numerators over a single
+positive denominator.  Unknown and repeated fields are rejected so that
+typos cannot silently change a model.
 
 ``load_model_file`` reads the file on every call but parses and builds a
 model only once per distinct content (and integer digit limit) per
@@ -35,7 +35,7 @@ from .variety import Chamber, VarietyModel
 __all__ = ["LoadedModel", "load_model", "load_model_file", "fixture_path"]
 
 _TOP_KEYS = {"dim", "rho", "minusK", "nef", "chambers", "counting"}
-_NEF_KEYS = {"facets", "generators"}
+_NEF_KEYS = {"facets"}
 _CHAMBER_KEYS = {"facets", "filtration"}
 _PIECE_KEYS = {"rank", "slope_num", "slope_den"}
 _COUNTING_KEYS = {
@@ -165,10 +165,7 @@ def load_model(data: dict) -> LoadedModel:
     """Build a model (and counting config, if present) from parsed JSON."""
     _check_keys(data, _TOP_KEYS, _TOP_KEYS - {"counting"}, "model")
     nef = data["nef"]
-    _check_keys(nef, _NEF_KEYS, {"facets"}, "nef")
-    generators = None
-    if "generators" in nef:
-        generators = _int_matrix(nef["generators"], "nef.generators")
+    _check_keys(nef, _NEF_KEYS, _NEF_KEYS, "nef")
     chambers_raw = data["chambers"]
     if not isinstance(chambers_raw, list):
         raise ModelFormatError("chambers: expected a list")
@@ -179,7 +176,6 @@ def load_model(data: dict) -> LoadedModel:
             dim_n=_int(data["dim"], "dim"),
             minus_k=_int_list(data["minusK"], "minusK"),
             nef_facets=_int_matrix(nef["facets"], "nef.facets"),
-            nef_generators=generators,
             chambers=chambers,
         )
     except ValueError as exc:
@@ -223,11 +219,6 @@ _CACHE_SIZE = 16
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
 
 
-class _Undecodable(Exception):
-    """Bytes that are not a JSON document; ``load_model_file`` names the
-    path they were read from."""
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
 def _load_bytes(raw: bytes, digit_limit: int | None) -> LoadedModel:
     """The model that ``raw`` holds.  ``digit_limit`` is only a key: the
@@ -235,14 +226,14 @@ def _load_bytes(raw: bytes, digit_limit: int | None) -> LoadedModel:
     try:
         text = raw.decode("utf-8")
         if _LONG_INTEGER.search(text):
-            raise _Undecodable("an integer has more than 4,300 digits")
+            raise ModelFormatError("an integer has more than 4,300 digits")
         data = _DECODER.decode(text)
     except UnicodeDecodeError as exc:
-        raise _Undecodable(f"not UTF-8: {exc}") from exc
+        raise ModelFormatError(f"not UTF-8: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         # ValueError covers malformed JSON and integers past a digit limit
         # set lower than the default; RecursionError covers nesting too deep
-        raise _Undecodable(f"invalid JSON: {exc}") from exc
+        raise ModelFormatError(f"invalid JSON: {exc}") from exc
     return load_model(data)
 
 
@@ -252,12 +243,12 @@ def load_model_file(path) -> LoadedModel:
     The file is read on every call, so an edit shows on the next one, but
     its content is parsed and built once per process: the same bytes, under
     any path, give the same shared, immutable ``LoadedModel``.  Errors are
-    not kept; one that the bytes cause names ``path``."""
+    not kept; every ModelFormatError names ``path``."""
     raw = Path(path).read_bytes()
     try:
         return _load_bytes(raw, _digit_limit())
-    except _Undecodable as exc:
-        raise ModelFormatError(f"{path}: {exc}") from exc.__cause__
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc
 
 
 _FIXTURES = Path(__file__).resolve().parent / "fixtures"

@@ -34,7 +34,6 @@ def one_chamber_pbundle(n0, m, a):
         dim_n=n0 + m,
         minus_k=(rel[0] + base[0], rel[1]),
         nef_facets=((1, 0), (0, 1)),
-        nef_generators=((1, 0), (0, 1)),
         chambers=(chamber,),
     )
 
@@ -175,6 +174,20 @@ def pieces_oracle(model, alpha):
     if found is None:
         raise NoChamber(f"{alpha} lies in no chamber")
     return found
+
+
+def chamber_failures(model, radius):
+    """The set of NoChamber and BoundaryMismatch that ``chamber_pieces``
+    raises on the nonzero nef classes of the box [0, radius]^rho: the
+    brute-force oracle for the coverage check of ``validate``."""
+    failures = set()
+    for alpha in product(range(radius + 1), repeat=model.rho):
+        if any(alpha) and _satisfies(model.nef_facets, alpha):
+            try:
+                model.chamber_pieces(alpha)
+            except (NoChamber, BoundaryMismatch) as exc:
+                failures.add(type(exc))
+    return failures
 
 
 def fraction_bound(model, alpha):

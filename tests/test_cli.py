@@ -546,6 +546,34 @@ class TestModelFiles:
         assert code == 1
         assert "counting block" in err
 
+    @pytest.mark.parametrize(
+        "edit, argv, message",
+        [
+            pytest.param(
+                lambda data: data["counting"].update(q_den=0),
+                ["count", "--dmax", "2"],
+                "counting.q_den must be positive",
+                id="zero-q_den",
+            ),
+            # nef generators were a second description of the nef cone,
+            # which is computed from the facets
+            pytest.param(
+                lambda data: data["nef"].update(generators=[[1]]),
+                ["esp", "--class", "4"],
+                "nef: unknown field(s) ['generators']",
+                id="nef-generators",
+            ),
+        ],
+    )
+    def test_model_errors_name_the_file(self, capsys, tmp_path, edit, argv, message):
+        data = json.loads(fixture_path("toy_rho1.json").read_text())
+        edit(data)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = invoke(capsys, argv[0], "--model", str(path), *argv[1:])
+        assert (code, out) == (1, "")
+        assert err == f"error: ModelFormatError: {path}: {message}\n"
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{", encoding="utf-8")

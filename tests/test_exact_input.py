@@ -77,7 +77,6 @@ BOUNDARIES = {
     "VarietyModel dim": lambda x: _rho1(dim_n=x),
     "VarietyModel minus_k": lambda x: _rho1(minus_k=(x,)),
     "VarietyModel facet": lambda x: _rho1(nef_facets=((x,),)),
-    "VarietyModel generator": lambda x: _rho1(nef_generators=((x,),)),
     "cone_rays": lambda x: cone_rays([(x, 0), (0, 1)], 2),
     "esp": lambda x: esp(toy_rho2(), (x, 0)),
     "liberated_lower_bound": lambda x: liberated_lower_bound(toy_rho2(), (x, 0)),

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -32,6 +33,7 @@ from freecurves.variety import (
 )
 
 from helpers import (
+    chamber_failures,
     cofactor_det,
     one_chamber_pbundle,
     pbundle_twists,
@@ -168,16 +170,14 @@ class TestBuilders:
 
     def test_pbundle_slope_gap_on_generators(self):
         # the relative piece beats the base piece by at least 1 on both
-        # nef generators for the unbalanced parameter family
+        # nef rays for the unbalanced parameter family
         for n0, m in ((3, 2), (4, 2), (3, 3), (5, 4)):
             model = pbundle(n0, m, [n0] + [0] * m)
             (rk_rel, rel), (rk_base, base) = model.chambers[0].filtration
             assert rk_rel == m and rk_base == n0
-            for gen in model.nef_generators:
-                diff = sum(
-                    (r - b) * g for r, b, g in zip(rel, base, gen)
-                )
-                assert diff >= 1
+            assert model._nef_rays == ((0, 1), (1, 0))
+            for ray in model._nef_rays:
+                assert dot(rel, ray) - dot(base, ray) >= 1
 
     def test_pbundle_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -442,6 +442,48 @@ class TestLiberatedLowerBound:
         assert liberated_lower_bound(model, (2,)) <= 0
 
 
+# primitive rays of the quadrant with coordinates at most 5, by angle from
+# (1, 0) to (0, 1)
+QUADRANT_RAYS = sorted(
+    ((a, b) for a in range(6) for b in range(6) if gcd(a, b) == 1),
+    key=lambda ray: Fraction(ray[1], sum(ray)),
+)
+# few slope vectors, so that chambers sharing a ray often agree there
+PIECE_SLOPES = [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]
+
+
+@st.composite
+def quadrant_models(draw):
+    """A model on the quadrant split at random rays of ``QUADRANT_RAYS``,
+    some chambers dropped and some widened past their walls, each chamber
+    with one or two pieces."""
+    last = len(QUADRANT_RAYS) - 1
+    cuts = draw(st.sets(st.integers(1, last - 1), max_size=5))
+    walls = [0, *sorted(cuts), last]
+    chambers = []
+    for lo, hi in zip(walls, walls[1:]):
+        shape = draw(st.sampled_from(["keep", "keep", "drop", "widen"]))
+        if shape == "drop":
+            continue
+        if shape == "widen":
+            lo, hi = draw(st.integers(0, lo)), draw(st.integers(hi, last))
+        (a0, a1), (b0, b1) = QUADRANT_RAYS[lo], QUADRANT_RAYS[hi]
+        slopes = draw(st.lists(st.sampled_from(PIECE_SLOPES), min_size=1, max_size=2))
+        chambers.append(
+            Chamber(
+                facets=((-a1, a0), (b1, -b0)),
+                filtration=[(2 // len(slopes), s) for s in slopes],
+            )
+        )
+    return VarietyModel(
+        rho=2,
+        dim_n=2,
+        minus_k=(1, 1),
+        nef_facets=((1, 0), (0, 1)),
+        chambers=chambers,
+    )
+
+
 class TestValidate:
     def test_rank_sum_violation(self):
         model = VarietyModel(
@@ -496,34 +538,35 @@ class TestValidate:
         report = validate(model)
         assert any("lies in no chamber" in v for v in report.violations)
 
+    @settings(max_examples=60, deadline=None)
+    @given(quadrant_models())
+    def test_coverage_is_exact_at_lattice_rank_two(self, model):
+        # validate samples points with coordinates at most 10, which the
+        # scan holds too; at rho 2 it misses no failure the scan finds
+        violations = validate(model).violations
+        reported = {
+            kind
+            for kind, words in (
+                (NoChamber, "lies in no chamber"),
+                (BoundaryMismatch, "chambers disagree"),
+            )
+            if any(words in v for v in violations)
+        }
+        assert reported == chamber_failures(model, 40)
+
     def test_chamber_disagreement_violation(self):
         report = validate(_diagonal_mismatch())
         assert "chambers disagree on shared point (1, 1)" in report.violations
         assert not any("lies in no chamber" in v for v in report.violations)
 
-    def test_non_positive_degree_on_generator(self):
+    def test_non_positive_degree_on_a_nef_ray(self):
+        # minus_k is negative on the nef ray (0, 1), so the degree slice is
+        # unbounded
         model = VarietyModel(
             rho=2,
             dim_n=2,
             minus_k=(1, -1),
             nef_facets=((1, 0), (0, 1)),
-            nef_generators=((1, 0), (0, 1)),
-            chambers=(
-                Chamber(facets=(), filtration=((2, (Fraction(1, 2), Fraction(-1, 2))),)),
-            ),
-        )
-        report = validate(model)
-        assert any("not positive on generator" in v for v in report.violations)
-
-    def test_generators_missing_a_ray_keep_the_ray_degree_check(self):
-        # the generators omit the ray (0, 1), on which minus_k is negative
-        # and the degree slice is unbounded
-        model = VarietyModel(
-            rho=2,
-            dim_n=2,
-            minus_k=(1, -1),
-            nef_facets=((1, 0), (0, 1)),
-            nef_generators=((1, 0),),
             chambers=(Chamber(facets=(), filtration=((1, (1, 0)), (1, (0, -1)))),),
         )
         assert validate(model).violations == (
