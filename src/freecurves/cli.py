@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import counting as cnt
 from . import nodal, splitting, stability, variety
-from .errors import DomainError, int_token
+from .errors import DomainError, int_token, int_tokens
 from .modelio import LoadedModel, fixture_path, load_model_file
 
 __all__ = ["run", "script"]
@@ -36,10 +36,8 @@ def _joined(values) -> str:
 
 
 def _class_vector(text: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip() != ""]
-    if not parts:
-        raise ValueError("empty class vector")
-    return tuple(int_token(p) for p in parts)
+    # a def of its own: argparse names it in "invalid _class_vector value"
+    return int_tokens(text)
 
 
 def _alignment_token(text: str):

@@ -65,6 +65,12 @@ def int_token(text: str) -> int:
     return int(token)
 
 
+def int_tokens(text: str, sep: str = ",") -> tuple[int, ...]:
+    """Every ``sep``-separated item of ``text`` read by ``int_token``, so an
+    empty item (``1,,2``, a trailing comma, empty text) raises ValueError."""
+    return tuple(int_token(item) for item in text.split(sep))
+
+
 class DomainError(Exception):
     """Base class for all domain-level failures."""
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 
-from .errors import OutOfRange, RankMismatch, exact_int, int_token
+from .errors import OutOfRange, RankMismatch, exact_int, int_tokens
 from .splitting import SplittingType
 
 __all__ = [
@@ -68,15 +68,10 @@ def parse_nodal_type(text: str) -> NodalType:
     """Parse the ``a/b`` pair list form, e.g. ``2/-1,-1/2``."""
     pairs = []
     for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        a, sep, b = chunk.partition("/")
-        if not sep:
+        pair = int_tokens(chunk, "/")
+        if len(pair) != 2:
             raise ValueError(f"bad nodal summand {chunk!r}, expected a/b")
-        pairs.append((int_token(a), int_token(b)))
-    if not pairs:
-        raise ValueError(f"no summands in nodal type {text!r}")
+        pairs.append(pair)
     return NodalType(pairs)
 
 

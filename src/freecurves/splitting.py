@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NegativeSlope, ShapeMismatch, ZeroSlope, exact_int, int_token
+from .errors import NegativeSlope, ShapeMismatch, ZeroSlope, exact_int, int_tokens
 
 __all__ = [
     "SplittingType",
@@ -63,10 +63,7 @@ class SplittingType:
 
 def parse_splitting_type(text: str) -> SplittingType:
     """Parse the comma-separated text form, e.g. ``4,3,3,2`` (any order)."""
-    parts = [p.strip() for p in text.split(",") if p.strip() != ""]
-    if not parts:
-        raise ValueError(f"no degrees in splitting type {text!r}")
-    return SplittingType(int_token(p) for p in parts)
+    return SplittingType(int_tokens(text))
 
 
 def slope(t: SplittingType) -> Fraction:

@@ -477,9 +477,10 @@ def pbundle(n0: int, m: int, a_list) -> VarietyModel:
     positive, with total at most n0.  Curve classes use the basis (section
     class, fiber line); the one chamber has the relative tangent piece
     first.  That order holds on the whole nef cone only where the relative
-    slope is at least the base slope on the ray (1, 0); other twists (every
+    slope is at least the base slope on the ray (1, 0).  Other twists (every
     n0 = 1 bundle, the Hirzebruch surface F_1 among them) need a wall that
-    is not modelled, and raise ValueError.
+    is not modelled: ``validate`` reports their model, and they raise
+    ValueError with its violations.
     """
     n0, m = exact_int(n0, "n0"), exact_int(m, "m")
     a = tuple(exact_int(x, "twist degree") for x in a_list)
@@ -497,12 +498,6 @@ def pbundle(n0: int, m: int, a_list) -> VarietyModel:
     a0 = a[0]
     rel = (m * a0 + a0 - d, m + 1)
     base = (n0 + 1, 0)
-    if n0 * rel[0] < m * base[0]:
-        raise ValueError(
-            f"twists {list(a)} over P^{n0}: on ray (1, 0) the base slope "
-            f"{Fraction(base[0], n0)} exceeds the relative slope "
-            f"{Fraction(rel[0], m)}, which needs a second chamber"
-        )
     chamber = Chamber(
         facets=(),
         filtration=(
@@ -510,13 +505,20 @@ def pbundle(n0: int, m: int, a_list) -> VarietyModel:
             (n0, (Fraction(base[0], n0), Fraction(base[1], n0))),
         ),
     )
-    return VarietyModel(
+    model = VarietyModel(
         rho=2,
         dim_n=n0 + m,
         minus_k=(rel[0] + base[0], rel[1]),
         nef_facets=((1, 0), (0, 1)),
         chambers=(chamber,),
     )
+    violations = validate(model).violations
+    if violations:
+        raise ValueError(
+            f"twists {list(a)} over P^{n0} need a second chamber: "
+            + "; ".join(violations)
+        )
+    return model
 
 
 def toy_rho1(c: int, dim: int = 2) -> VarietyModel:

@@ -318,6 +318,13 @@ class TestCommands:
             ("esp", "--model", "toy_rho2.json", "--class", "1_0,0"),
             ("glue", "--type", "2,1", "--align", "perm:0_2,1"),
             ("balance", "--type", "1,1", "--max-steps", "\u0663"),
+            # an empty list item is an empty token, not skipped: 1,,0 is
+            # not 1,0
+            ("esp", "--model", "toy_rho2.json", "--class", "1,,2"),
+            ("sp", "--type", "1,,0"),
+            ("sp", "--type=4,3,"),
+            ("degbd", "--nodal=1/0,,0/1", "--m", "1"),
+            ("glue", "--type", "2,1", "--align", "perm:1,,2"),
         ],
     )
     def test_malformed_integer_token_is_usage_error(self, capsys, argv):

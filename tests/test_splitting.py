@@ -46,6 +46,11 @@ class TestConstruction:
         assert parse_splitting_type("2,3,-1") == T(3, 2, -1)
         assert parse_splitting_type(" 4, 3 ,3,2 ") == T(4, 3, 3, 2)
 
+    @pytest.mark.parametrize("text", ["1,,0", "4,3,", ",1", "", " "])
+    def test_parse_rejects_empty_item(self, text):
+        with pytest.raises(ValueError, match="not an integer"):
+            parse_splitting_type(text)
+
     def test_str_round_trip(self):
         for t in (T(4, 3, 3, 2), T(-1), T(0, 0, -5)):
             assert parse_splitting_type(str(t)) == t
