@@ -11,7 +11,7 @@ pair of side counts; smoothings are enumerated against its floors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
+from itertools import chain
 
 from .errors import OutOfRange, RankMismatch, exact_int, int_tokens
 from .splitting import SplittingType
@@ -22,6 +22,7 @@ __all__ = [
     "glue",
     "degbd",
     "degbd_m1_closed_form",
+    "degbd_profile",
     "admissible_smoothings",
     "sharpness_witness",
     "WitnessBlock",
@@ -135,39 +136,79 @@ def _costs(z: NodalType) -> list[tuple]:
     return [((a + b) * w + 1, (a + 1) * w, (b + 1) * w, 0) for a, b in z.pairs]
 
 
-def _start(cap: int) -> list[list]:
-    """Table of no summands: cost 0 at side counts (0, 0).
+def _sentinel(costs) -> int:
+    """The cost of the unreachable: an int above every labeling's cost.
 
-    Tables have rows and columns 0..cap and one more, always inf, so that
-    index -1 reads inf.
+    No labeling of any set of summands costs more than S, the sum of the
+    absolute values of all label costs, nor less than -S.  A sum holding
+    the sentinel 2S + 1 at least once is therefore above S: it loses to
+    every real cost and can never equal one.
+    """
+    return 1 + 2 * sum(map(abs, chain.from_iterable(costs)))
+
+
+def _start(cap: int, inf: int) -> list[list[int]]:
+    """Table of no summands: cost 0 at side counts (0, 0), ``inf`` elsewhere.
+
+    Tables have rows and columns 0..cap and one more, never filled, so that
+    index -1 reads ``inf``.  Cells are ints, and ``inf`` is the int sentinel
+    of ``_sentinel``.  ``degbd`` and ``degbd_profile`` fill this one
+    (cap + 2)^2 table in place for every summand; ``sharpness_witness``
+    keeps the rank + 1 suffix tables of each pass and copies its prefix
+    table for each trial label.
     """
     table = [[inf] * (cap + 2) for _ in range(cap + 2)]
     table[0][0] = 0
     return table
 
 
-def _extend(table: list[list], cost: tuple, lo: int, hi: int) -> list[list]:
-    """Table after one more summand with label costs ``cost`` (inf forbids a
-    label): entry [c1][c2] is the least cost of labeling the summands so far
-    with side counts c1 and c2.  Only counts in lo..hi are filled."""
+def _fill(table: list[list[int]], cost: tuple, lo: int, hi: int) -> None:
+    """Update ``table`` in place for one more summand with label costs
+    ``cost`` (the sentinel forbids a label): entry [c1][c2] becomes the
+    least cost of labeling the summands so far with side counts c1 and c2.
+
+    Only counts in lo..hi are filled.  Both counts are walked from hi down
+    to lo, as in an in-place 0/1-knapsack update, so every cell still reads
+    the previous summand's values at counts one lower.  The callers' lo is
+    0 for every summand or one more than for the summand before, so row
+    and column lo - 1 hold the previous summand's values (or the sentinel
+    at index -1), and no cell below them is read again.
+    """
     cj, ck1, ck2, c0 = cost
-    new = [[inf] * len(table) for _ in table]
-    for c1 in range(lo, hi + 1):
-        row, prev, out = table[c1], table[c1 - 1], new[c1]
-        for c2 in range(lo, hi + 1):
-            out[c2] = min(
-                row[c2] + c0, prev[c2] + ck1, row[c2 - 1] + ck2, prev[c2 - 1] + cj
-            )
-    return new
+    for c1 in range(hi, lo - 1, -1):
+        row, prev = table[c1], table[c1 - 1]
+        for c2 in range(hi, lo - 1, -1):
+            best = row[c2] + c0
+            other = prev[c2] + ck1
+            if other < best:
+                best = other
+            other = row[c2 - 1] + ck2
+            if other < best:
+                best = other
+            other = prev[c2 - 1] + cj
+            if other < best:
+                best = other
+            row[c2] = best
 
 
-def _sweep(costs, cap: int, need: int) -> list[list[list]]:
-    """Tables after each prefix of ``costs``, side counts capped at ``cap``;
-    counts from which the summands left cannot reach ``need`` are dropped."""
-    tables = [_start(cap)]
+def _sweep(costs, cap: int, need: int, inf: int, keep: bool = False) -> list:
+    """Tables after ``costs``, side counts capped at ``cap``; counts from
+    which the summands left cannot reach ``need`` are dropped.
+
+    Cells are ints under the int sentinel ``inf``.  Without ``keep``, one
+    (cap + 2)^2 table is filled in place for the whole sweep and the list
+    holds only it: O(cap^2) memory whatever the rank.  With ``keep``, the
+    list holds the table after every prefix, each filled on a copy of the
+    one before.
+    """
+    table = _start(cap, inf)
+    tables = [table]
+    n = len(costs)
     for done, cost in enumerate(costs, start=1):
-        lo = max(0, need - (len(costs) - done))
-        tables.append(_extend(tables[-1], cost, lo, min(done, cap)))
+        if keep:
+            table = [row[:] for row in table]
+            tables.append(table)
+        _fill(table, cost, max(0, need - (n - done)), min(done, cap))
     return tables
 
 
@@ -187,7 +228,8 @@ def degbd(z: NodalType, m: int) -> int:
     (side-1 count, side-2 count), in O(rank * m^2).
     """
     m = _check_m(z, m)
-    return _sweep(_costs(z), m, m)[-1][m][m] // (z.rank + 1)
+    costs = _costs(z)
+    return _sweep(costs, m, m, _sentinel(costs))[-1][m][m] // (z.rank + 1)
 
 
 def degbd_m1_closed_form(z: NodalType) -> int:
@@ -208,7 +250,8 @@ def degbd_profile(z: NodalType) -> tuple[int, ...]:
     """All degree bounds (degbd(z, 1), ..., degbd(z, rank)) from one DP:
     the diagonal of the table with side counts up to the rank."""
     r = z.rank
-    table = _sweep(_costs(z), r, 0)[-1]
+    costs = _costs(z)
+    table = _sweep(costs, r, 0, _sentinel(costs))[-1]
     return tuple(table[m][m] // (r + 1) for m in range(1, r + 1))
 
 
@@ -247,7 +290,7 @@ def admissible_smoothings(
             seq[r - left] = s
             rec(left - 1, rest - s, s)
 
-    rec(r, z.total_degree, inf)
+    rec(r, z.total_degree, z.total_degree - floors[r - 1])
     return [SplittingType(s) for s in found]
 
 
@@ -289,17 +332,22 @@ class SharpnessWitness:
         return "\n".join(lines)
 
 
-def _only(cost: tuple, label: int) -> tuple:
+def _only(cost: tuple, label: int, inf: int) -> tuple:
     return tuple(c if i == label else inf for i, c in enumerate(cost))
 
 
-def _without(cost: tuple, label: int) -> tuple:
+def _without(cost: tuple, label: int, inf: int) -> tuple:
     return tuple(inf if i == label else c for i, c in enumerate(cost))
 
 
 def _meet(front: list[list], back: list[list], m: int):
     """Least cost of a prefix table entry joined with a suffix table entry
-    to side counts (m, m)."""
+    to side counts (m, m).
+
+    A cell below the counts the last fill reached may hold a stale cost,
+    but the cell it meets lies past every count the other table reached and
+    holds the sentinel, so their sum still loses to every real cost.
+    """
     return min(
         front[c1][c2] + back[m - c1][m - c2]
         for c1 in range(m + 1)
@@ -314,26 +362,30 @@ def sharpness_witness(z: NodalType, m: int) -> SharpnessWitness:
     The labeling is the least-value one with the fewest J, then J, K1 and
     K2 lexicographically smallest.  Labels are fixed greedily, J then K1
     then K2: an index takes the label when a DP over the decided prefix
-    joined with one over the rest still reaches the optimum.
+    joined with one over the rest still reaches the optimum.  Each pass
+    keeps the rank + 1 suffix tables and fills each trial prefix table on
+    a copy, so the DP is the one ``_fill`` of ``degbd``.
     """
     m = _check_m(z, m)
     r = z.rank
     costs = _costs(z)
+    inf = _sentinel(costs)
     for label in (_J, _K1, _K2):
-        back = _sweep(costs[::-1], m, m)[::-1]
+        back = _sweep(costs[::-1], m, m, inf, keep=True)[::-1]
         best = back[0][m][m]
-        front = _start(m)
+        front = _start(m, inf)
         for i, cost in enumerate(costs):
             lo, hi = max(0, m - (r - i - 1)), min(i + 1, m)
             if cost[label] != inf:
-                only = _only(cost, label)
-                trial = _extend(front, only, lo, hi)
+                only = _only(cost, label, inf)
+                trial = [row[:] for row in front]
+                _fill(trial, only, lo, hi)
                 if _meet(trial, back[i + 1], m) == best:
                     costs[i] = only
                     front = trial
                     continue
-                costs[i] = _without(cost, label)
-            front = _extend(front, costs[i], lo, hi)
+                costs[i] = _without(cost, label, inf)
+            _fill(front, costs[i], lo, hi)
     J, K1, K2 = (
         [i for i, cost in enumerate(costs) if cost[label] != inf]
         for label in (_J, _K1, _K2)

@@ -240,3 +240,23 @@ def labelings(pairs, m):
                 for K2 in combinations(rest2, k):
                     value = part1 + sum(pairs[i][1] + 1 for i in K2)
                     yield value, J, K1, K2
+
+
+def labeling_minima(pairs):
+    """{(|J| + |K1|, |J| + |K2|): least labeled sum} over every labeling of
+    the pairs, by a dictionary DP over the summands that keeps every pair of
+    side counts: the oracle for the degree bound at ranks past
+    ``labelings``, where degbd(z, m) is the entry at (m, m)."""
+    best = {(0, 0): 0}
+    for a, b in pairs:
+        step = dict(best)
+        for (c1, c2), value in best.items():
+            for key, new in (
+                ((c1 + 1, c2 + 1), value + a + b),
+                ((c1 + 1, c2), value + a + 1),
+                ((c1, c2 + 1), value + b + 1),
+            ):
+                if key not in step or new < step[key]:
+                    step[key] = new
+        best = step
+    return best

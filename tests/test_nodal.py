@@ -1,11 +1,13 @@
 """Nodal-curve calculus: gluing, degree bounds, smoothings, witnesses."""
 
 import random
+import tracemalloc
 from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freecurves import nodal
 from freecurves.errors import OutOfRange, RankMismatch
 from freecurves.nodal import (
     Alignment,
@@ -27,7 +29,12 @@ from freecurves.splitting import (
     specializes_to,
 )
 
-from helpers import labelings, sequential_zero_slope_types, types_in_class
+from helpers import (
+    labeling_minima,
+    labelings,
+    sequential_zero_slope_types,
+    types_in_class,
+)
 
 pair_lists = st.lists(
     st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1, max_size=6
@@ -322,3 +329,52 @@ def test_dp_matches_enumeration_oracle(pairs):
         ]
         lines.append(f"total -> {value}")
         assert sharpness_witness(z, m).render() == "\n".join(lines)
+
+
+# degrees small enough to tie and huge enough to dwarf any fixed sentinel
+degrees = st.one_of(st.integers(-6, 6), st.integers(-(10**30), 10**30))
+
+
+@given(
+    st.lists(st.tuples(degrees, degrees), min_size=9, max_size=24),
+    st.integers(1, 24),
+)
+@settings(max_examples=40, deadline=None)
+def test_dp_matches_dictionary_dp_past_enumeration(pairs, m):
+    # ranks 9-24, beyond the reach of the labeling enumeration: the bound,
+    # the profile and the witness total against a DP that keeps every pair
+    # of side counts in a dict, shares no code with nodal and needs no
+    # sentinel; an unreachable cell that undercut a real cost would show
+    z = NodalType(pairs)
+    m = 1 + (m - 1) % z.rank
+    minima = labeling_minima(z.pairs)
+    profile = tuple(minima[k, k] for k in range(1, z.rank + 1))
+    assert degbd_profile(z) == profile
+    assert degbd(z, m) == profile[m - 1]
+    assert sharpness_witness(z, m).total == profile[m - 1]
+
+
+def test_degbd_memory_does_not_grow_with_rank():
+    # degbd fills one (m + 2)^2 table in place, so beyond its input its
+    # memory is the per-summand cost list: about 3 MB at rank 20,000, where
+    # a table per summand would take some 24 MB
+    rng = random.Random(20000)
+    z = NodalType((rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(20000))
+    tracemalloc.start()
+    try:
+        degbd(z, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10**6
+
+
+def test_exports_every_public_name():
+    defined = {
+        name
+        for name, value in vars(nodal).items()
+        if not name.startswith("_")
+        and getattr(value, "__module__", None) == nodal.__name__
+    }
+    assert "degbd_profile" in defined
+    assert defined == set(nodal.__all__)
