@@ -9,6 +9,28 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+__all__ = [
+    "exact_int",
+    "exact_fraction",
+    "int_token",
+    "int_tokens",
+    "DomainError",
+    "ZeroSlope",
+    "NegativeSlope",
+    "ShapeMismatch",
+    "RankMismatch",
+    "OutOfRange",
+    "RankTooLarge",
+    "NonIntegerSlope",
+    "NotSequential",
+    "NotInNefCone",
+    "NoChamber",
+    "ZeroDegree",
+    "BoundaryMismatch",
+    "ZeroFunctional",
+    "UnboundedSlice",
+    "ModelFormatError",
+]
 
 def _exact_number(x) -> Fraction | None:
     """``x`` as a Fraction if it is an int, a Fraction or an integral float."""

@@ -11,7 +11,6 @@ pair of side counts; smoothings are enumerated against its floors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .errors import OutOfRange, RankMismatch, exact_int, int_tokens
 from .splitting import SplittingType
@@ -125,26 +124,27 @@ def glue(t1: SplittingType, t2: SplittingType, align: Alignment) -> NodalType:
 _J, _K1, _K2 = range(3)
 
 
-def _costs(z: NodalType) -> list[tuple]:
-    """Per summand, the costs of the labels J, K1, K2 and none.
+def _costs(z: NodalType) -> tuple[list[tuple], int]:
+    """Per summand, the costs of the labels J, K1, K2 and none, and the
+    int sentinel: the cost of the unreachable.
 
     A labeling's cost is its value times rank + 1 plus |J|.  The cost is
     still additive, and as |J| <= rank its minimum is the least value with
     the fewest J: value = cost // (rank + 1).
-    """
-    w = z.rank + 1
-    return [((a + b) * w + 1, (a + 1) * w, (b + 1) * w, 0) for a, b in z.pairs]
-
-
-def _sentinel(costs) -> int:
-    """The cost of the unreachable: an int above every labeling's cost.
 
     No labeling of any set of summands costs more than S, the sum of the
     absolute values of all label costs, nor less than -S.  A sum holding
     the sentinel 2S + 1 at least once is therefore above S: it loses to
     every real cost and can never equal one.
     """
-    return 1 + 2 * sum(map(abs, chain.from_iterable(costs)))
+    w = z.rank + 1
+    costs = []
+    total = 0
+    for a, b in z.pairs:
+        cj, ck1, ck2 = (a + b) * w + 1, (a + 1) * w, (b + 1) * w
+        costs.append((cj, ck1, ck2, 0))
+        total += abs(cj) + abs(ck1) + abs(ck2)
+    return costs, 1 + 2 * total
 
 
 def _start(cap: int, inf: int) -> list[list[int]]:
@@ -152,64 +152,55 @@ def _start(cap: int, inf: int) -> list[list[int]]:
 
     Tables have rows and columns 0..cap and one more, never filled, so that
     index -1 reads ``inf``.  Cells are ints, and ``inf`` is the int sentinel
-    of ``_sentinel``.  ``degbd`` and ``degbd_profile`` fill this one
-    (cap + 2)^2 table in place for every summand; ``sharpness_witness``
-    keeps the rank + 1 suffix tables of each pass and copies its prefix
-    table for each trial label.
+    of ``_costs``.  One ``_fill`` call fills a table for a run of summands:
+    ``degbd`` and ``degbd_profile`` fill this one (cap + 2)^2 table in place
+    for all of them in a single call; ``sharpness_witness`` calls ``_fill``
+    once per summand, for each of its rank + 1 suffix tables on a copy of
+    the one before and for each trial label on a copy of its prefix table.
     """
     table = [[inf] * (cap + 2) for _ in range(cap + 2)]
     table[0][0] = 0
     return table
 
 
-def _fill(table: list[list[int]], cost: tuple, lo: int, hi: int) -> None:
-    """Update ``table`` in place for one more summand with label costs
-    ``cost`` (the sentinel forbids a label): entry [c1][c2] becomes the
-    least cost of labeling the summands so far with side counts c1 and c2.
+def _fill(
+    table: list[list[int]], costs, need: int, cap: int, done: int, n: int
+) -> None:
+    """Update ``table`` in place for the summands with label costs ``costs``
+    (the sentinel forbids a label): entry [c1][c2] becomes the least cost
+    of labeling the summands so far with side counts c1 and c2.
 
-    Only counts in lo..hi are filled.  Both counts are walked from hi down
-    to lo, as in an in-place 0/1-knapsack update, so every cell still reads
-    the previous summand's values at counts one lower.  The callers' lo is
-    0 for every summand or one more than for the summand before, so row
-    and column lo - 1 hold the previous summand's values (or the sentinel
-    at index -1), and no cell below them is read again.
+    The table holds the first ``done`` of ``n`` summands; counts are capped
+    at ``cap``, and counts from which the summands left cannot reach
+    ``need`` are dropped.  So after ``done`` summands only counts
+    max(0, need - (n - done)) through min(done, cap) are filled; this is
+    the only place that rule lives.  Both counts are walked from the top
+    down, as in an in-place 0/1-knapsack update, so every cell still reads
+    the previous summand's values at counts one lower.  The lowest count
+    is 0 for every summand or one more than for the summand before, so the
+    row and column just below it hold the previous summand's values (or
+    the sentinel at index -1), and no cell below them is read again.
     """
-    cj, ck1, ck2, c0 = cost
-    for c1 in range(hi, lo - 1, -1):
-        row, prev = table[c1], table[c1 - 1]
-        for c2 in range(hi, lo - 1, -1):
-            best = row[c2] + c0
-            other = prev[c2] + ck1
-            if other < best:
-                best = other
-            other = row[c2 - 1] + ck2
-            if other < best:
-                best = other
-            other = prev[c2 - 1] + cj
-            if other < best:
-                best = other
-            row[c2] = best
-
-
-def _sweep(costs, cap: int, need: int, inf: int, keep: bool = False) -> list:
-    """Tables after ``costs``, side counts capped at ``cap``; counts from
-    which the summands left cannot reach ``need`` are dropped.
-
-    Cells are ints under the int sentinel ``inf``.  Without ``keep``, one
-    (cap + 2)^2 table is filled in place for the whole sweep and the list
-    holds only it: O(cap^2) memory whatever the rank.  With ``keep``, the
-    list holds the table after every prefix, each filled on a copy of the
-    one before.
-    """
-    table = _start(cap, inf)
-    tables = [table]
-    n = len(costs)
-    for done, cost in enumerate(costs, start=1):
-        if keep:
-            table = [row[:] for row in table]
-            tables.append(table)
-        _fill(table, cost, max(0, need - (n - done)), min(done, cap))
-    return tables
+    for cj, ck1, ck2, c0 in costs:
+        done += 1
+        lo = need - n + done
+        if lo < 0:
+            lo = 0
+        counts = range(done if done < cap else cap, lo - 1, -1)
+        for c1 in counts:
+            row, prev = table[c1], table[c1 - 1]
+            for c2 in counts:
+                best = row[c2] + c0
+                other = prev[c2] + ck1
+                if other < best:
+                    best = other
+                other = row[c2 - 1] + ck2
+                if other < best:
+                    best = other
+                other = prev[c2 - 1] + cj
+                if other < best:
+                    best = other
+                row[c2] = best
 
 
 def _check_m(z: NodalType, m) -> int:
@@ -228,8 +219,10 @@ def degbd(z: NodalType, m: int) -> int:
     (side-1 count, side-2 count), in O(rank * m^2).
     """
     m = _check_m(z, m)
-    costs = _costs(z)
-    return _sweep(costs, m, m, _sentinel(costs))[-1][m][m] // (z.rank + 1)
+    costs, inf = _costs(z)
+    table = _start(m, inf)
+    _fill(table, costs, m, m, 0, z.rank)
+    return table[m][m] // (z.rank + 1)
 
 
 def degbd_m1_closed_form(z: NodalType) -> int:
@@ -250,8 +243,9 @@ def degbd_profile(z: NodalType) -> tuple[int, ...]:
     """All degree bounds (degbd(z, 1), ..., degbd(z, rank)) from one DP:
     the diagonal of the table with side counts up to the rank."""
     r = z.rank
-    costs = _costs(z)
-    table = _sweep(costs, r, 0, _sentinel(costs))[-1]
+    costs, inf = _costs(z)
+    table = _start(r, inf)
+    _fill(table, costs, 0, r, 0, r)
     return tuple(table[m][m] // (r + 1) for m in range(1, r + 1))
 
 
@@ -363,29 +357,32 @@ def sharpness_witness(z: NodalType, m: int) -> SharpnessWitness:
     K2 lexicographically smallest.  Labels are fixed greedily, J then K1
     then K2: an index takes the label when a DP over the decided prefix
     joined with one over the rest still reaches the optimum.  Each pass
-    keeps the rank + 1 suffix tables and fills each trial prefix table on
-    a copy, so the DP is the one ``_fill`` of ``degbd``.
+    builds the rank + 1 suffix tables, each one ``_fill`` of one summand on
+    a copy of the one before, and fills each trial prefix table on a copy,
+    so the DP and its count ranges are the ones ``_fill`` gives ``degbd``.
     """
     m = _check_m(z, m)
     r = z.rank
-    costs = _costs(z)
-    inf = _sentinel(costs)
+    costs, inf = _costs(z)
     for label in (_J, _K1, _K2):
-        back = _sweep(costs[::-1], m, m, inf, keep=True)[::-1]
+        back = [_start(m, inf)]
+        for done, cost in enumerate(reversed(costs)):
+            back.append([row[:] for row in back[-1]])
+            _fill(back[-1], (cost,), m, m, done, r)
+        back.reverse()
         best = back[0][m][m]
         front = _start(m, inf)
         for i, cost in enumerate(costs):
-            lo, hi = max(0, m - (r - i - 1)), min(i + 1, m)
             if cost[label] != inf:
                 only = _only(cost, label, inf)
                 trial = [row[:] for row in front]
-                _fill(trial, only, lo, hi)
+                _fill(trial, (only,), m, m, i, r)
                 if _meet(trial, back[i + 1], m) == best:
                     costs[i] = only
                     front = trial
                     continue
                 costs[i] = _without(cost, label, inf)
-            _fill(front, costs[i], lo, hi)
+            _fill(front, (costs[i],), m, m, i, r)
     J, K1, K2 = (
         [i for i, cost in enumerate(costs) if cost[label] != inf]
         for label in (_J, _K1, _K2)

@@ -53,6 +53,7 @@ __all__ = [
     "cone_rays",
     "pbundle",
     "toy_rho1",
+    "dot",
 ]
 
 

@@ -260,3 +260,47 @@ def labeling_minima(pairs):
                     step[key] = new
         best = step
     return best
+
+
+def witness_labeling(pairs, m):
+    """(value, J, K1, K2) of the labeling ``sharpness_witness`` exhibits:
+    among those with |J| + |K1| = |J| + |K2| = m, the least value with the
+    fewest J, then J, K1 and K2 lexicographically smallest.
+
+    Labels are fixed J, then K1, then K2, each in index order: an index
+    keeps the label when forcing it, with the labels fixed so far and the
+    rest free, still reaches the optimum; otherwise the label is barred
+    from it.  The least (value, |J|) under those constraints comes from a
+    dictionary DP over the side counts, so this shares no code with
+    ``nodal`` and needs no sentinel.
+    """
+    allowed = [{"J", "K1", "K2", None} for _ in pairs]
+
+    def least():
+        best = {(0, 0): (0, 0)}
+        for (a, b), labels in zip(pairs, allowed):
+            step = dict(best) if None in labels else {}
+            for (c1, c2), (value, js) in best.items():
+                for label, key, new in (
+                    ("J", (c1 + 1, c2 + 1), (value + a + b, js + 1)),
+                    ("K1", (c1 + 1, c2), (value + a + 1, js)),
+                    ("K2", (c1, c2 + 1), (value + b + 1, js)),
+                ):
+                    if label in labels and max(key) <= m:
+                        if key not in step or new < step[key]:
+                            step[key] = new
+            best = step
+        return best.get((m, m))
+
+    optimum = least()
+    for label in ("J", "K1", "K2"):
+        for i, labels in enumerate(allowed):
+            if label in labels:
+                allowed[i] = {label}
+                if least() != optimum:
+                    allowed[i] = labels - {label}
+    J, K1, K2 = (
+        tuple(i for i, labels in enumerate(allowed) if labels == {label})
+        for label in ("J", "K1", "K2")
+    )
+    return (optimum[0], J, K1, K2)

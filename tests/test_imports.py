@@ -1,11 +1,16 @@
-"""Importing a module loads only the package modules it uses."""
+"""Importing a module loads only the package modules it uses, and each
+module lists its public names in ``__all__``."""
 
+import importlib
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
 import pytest
+
+import freecurves
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -44,3 +49,21 @@ def _loaded_after(statement: str) -> list[str]:
 )
 def test_import_loads_only_what_it_uses(statement, loaded):
     assert _loaded_after(statement) == loaded
+
+
+@pytest.mark.parametrize(
+    "name", sorted(info.name for info in pkgutil.iter_modules(freecurves.__path__))
+)
+def test_exports_every_public_name(name):
+    # every public function and class a module defines is in its __all__;
+    # anything else listed is a module constant, never a name it imports
+    module = importlib.import_module(f"freecurves.{name}")
+    defined = {
+        key
+        for key, value in vars(module).items()
+        if not key.startswith("_")
+        and getattr(value, "__module__", None) == module.__name__
+    }
+    exported = set(module.__all__)
+    assert defined <= exported
+    assert all(key.isupper() for key in exported - defined)

@@ -7,7 +7,6 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freecurves import nodal
 from freecurves.errors import OutOfRange, RankMismatch
 from freecurves.nodal import (
     Alignment,
@@ -34,6 +33,7 @@ from helpers import (
     labelings,
     sequential_zero_slope_types,
     types_in_class,
+    witness_labeling,
 )
 
 pair_lists = st.lists(
@@ -308,6 +308,17 @@ class TestSharpnessWitness:
         assert sharpness_witness(z, m).serre_ok
 
 
+def witness_text(pairs, value, J, K1, K2):
+    """The render of the witness with labels J, K1, K2, K1 and K2 paired in
+    index order."""
+    lines = [f"single {i + 1} -> {pairs[i][0] + pairs[i][1]}" for i in J]
+    lines += [
+        f"pair {i + 1} {ip + 1} -> {pairs[i][0] + pairs[ip][1] + 2}"
+        for i, ip in zip(K1, K2)
+    ]
+    lines.append(f"total -> {value}")
+    return "\n".join(lines)
+
 
 @given(
     st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=8)
@@ -322,13 +333,7 @@ def test_dp_matches_enumeration_oracle(pairs):
     assert degbd_profile(z) == tuple(value for value, *_ in firsts)
     for m, (value, J, K1, K2) in enumerate(firsts, start=1):
         assert degbd(z, m) == value
-        lines = [f"single {i + 1} -> {p[i][0] + p[i][1]}" for i in J]
-        lines += [
-            f"pair {i + 1} {ip + 1} -> {p[i][0] + p[ip][1] + 2}"
-            for i, ip in zip(K1, K2)
-        ]
-        lines.append(f"total -> {value}")
-        assert sharpness_witness(z, m).render() == "\n".join(lines)
+        assert sharpness_witness(z, m).render() == witness_text(p, value, J, K1, K2)
 
 
 # degrees small enough to tie and huge enough to dwarf any fixed sentinel
@@ -354,6 +359,21 @@ def test_dp_matches_dictionary_dp_past_enumeration(pairs, m):
     assert sharpness_witness(z, m).total == profile[m - 1]
 
 
+@given(
+    st.lists(st.tuples(degrees, degrees), min_size=9, max_size=16),
+    st.integers(1, 16),
+)
+@settings(max_examples=60, deadline=None)
+def test_witness_text_matches_greedy_oracle_past_enumeration(pairs, m):
+    # ranks 9-16: the witness text, not only its total, against a greedy
+    # over a dictionary DP of its own; the trial fills rely on the count
+    # ranges of _fill, and a wrong range would show as a different label
+    z = NodalType(pairs)
+    m = 1 + (m - 1) % z.rank
+    text = witness_text(z.pairs, *witness_labeling(z.pairs, m))
+    assert sharpness_witness(z, m).render() == text
+
+
 def test_degbd_memory_does_not_grow_with_rank():
     # degbd fills one (m + 2)^2 table in place, so beyond its input its
     # memory is the per-summand cost list: about 3 MB at rank 20,000, where
@@ -367,14 +387,3 @@ def test_degbd_memory_does_not_grow_with_rank():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 10**6
-
-
-def test_exports_every_public_name():
-    defined = {
-        name
-        for name, value in vars(nodal).items()
-        if not name.startswith("_")
-        and getattr(value, "__module__", None) == nodal.__name__
-    }
-    assert "degbd_profile" in defined
-    assert defined == set(nodal.__all__)
