@@ -62,7 +62,9 @@ def integer_slope_copies(t: SplittingType) -> int:
     return t.rank // gcd(abs(d), t.rank)
 
 
-def _check_balance_input(t: SplittingType) -> None:
+def _check_balance_input(t: SplittingType, policy: str) -> None:
+    if policy not in ("worst", "best"):
+        raise ValueError(f"unknown policy {policy!r}")
     if t.rank > BALANCE_RANK_CAP:
         raise RankTooLarge(f"rank {t.rank} exceeds {BALANCE_RANK_CAP}")
     mu = slope(t)
@@ -88,9 +90,7 @@ def balance_step(t: SplittingType, policy: str = "worst") -> SplittingType:
     2 m mu, the sum of the m smallest entries of the balanced type.  So
     ``best`` is the balanced type, and ``worst`` never meets an empty list.
     """
-    if policy not in ("worst", "best"):
-        raise ValueError(f"unknown policy {policy!r}")
-    _check_balance_input(t)
+    _check_balance_input(t, policy)
     if balance_width(t) == 0:
         return t
     if policy == "best":
@@ -110,7 +110,7 @@ def balance(
     max_steps = exact_int(max_steps, "max_steps")
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
-    _check_balance_input(t)
+    _check_balance_input(t, policy)
     states = [t]
     while balance_width(states[-1]) != 0 and len(states) <= max_steps:
         states.append(balance_step(states[-1], policy=policy))

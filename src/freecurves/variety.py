@@ -18,7 +18,7 @@ piece numerators are affine in t.  The counting core reads whole fibres;
 ``chamber_pieces`` is the one-point case, which ``esp``,
 ``liberated_lower_bound`` and ``validate`` call.  Both are int work; ``esp``
 and ``liberated_lower_bound`` divide once at the end and return Fractions.
-Cone rays come from integer minors of facet subsets.
+Cone rays come from one double-description pass over the facets.
 """
 
 from __future__ import annotations
@@ -107,55 +107,60 @@ def _merged(lines, t: int) -> list[tuple[int, int]]:
     return pieces
 
 
-def _det(rows) -> int:
-    """Integer determinant by Bareiss fraction-free elimination, O(n^3).
-
-    Every division is exact (Sylvester's identity), so all entries stay int.
-    """
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        top, pivot = m[k], m[k][k]
-        for row in m[k + 1 :]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - lead * top[j]) // prev
-        prev = pivot
-    return sign * m[-1][-1] if n else 1
+def _primitive(a: int, u, b: int, v) -> tuple[int, ...]:
+    """a * u + b * v divided by the gcd of its entries; it must be nonzero."""
+    w = [a * x + b * y for x, y in zip(u, v)]
+    g = gcd(*w)
+    return tuple(x // g for x in w)
 
 
 def cone_rays(facets, rho: int) -> list[tuple[int, ...]]:
-    """Extremal rays of the pointed cone {x : <f, x> >= 0 for all facets}.
+    """Extremal rays of the pointed cone {x : <f, x> >= 0 for all facets},
+    as sorted primitive int vectors.
 
-    The cone is pointed exactly when some rho facet normals have a nonzero
-    determinant; otherwise it contains a line and ValueError is raised.
-    Candidates are the normals to (rho-1)-subsets of facets: the signed
-    maximal minors divided by their gcd, zero (and skipped) when the subset
-    is dependent.
+    One double-description pass over the facets (Motzkin, Raiffa, Thompson
+    and Thrall 1953; Fukuda and Prodon 1996) keeps the cone cut out so far
+    as the span of some lines plus the rays, each ray with the facets tight
+    at it as a bit set; it starts from the rho unit lines and no rays.  A
+    facet nonzero on a line turns that line's positive half into a ray
+    (tight at every earlier facet) and projects the other lines and rays
+    onto its hyperplane.  Otherwise the rays on which it is >= 0 stay, and
+    each pair of a positive and a negative ray that no third ray is tight
+    alongside (they are adjacent) adds the ray where their edge meets the
+    hyperplane.  A line left at the end means the cone is not pointed, and
+    ValueError is raised.
     """
-    facets = [tuple(exact_int(c, "facet entry") for c in f) for f in facets]
-    if not any(_det(sub) for sub in combinations(facets, rho)):
-        raise ValueError("cone contains a line: facet normals do not span")
-    rays = set()
-    for sub in combinations(facets, rho - 1):
-        minors = [
-            (-1) ** j * _det([f[:j] + f[j + 1 :] for f in sub]) for j in range(rho)
-        ]
-        g = gcd(*minors)
-        if g == 0:
+    rho = exact_int(rho, "cone_rays rho")
+    if rho < 1:
+        raise ValueError("cone_rays rho must be positive")
+    facets = [_int_vector(f, rho, "facet") for f in facets]
+    lines = [tuple(int(i == j) for j in range(rho)) for i in range(rho)]
+    rays: list[tuple[tuple[int, ...], int]] = []
+    for k, f in enumerate(facets):
+        bit = 1 << k
+        line = next((v for v in lines if dot(f, v)), None)
+        if line is not None:
+            lines.remove(line)
+            a = dot(f, line)
+            if a < 0:
+                line, a = tuple(-x for x in line), -a
+            lines = [_primitive(a, v, -dot(f, v), line) for v in lines]
+            rays = [(_primitive(a, r, -dot(f, r), line), t | bit) for r, t in rays]
+            rays.append((line, bit - 1))
             continue
-        ray = tuple(x // g for x in minors)
-        for v in (ray, tuple(-x for x in ray)):
-            if _inside(facets, v):
-                rays.add(v)
-    return sorted(rays)
+        signed = [(r, t, dot(f, r)) for r, t in rays]
+        rays = [(r, t | bit if s == 0 else t) for r, t, s in signed if s >= 0] + [
+            (_primitive(sp, rn, -sn, rp), tp & tn | bit)
+            for rp, tp, sp in signed
+            if sp > 0
+            for rn, tn, sn in signed
+            if sn < 0
+            # adjacent: every other ray misses a facet tight at both
+            if all(tp & tn & ~t for r, t, _ in signed if r not in (rp, rn))
+        ]
+    if lines:
+        raise ValueError("cone contains a line: facet normals do not span")
+    return sorted(r for r, _ in rays)
 
 
 @dataclass(frozen=True)

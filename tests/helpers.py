@@ -52,8 +52,8 @@ def pbundle_twists(n0_max, m_max):
 
 
 def cofactor_det(rows):
-    """Integer determinant by cofactor expansion along the first row: the
-    factorial-time oracle for the elimination in ``variety``."""
+    """Integer determinant by cofactor expansion along the first row, in
+    factorial time."""
     if not rows:
         return 1
     first, rest = rows[0], rows[1:]
@@ -62,6 +62,34 @@ def cofactor_det(rows):
         for j, a in enumerate(first)
         if a
     )
+
+
+def subset_cone_rays(facets, rho):
+    """Extremal rays of the cone {x : <f, x> >= 0 for all facets}, sorted
+    primitive, by a search over facet subsets with minors from
+    ``cofactor_det``: the oracle for ``variety.cone_rays``.
+
+    ValueError when no rho facets span, for then the cone contains a line.
+    Otherwise every (rho - 1)-subset of independent facets has a normal
+    line, its signed maximal minors over their gcd, and each direction of
+    it that meets every facet is a ray.
+    """
+    facets = [tuple(f) for f in facets]
+    if not any(cofactor_det(list(sub)) for sub in combinations(facets, rho)):
+        raise ValueError("cone contains a line: facet normals do not span")
+    rays = set()
+    for sub in combinations(facets, rho - 1):
+        minors = [
+            (-1) ** j * cofactor_det([f[:j] + f[j + 1 :] for f in sub])
+            for j in range(rho)
+        ]
+        g = gcd(*minors)
+        if g:
+            ray = tuple(x // g for x in minors)
+            rays.update(
+                v for v in (ray, tuple(-x for x in ray)) if _satisfies(facets, v)
+            )
+    return sorted(rays)
 
 
 def nonincreasing_sequences(rank, lo, hi):

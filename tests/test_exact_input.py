@@ -78,6 +78,7 @@ BOUNDARIES = {
     "VarietyModel minus_k": lambda x: _rho1(minus_k=(x,)),
     "VarietyModel facet": lambda x: _rho1(nef_facets=((x,),)),
     "cone_rays": lambda x: cone_rays([(x, 0), (0, 1)], 2),
+    "cone_rays rho": lambda x: cone_rays([(1,)], x),
     "esp": lambda x: esp(toy_rho2(), (x, 0)),
     "liberated_lower_bound": lambda x: liberated_lower_bound(toy_rho2(), (x, 0)),
     "pbundle": lambda x: pbundle(3, 2, [2, x, 0]),

@@ -54,8 +54,14 @@ class TestBalanceStep:
         assert balance_step(T(2, 1, 0, -1, -2), policy="best") == T(0, 0, 0, 0, 0)
 
     def test_bad_policy(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown policy 'median'"):
             balance_step(T(1, 1), policy="median")
+
+    @pytest.mark.parametrize("t", [T(1, 1), T(2, 1, 0, -1, -2)])
+    def test_bad_policy_refused_by_balance(self, t):
+        # balanced input takes no step, yet the policy is still checked
+        with pytest.raises(ValueError, match="unknown policy 'bogus'"):
+            balance(t, policy="bogus")
 
     def test_non_integer_slope(self):
         with pytest.raises(NonIntegerSlope) as err:

@@ -21,7 +21,6 @@ from freecurves.variety import (
     MAX_PANEL_LENGTH,
     Chamber,
     VarietyModel,
-    _det,
     cone_rays,
     dot,
     esp,
@@ -34,22 +33,32 @@ from freecurves.variety import (
 
 from helpers import (
     chamber_failures,
-    cofactor_det,
     one_chamber_pbundle,
     pbundle_twists,
     slice_classes,
+    subset_cone_rays,
     toy_rho2,
 )
 
-# square integer matrices up to 6x6, about half of the entries zero, so
-# singular matrices and zero pivots come up often
-square_matrices = st.integers(0, 6).flatmap(
-    lambda n: st.lists(
-        st.lists(st.just(0) | st.integers(-9, 9), min_size=n, max_size=n),
-        min_size=n,
-        max_size=n,
-    )
-)
+@st.composite
+def cone_facets(draw):
+    """(facets, rho): up to rho + 5 facets at rho 1 to 5.  Each is new,
+    with entries in [-2, 2]; or an integer multiple of an earlier one, so
+    zero, repeated and parallel facets and cones with a line come up; or
+    it has last entry 1 and the others in [-1, 1], so cones over polygons
+    with many sides come up."""
+    rho = draw(st.integers(1, 5))
+    facets = []
+    for _ in range(draw(st.integers(0, rho + 5))):
+        kind = draw(st.sampled_from(["cap", "new", "multiple"][: 2 + bool(facets)]))
+        if kind == "cap":
+            facets.append(draw(st.tuples(*[st.integers(-1, 1)] * (rho - 1))) + (1,))
+        elif kind == "new":
+            facets.append(draw(st.tuples(*[st.integers(-2, 2)] * rho)))
+        else:
+            scale = draw(st.integers(-2, 3))
+            facets.append(tuple(scale * c for c in draw(st.sampled_from(facets))))
+    return facets, rho
 
 
 def _in_conic_hull(pt, rays):
@@ -68,18 +77,6 @@ def _in_conic_hull(pt, rays):
     lam1 = Fraction(pt[0] * by - pt[1] * bx, det)
     lam2 = Fraction(ax * pt[1] - ay * pt[0], det)
     return lam1 >= 0 and lam2 >= 0
-
-
-class TestDet:
-    @given(square_matrices)
-    @example([])
-    @example([[0, 1], [1, 0]])
-    @example([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
-    @settings(max_examples=300, deadline=None)
-    def test_bareiss_matches_cofactor_expansion(self, rows):
-        det = _det(rows)
-        assert type(det) is int
-        assert det == cofactor_det(rows)
 
 
 class TestConeRays:
@@ -129,6 +126,42 @@ class TestConeRays:
             cone_rays([], 1)
         with pytest.raises(ValueError, match="contains a line"):
             cone_rays([(1, 0, 0), (0, 1, 0), (1, 1, 0)], 3)
+
+    @given(cone_facets())
+    @example(([(1, 0, 0), (0, 1, 0), (1, 1, 0)], 3))
+    @example(([(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1), (0, 0, 0)], 3))
+    @example(([(1, 0), (2, 0), (-1, 0), (0, 1)], 2))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_subset_search(self, case):
+        facets, rho = case
+        try:
+            expected = subset_cone_rays(facets, rho)
+        except ValueError as exc:
+            assert "contains a line" in str(exc)
+            with pytest.raises(ValueError, match="contains a line"):
+                cone_rays(facets, rho)
+        else:
+            assert cone_rays(facets, rho) == expected
+
+    def test_orthant_with_redundant_facets(self):
+        # the rank-8 orthant and the redundant x_i + x_(i+1) >= 0, past the
+        # sizes the subset-search oracle is run at
+        rho = 8
+        units = [tuple(int(i == j) for j in range(rho)) for i in range(rho)]
+        pairs = [
+            tuple(int(j in (i, (i + 1) % rho)) for j in range(rho)) for i in range(rho)
+        ]
+        assert cone_rays(units + pairs, rho) == sorted(units)
+
+    @pytest.mark.parametrize("facets", [[(1,), (0, 1)], [(1, 0, 0), (0, 1, 0)]])
+    def test_facet_of_wrong_length(self, facets):
+        with pytest.raises(ValueError, match="facet length [13] != rho 2"):
+            cone_rays(facets, 2)
+
+    @pytest.mark.parametrize("rho", [0, -1])
+    def test_rho_must_be_positive(self, rho):
+        with pytest.raises(ValueError, match="cone_rays rho must be positive"):
+            cone_rays([], rho)
 
     def test_rays_generate_the_cone(self):
         # every feasible lattice point in a box must be a non-negative
