@@ -11,7 +11,8 @@ Modules by concern; import each name from the module that defines it:
   expected slope panels, certified liberation bounds.
 - ``counting``: lattice-point counting functions and the liberated ratio.
 - ``modelio``: model files and the bundled fixtures.
-- ``errors``: the domain error hierarchy and the exact input checks.
+- ``errors``: the domain error hierarchy, the exact input checks and
+  ``Value``, the frozen base of every value class.
 - ``cli``: the ``freecurves`` command.
 
 Every value is an exact integer or rational; nothing here rounds.

@@ -8,7 +8,6 @@ a domain error or a file error, 2 on a usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 from fractions import Fraction
@@ -78,8 +77,12 @@ def _counting_config(args) -> tuple[variety.VarietyModel, cnt.CountingConfig]:
     cfg = loaded.counting
     if cfg is None:
         raise DomainError(f"model file {args.model} has no counting block")
-    overrides = {k: v for k in ("q", "delta") if (v := getattr(args, k)) is not None}
-    return loaded.model, dataclasses.replace(cfg, **overrides)
+    q = cfg.q if args.q is None else args.q
+    delta = cfg.delta if args.delta is None else args.delta
+    # built anew even without overrides, so every field is checked again
+    return loaded.model, cnt.CountingConfig(
+        q, cfg.br, cfg.m_cap, cfg.beta, cfg.outside_xi, cfg.eps, delta
+    )
 
 
 def _cmd_sp(args) -> str:

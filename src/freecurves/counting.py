@@ -38,13 +38,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 
 from .errors import (
     DomainError,
+    Value,
     ZeroFunctional,
     exact_fraction,
     exact_int,
@@ -64,8 +64,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EpsPower:
+class EpsPower(Value):
     """Threshold schedule c * d^(-p); comparisons are done exactly by
     clearing the fractional exponent, so the irrational value itself is
     never materialized."""
@@ -108,8 +107,7 @@ class EpsPower:
         return first
 
 
-@dataclass(frozen=True)
-class EpsTable:
+class EpsTable(Value):
     """Tabulated threshold schedule; the value at the largest tabulated
     degree at most d applies.  The first degree must be at most 1, so every
     counting degree has a value."""
@@ -162,8 +160,7 @@ class EpsTable:
         return first
 
 
-@dataclass(frozen=True)
-class CountingConfig:
+class CountingConfig(Value):
     q: Fraction
     br: int
     m_cap: int
@@ -188,6 +185,8 @@ class CountingConfig:
         delta = exact_fraction(delta, "delta")
         if not 0 < delta < 1:
             raise ValueError("delta must lie strictly between 0 and 1")
+        if not isinstance(eps, (EpsPower, EpsTable)):
+            raise ValueError(f"eps must be an EpsPower or an EpsTable, got {eps!r}")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "br", br)
         object.__setattr__(self, "m_cap", m_cap)
@@ -220,8 +219,7 @@ def count_N_liberated(model: VarietyModel, cfg: CountingConfig, d: int) -> Fract
     return ratio_check(model, cfg, [d]).rows[0].n_liberated
 
 
-@dataclass(frozen=True)
-class CountRow:
+class CountRow(Value):
     d: int
     points: int
     liberated: int
@@ -230,8 +228,7 @@ class CountRow:
     ratio: Fraction | None
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(Value):
     rows: tuple[CountRow, ...]
     d0: int | None
 

@@ -1,15 +1,20 @@
-"""Domain error hierarchy shared by all modules.
+"""Domain error hierarchy, exact input checks and the value base shared by
+all modules.
 
 Every exception raised for a mathematically invalid input derives from
-``DomainError`` so the CLI can map them to a single exit code.
+``DomainError`` so the CLI can map them to a single exit code.  Every value
+class of the package (splitting and nodal types, chambers and models,
+counting rows) subclasses ``Value``, the one frozen base.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import attrgetter
 
 __all__ = [
+    "Value",
     "exact_int",
     "exact_fraction",
     "int_token",
@@ -91,6 +96,54 @@ def int_tokens(text: str, sep: str = ",") -> tuple[int, ...]:
     """Every ``sep``-separated item of ``text`` read by ``int_token``, so an
     empty item (``1,,2``, a trailing comma, empty text) raises ValueError."""
     return tuple(int_token(item) for item in text.split(sep))
+
+
+class Value:
+    """Base of the package's immutable value classes.
+
+    A subclass's fields are its parent's, then the names it annotates, in
+    order.  An instance equals only an instance of the same class with equal
+    fields, hashes as the tuple of its fields, prints as
+    ``Name(field=value, ...)`` and refuses assignment and deletion with
+    AttributeError.  A subclass without an ``__init__`` of its own takes its
+    fields positionally; one with its own checks its arguments and sets each
+    field with ``object.__setattr__``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields = cls._fields + tuple(cls.__annotations__)
+        get = attrgetter(*fields)
+        # attrgetter of one name returns the value itself, not a 1-tuple
+        cls._values = staticmethod(get if len(fields) > 1 else lambda v: (get(v),))
+
+    def __init__(self, *args) -> None:
+        if len(args) != len(self._fields):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(self._fields)} positional "
+                f"arguments, got {len(args)}"
+            )
+        self.__dict__.update(zip(self._fields, args))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class DomainError(Exception):

@@ -23,13 +23,12 @@ import json
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
 from .counting import CountingConfig, EpsPower, EpsTable
-from .errors import ModelFormatError
+from .errors import ModelFormatError, Value
 from .variety import Chamber, VarietyModel
 
 __all__ = ["LoadedModel", "load_model", "load_model_file", "fixture_path"]
@@ -53,8 +52,7 @@ _EPS_POWER_KEYS = {"c_num", "c_den", "p_num", "p_den"}
 _EPS_TABLE_KEYS = {"table"}
 
 
-@dataclass(frozen=True)
-class LoadedModel:
+class LoadedModel(Value):
     model: VarietyModel
     counting: CountingConfig | None
 

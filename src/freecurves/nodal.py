@@ -10,9 +10,7 @@ pair of side counts; smoothings are enumerated against its floors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import OutOfRange, RankMismatch, exact_int, int_tokens
+from .errors import OutOfRange, RankMismatch, Value, exact_int, int_tokens
 from .splitting import SplittingType
 
 __all__ = [
@@ -30,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NodalType:
+class NodalType(Value):
     """Line-bundle summand degrees (a_i, b_i) on the two components.
 
     Canonical order: sorted descending by (a_i + b_i, a_i).
@@ -75,8 +72,7 @@ def parse_nodal_type(text: str) -> NodalType:
     return NodalType(pairs)
 
 
-@dataclass(frozen=True)
-class Alignment:
+class Alignment(Value):
     """Matching of summands of the two curves at the node.
 
     ``perm[i]`` is the 0-based summand of the second curve glued to summand
@@ -288,8 +284,7 @@ def admissible_smoothings(
     return [SplittingType(s) for s in found]
 
 
-@dataclass(frozen=True)
-class WitnessBlock:
+class WitnessBlock(Value):
     """One block of a sharpness witness.
 
     A ``single`` block is one summand contributing its pair sum; a ``pair``
@@ -302,8 +297,7 @@ class WitnessBlock:
     value: int
 
 
-@dataclass(frozen=True)
-class SharpnessWitness:
+class SharpnessWitness(Value):
     """Block decomposition realizing degbd(z, m).
 
     ``serre_ok`` records that every pair block satisfies the rank-two

@@ -7,10 +7,16 @@ here as a non-increasing integer tuple.  All slope arithmetic is done with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NegativeSlope, ShapeMismatch, ZeroSlope, exact_int, int_tokens
+from .errors import (
+    NegativeSlope,
+    ShapeMismatch,
+    Value,
+    ZeroSlope,
+    exact_int,
+    int_tokens,
+)
 
 __all__ = [
     "SplittingType",
@@ -20,16 +26,12 @@ __all__ = [
     "specializes_to",
     "balance_width",
     "is_sequential",
-    "tensor",
-    "dual",
-    "direct_sum",
     "most_balanced",
     "parse_splitting_type",
 ]
 
 
-@dataclass(frozen=True)
-class SplittingType:
+class SplittingType(Value):
     """Degrees of the line-bundle summands, sorted non-increasing.
 
     Construction canonicalizes the order, so equality is multiset equality.
@@ -124,21 +126,6 @@ def balance_width(t: SplittingType) -> int:
 def is_sequential(t: SplittingType) -> bool:
     """Whether consecutive summand degrees drop by at most one."""
     return all(a - b <= 1 for a, b in zip(t.degrees, t.degrees[1:]))
-
-
-def tensor(t1: SplittingType, t2: SplittingType) -> SplittingType:
-    """Tensor product: the multiset of pairwise degree sums."""
-    return SplittingType(a + b for a in t1.degrees for b in t2.degrees)
-
-
-def dual(t: SplittingType) -> SplittingType:
-    """Dual bundle: negate every degree."""
-    return SplittingType(-a for a in t.degrees)
-
-
-def direct_sum(t1: SplittingType, t2: SplittingType) -> SplittingType:
-    """Direct sum: merge the two degree multisets."""
-    return SplittingType(t1.degrees + t2.degrees)
 
 
 def most_balanced(rank: int, degree: int) -> SplittingType:

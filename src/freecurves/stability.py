@@ -14,10 +14,9 @@ is that type without listing any.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
-from .errors import NonIntegerSlope, NotSequential, RankTooLarge, exact_int
+from .errors import NonIntegerSlope, NotSequential, RankTooLarge, Value, exact_int
 from .nodal import Alignment, admissible_smoothings, glue
 from .splitting import (
     SplittingType,
@@ -39,8 +38,7 @@ __all__ = [
 BALANCE_RANK_CAP = 5
 
 
-@dataclass(frozen=True)
-class BalanceTrace:
+class BalanceTrace(Value):
     """Worst-case balancing orbit.
 
     ``copies`` counts the glued copies of the input curve, doubling each
@@ -115,9 +113,4 @@ def balance(
     while balance_width(states[-1]) != 0 and len(states) <= max_steps:
         states.append(balance_step(states[-1], policy=policy))
     steps = len(states) - 1
-    return BalanceTrace(
-        states=tuple(states),
-        steps=steps,
-        copies=2**steps,
-        converged=balance_width(states[-1]) == 0,
-    )
+    return BalanceTrace(tuple(states), steps, 2**steps, balance_width(states[-1]) == 0)

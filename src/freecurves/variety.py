@@ -23,7 +23,6 @@ Cone rays come from one double-description pass over the facets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
@@ -36,6 +35,7 @@ from .errors import (
     NotInNefCone,
     RankTooLarge,
     UnboundedSlice,
+    Value,
     ZeroDegree,
     exact_fraction,
     exact_int,
@@ -163,8 +163,7 @@ def cone_rays(facets, rho: int) -> list[tuple[int, ...]]:
     return sorted(r for r, _ in rays)
 
 
-@dataclass(frozen=True)
-class Chamber:
+class Chamber(Value):
     """Subcone of the nef cone with constant filtration data.
 
     ``facets`` are extra inequalities inside the nef cone; ``filtration``
@@ -189,18 +188,12 @@ class Chamber:
         object.__setattr__(self, "filtration", fl)
 
 
-@dataclass(frozen=True)
-class VarietyModel:
+class VarietyModel(Value):
     rho: int
     dim_n: int
     minus_k: tuple[int, ...]
     nef_facets: tuple[tuple[int, ...], ...]
     chambers: tuple[Chamber, ...]
-    # Set up once from the chambers: D, the lcm of every slope denominator,
-    # and per chamber its facets as ``_cut``s and its pieces as (rank, head,
-    # last) of the integer slope vector D * slope, split as the facets are.
-    slope_den: int = field(init=False, repr=False, compare=False)
-    _scaled_chambers: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, rho, dim_n, minus_k, nef_facets, chambers) -> None:
         rho = exact_int(rho, "rho")
@@ -220,6 +213,11 @@ class VarietyModel:
         object.__setattr__(self, "minus_k", mk)
         object.__setattr__(self, "nef_facets", nf)
         object.__setattr__(self, "chambers", chs)
+        # Set up once from the chambers, outside the fields (so outside
+        # equality, hash and repr): D = ``slope_den``, the lcm of every slope
+        # denominator, and per chamber its facets as ``_cut``s and its pieces
+        # as (rank, head, last) of the integer slope vector D * slope, split
+        # as the facets are.
         den = lcm(*(c.denominator for ch in chs for _, sv in ch.filtration for c in sv))
         scaled = tuple(
             (
@@ -398,8 +396,7 @@ def liberated_lower_bound(model: VarietyModel, alpha) -> Fraction:
     return Fraction(2 * n * b - n * n * den, 2 * den * deg)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Value):
     violations: tuple[str, ...]
 
     @property

@@ -134,6 +134,22 @@ def sequential_zero_slope_types(rank):
     return [t for t in types_in_class(rank, 0, -rank, rank) if is_sequential(t)]
 
 
+def tensor(t1, t2):
+    """Tensor product of two splitting types: the multiset of pairwise degree
+    sums."""
+    return SplittingType(a + b for a in t1.degrees for b in t2.degrees)
+
+
+def dual(t):
+    """Dual bundle: negate every degree."""
+    return SplittingType(-a for a in t.degrees)
+
+
+def direct_sum(t1, t2):
+    """Direct sum: merge the two degree multisets."""
+    return SplittingType(t1.degrees + t2.degrees)
+
+
 def _pairing(u, v):
     return sum(a * b for a, b in zip(u, v))
 

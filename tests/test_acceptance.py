@@ -32,7 +32,6 @@ from freecurves.splitting import (
     minimal_slope_ratio,
     most_balanced,
     specializes_to,
-    tensor,
 )
 from freecurves.stability import balance, balance_step
 from freecurves.variety import esp, pbundle
@@ -41,6 +40,7 @@ from helpers import (
     nonincreasing_sequences,
     sequential_zero_slope_types,
     slice_classes,
+    tensor,
 )
 
 

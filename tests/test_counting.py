@@ -555,6 +555,14 @@ class TestConfigValidation:
             config(br=5, m_cap=1)
         assert config(br=2, m_cap=2).br == 2
 
+    def test_eps_must_be_a_schedule(self):
+        # anything else would fail only later, inside ratio_check
+        for eps in ("not a schedule", Fraction(1, 2), None):
+            with pytest.raises(ValueError, match="eps must be an EpsPower"):
+                config(eps=eps)
+        table = EpsTable([(1, Fraction(1, 2))])
+        assert config(eps=table).eps == table
+
     def test_integer_fields_are_not_truncated(self):
         for field, value in (
             ("br", 2.7),

@@ -1,6 +1,7 @@
 """Importing a module loads only the package modules it uses, and each
 module lists its public names in ``__all__``."""
 
+import ast
 import importlib
 import os
 import pathlib
@@ -15,12 +16,12 @@ import freecurves
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
-def _loaded_after(statement: str) -> list[str]:
-    """The package's entries in ``sys.modules`` after ``statement`` runs in a
-    fresh interpreter."""
+def _loaded_after(statement: str, names=("freecurves",)) -> list[str]:
+    """The entries in ``sys.modules`` of the packages ``names`` after
+    ``statement`` runs in a fresh interpreter."""
     probe = (
         f"import sys; {statement}; "
-        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'freecurves'))"
+        f"print(*sorted(m for m in sys.modules if m.split('.')[0] in {names!r}))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
@@ -49,6 +50,18 @@ def _loaded_after(statement: str) -> list[str]:
 )
 def test_import_loads_only_what_it_uses(statement, loaded):
     assert _loaded_after(statement) == loaded
+
+
+def test_command_start_up_loads_neither_dataclasses_nor_inspect():
+    # the value classes subclass errors.Value; dataclasses would load
+    # inspect and build every class's methods through exec at import
+    assert _loaded_after("import freecurves.cli", ("dataclasses", "inspect")) == []
+    for path in (SRC / "freecurves").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                assert all(a.name != "dataclasses" for a in node.names), path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "dataclasses", path.name
 
 
 @pytest.mark.parametrize(

@@ -10,8 +10,6 @@ from freecurves.errors import NegativeSlope, ShapeMismatch, ZeroSlope
 from freecurves.splitting import (
     SplittingType,
     balance_width,
-    direct_sum,
-    dual,
     is_sequential,
     minimal_slope_ratio,
     most_balanced,
@@ -19,10 +17,9 @@ from freecurves.splitting import (
     slope,
     slope_panel,
     specializes_to,
-    tensor,
 )
 
-from helpers import nonincreasing_sequences, types_in_class
+from helpers import direct_sum, dual, nonincreasing_sequences, tensor, types_in_class
 
 degree_lists = st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=6)
 
