@@ -23,11 +23,15 @@ the first class, in lexicographic order, that no chamber holds or on which
 holders disagree.  Each schedule builds the admission lookup once per call
 (``first_admitting``); it needs admission monotone in d: c * d^(-p) falls
 as d grows, and table values do not increase from a first degree <= 1.
-Classes are tallied by (admitting index, degree); q^degree is applied once
-per degree over the common denominator q_den^top, and a Fraction is built
-only for the N, N_lib and ratio fields of each row.  Rows are running sums,
-and ``d0`` compares them with 1 - delta by cross-multiplying the integer
-sums.
+Before the walk, per degree step * k up to top (degrees are multiples of
+step), the call sets up once the index of the first tested d whose slice
+holds that degree and the class weight xi * q^degree over the common
+denominator q_den^top, for xi on the translate and off it.  Each class is
+then tallied straight into its report row: its count and weight are added
+at its entry index and at its first admitting index, so no class is keyed,
+bisected or stored.  A Fraction is built only for the N, N_lib and ratio
+fields of each row.  Rows are running sums, and ``d0`` compares them with
+1 - delta by cross-multiplying the integer sums.
 
 Degree exponents use the class degree itself; a dimension-shift convention
 would rescale every sum by the same power of q and leave all ratios
@@ -37,7 +41,6 @@ unchanged.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -265,50 +268,49 @@ def ratio_check(model: VarietyModel, cfg: CountingConfig, d_values) -> CountRepo
     top = ds[-1] * step
     first_lib = cfg.eps.first_admitting(ds)
     n, sden = model.dim_n, model.slope_den
-    mk_head, mk_last = model.minus_k[:-1], model.minus_k[-1]
+    bound_den = 2 * sden * step
+    # every entry of minus_k is a multiple of step, so a class's degree is
+    # step * k with k = k0 + k_last * t along a fibre
+    k_head = [c // step for c in model.minus_k[:-1]]
+    k_last = model.minus_k[-1] // step
     # xi is br on the beta-translate of the nef cone, the outside value
     # elsewhere: alpha - beta is nef when <f, alpha> >= <f, beta> for every f
     xi_cuts = [_cut(f, dot(f, cfg.beta)) for f in model.nef_facets]
-    # per (first admitting index, degree): classes, and those on the
-    # translate; the index len(ds) holds the never-certified
-    classes: defaultdict[tuple[int, int], int] = defaultdict(int)
-    inside: defaultdict[tuple[int, int], int] = defaultdict(int)
-    for prefix, lo, hi in model.slice_fibres(top):
-        # along the fibre the degree is deg0 + mk_last * t and the translate
-        # one t-interval; the model's chamber rule splits the fibre into
-        # runs whose piece numerators are b0 + s * t
-        deg0 = dot(mk_head, prefix)
-        in_lo, in_hi = _clip(xi_cuts, prefix, lo, hi)
-        for start, stop, lines in model.chamber_runs(prefix, lo, hi):
-            for t in range(start, stop):
-                deg = deg0 + mk_last * t
-                # the certified bound (2 n b - n^2 D) / (2 D deg) of the
-                # least piece slope b / D
-                least = min([b0 + s * t for _, b0, s in lines])
-                num, den = 2 * n * least - n * n * sden, 2 * sden * deg
-                # degrees are multiples of step, so deg // step is the entry
-                # degree
-                key = (first_lib(num, den, bisect_left(ds, deg // step)), deg)
-                classes[key] += 1
-                if in_lo <= t <= in_hi:
-                    inside[key] += 1
-
-    # Buckets per index of ds: classes entering the slice there, and classes
-    # first certified there, with their weights times q_den^top
+    # per k in 0..ds[-1], set up once: the index of the first d whose slice
+    # holds the degree step * k, and the weight of a class of that degree
+    # times q_den^top, on the translate and outside it
     q_num, q_den = cfg.q.numerator, cfg.q.denominator
-    power = {deg: q_num**deg * q_den ** (top - deg) for _, deg in classes}
+    enter_at = [bisect_left(ds, k) for k in range(ds[-1] + 1)]
+    power = [q_num**deg * q_den ** (top - deg) for deg in range(0, top + 1, step)]
+    inside_weight = [cfg.br * w for w in power]
+    outside_weight = [cfg.outside_xi * w for w in power]
+    # per index of ds, each class is added straight in: its count and weight
+    # at the index where it enters the slice, and at the index where it is
+    # first certified; the index len(ds) holds the never-certified
     new_points = [0] * len(ds)
     new_weight = [0] * len(ds)
     new_lib = [0] * (len(ds) + 1)
     new_lib_weight = [0] * (len(ds) + 1)
-    for (lib, deg), count in classes.items():
-        enter = bisect_left(ds, deg // step)
-        held_in = inside[lib, deg]
-        weight = (cfg.br * held_in + cfg.outside_xi * (count - held_in)) * power[deg]
-        new_points[enter] += count
-        new_weight[enter] += weight
-        new_lib[lib] += count
-        new_lib_weight[lib] += weight
+    for prefix, lo, hi in model.slice_fibres(top):
+        # along the fibre the translate is one t-interval, and the model's
+        # chamber rule splits the fibre into runs whose piece numerators are
+        # b0 + s * t
+        k0 = dot(k_head, prefix)
+        in_lo, in_hi = _clip(xi_cuts, prefix, lo, hi)
+        for start, stop, lines in model.chamber_runs(prefix, lo, hi):
+            for t in range(start, stop):
+                k = k0 + k_last * t
+                # the certified bound (2 n b - n^2 D) / (2 D step k) of the
+                # least piece slope b / D
+                least = min([b0 + s * t for _, b0, s in lines])
+                num, den = 2 * n * least - n * n * sden, bound_den * k
+                enter = enter_at[k]
+                lib = first_lib(num, den, enter)
+                weight = (inside_weight if in_lo <= t <= in_hi else outside_weight)[k]
+                new_points[enter] += 1
+                new_weight[enter] += weight
+                new_lib[lib] += 1
+                new_lib_weight[lib] += weight
 
     scale = q_den**top
     buckets = (new_points, new_lib, new_weight, new_lib_weight)

@@ -213,11 +213,11 @@ class VarietyModel(Value):
         object.__setattr__(self, "minus_k", mk)
         object.__setattr__(self, "nef_facets", nf)
         object.__setattr__(self, "chambers", chs)
-        # Set up once from the chambers, outside the fields (so outside
-        # equality, hash and repr): D = ``slope_den``, the lcm of every slope
-        # denominator, and per chamber its facets as ``_cut``s and its pieces
-        # as (rank, head, last) of the integer slope vector D * slope, split
-        # as the facets are.
+        # Set up once, outside the fields (so outside equality, hash and
+        # repr): the nef facets as ``_cut``s; D = ``slope_den``, the lcm of
+        # every slope denominator; and per chamber its facets as ``_cut``s and
+        # its pieces as (rank, head, last) of the integer slope vector
+        # D * slope, split as the facets are.
         den = lcm(*(c.denominator for ch in chs for _, sv in ch.filtration for c in sv))
         scaled = tuple(
             (
@@ -230,6 +230,7 @@ class VarietyModel(Value):
             )
             for ch in chs
         )
+        object.__setattr__(self, "_nef_cuts", tuple(_cut(f, 0) for f in nf))
         object.__setattr__(self, "slope_den", den)
         object.__setattr__(self, "_scaled_chambers", scaled)
 
@@ -287,8 +288,7 @@ class VarietyModel(Value):
             for i in range(self.rho)
         ]
         mk = self.minus_k
-        cuts = [_cut(f, 0) for f in self.nef_facets]
-        cuts += [_cut(mk, 1), _cut(tuple(-c for c in mk), -bound)]
+        cuts = (*self._nef_cuts, _cut(mk, 1), _cut(tuple(-c for c in mk), -bound))
         t_lo, t_hi = box[-1][0], box[-1][-1]
         return (
             (prefix, lo, hi)
@@ -299,8 +299,7 @@ class VarietyModel(Value):
 
     def chamber_runs(self, prefix, lo: int, hi: int):
         """(start, stop, lines) per run start <= t < stop of the classes
-        prefix + (t,), lo <= t <= hi, held by the same chambers, in order;
-        ``prefix`` is a tuple.
+        prefix + (t,), lo <= t <= hi, held by the same chambers, in order.
 
         Along the fibre the facet values are affine in t, so each chamber
         holds one t-interval, and ``lines`` are the first holder's pieces as
@@ -309,15 +308,28 @@ class VarietyModel(Value):
         no chamber holds, and BoundaryMismatch at the first class where two
         holders' pieces, equal neighbours merged, differ.  An empty range
         yields no run.
+
+        It runs once per fibre of the counting loop, so it trusts its
+        arguments as ``slice_fibres`` gives them: ``prefix`` a tuple of
+        rho - 1 ints.  Piece numerators are computed only for the chambers
+        that hold some of the fibre, and a fibre that one chamber alone
+        holds from ``lo`` is one run, found without sorting the chambers'
+        end points.
         """
         if lo > hi:
             return
-        spans, ends = [], {lo, hi + 1}
+        spans = []
         for cuts, pieces in self._scaled_chambers:
             c_lo, c_hi = _clip(cuts, prefix, lo, hi)
             if c_lo <= c_hi:
                 spans.append((c_lo, c_hi, [(r, dot(h, prefix), s) for r, h, s in pieces]))
-                ends.update((c_lo, c_hi + 1))
+        if len(spans) == 1 and spans[0][0] == lo:
+            ((_, c_hi, lines),) = spans
+            yield lo, c_hi + 1, lines
+            if c_hi < hi:
+                raise NoChamber(f"{prefix + (c_hi + 1,)} lies in no chamber")
+            return
+        ends = {lo, hi + 1}.union(*((c_lo, c_hi + 1) for c_lo, c_hi, _ in spans))
         ends = sorted(ends)
         for start, stop in zip(ends, ends[1:]):
             held = [lines for c_lo, c_hi, lines in spans if c_lo <= start <= c_hi]
@@ -332,11 +344,12 @@ class VarietyModel(Value):
             yield start, stop, first
 
     def chamber_pieces(self, alpha) -> list[tuple[int, int]]:
-        """(rank, slope numerator over ``slope_den``) pieces of alpha in
-        filtration order, neighbours of equal slope merged: the run-length
-        form of the per-summand slopes.  The one-point case of
-        ``chamber_runs``, with its NoChamber and BoundaryMismatch."""
-        alpha = tuple(alpha)
+        """(rank, slope numerator over ``slope_den``) pieces of the class
+        alpha, rho ints, in filtration order, neighbours of equal slope
+        merged: the run-length form of the per-summand slopes.  The
+        one-point case of ``chamber_runs``, with its NoChamber and
+        BoundaryMismatch."""
+        alpha = _int_vector(alpha, self.rho, "class")
         t = alpha[-1]
         ((_, _, lines),) = self.chamber_runs(alpha[:-1], t, t)
         return _merged(lines, t)

@@ -34,6 +34,7 @@ from helpers import (
     box_slice,
     cofactor_det,
     direct_counts,
+    orthant_slice,
     pieces_oracle,
     slice_classes,
     toy_rho2,
@@ -172,6 +173,19 @@ def config(**overrides):
     )
     base.update(overrides)
     return CountingConfig(**base)
+
+
+def drawn_config(data, rho):
+    """A config for lattice rank ``rho`` with q, br, beta, the outside value
+    and the threshold schedule drawn at random."""
+    return config(
+        q=data.draw(q_values),
+        br=data.draw(st.integers(0, 3)),
+        m_cap=3,
+        beta=tuple(data.draw(st.integers(-1, 3)) for _ in range(rho)),
+        outside_xi=data.draw(st.integers(0, 3)),
+        eps=data.draw(st.one_of(eps_powers, eps_tables())),
+    )
 
 
 class TestRMin:
@@ -621,14 +635,7 @@ class TestRatioCheck:
             )
             | split_models()
         )
-        cfg = config(
-            q=data.draw(q_values),
-            br=data.draw(st.integers(0, 3)),
-            m_cap=3,
-            beta=tuple(data.draw(st.integers(-1, 3)) for _ in range(model.rho)),
-            outside_xi=data.draw(st.integers(0, 3)),
-            eps=data.draw(st.one_of(eps_powers, eps_tables())),
-        )
+        cfg = drawn_config(data, model.rho)
         # unsorted, duplicated and gapped degree sets
         ds = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=8))
         report = ratio_check(model, cfg, ds)
@@ -738,28 +745,27 @@ SEMISTABLE = ((2, (Fraction(1, 2), Fraction(1, 2))),)
 
 
 slopes = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
-filtrations = st.lists(
-    st.tuples(st.integers(1, 2), st.tuples(slopes, slopes)), min_size=1, max_size=3
-)
 
 
 @st.composite
-def chambered_quadrants(draw):
-    """Quadrant models with 1 to 3 chambers, each cut by up to two random
-    walls through the origin.  The chambers may overlap or leave gaps, and
-    their filtrations come from a pool of two, so overlapping chambers
-    agree or disagree; small slopes make neighbouring pieces meet on
-    lattice lines, where they merge."""
+def chambered_orthants(draw, rho):
+    """Orthant models of lattice rank ``rho`` with 1 to 3 chambers, each cut
+    by up to two random walls through the origin.  The chambers may overlap
+    or leave gaps, and their filtrations come from a pool of two, so
+    overlapping chambers agree or disagree; small slopes make neighbouring
+    pieces meet on lattice hyperplanes, where they merge."""
+    vectors = st.tuples(*[slopes] * rho)
+    filtrations = st.lists(st.tuples(st.integers(1, 2), vectors), min_size=1, max_size=3)
     pool = draw(st.lists(filtrations, min_size=1, max_size=2))
-    walls = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=2)
+    walls = st.lists(st.tuples(*[st.integers(-3, 3)] * rho), max_size=2)
     chambers = draw(
         st.lists(st.builds(Chamber, walls, st.sampled_from(pool)), min_size=1, max_size=3)
     )
     return VarietyModel(
-        rho=2,
+        rho=rho,
         dim_n=sum(r for r, _ in pool[0]),
-        minus_k=(draw(st.integers(1, 3)), draw(st.integers(1, 3))),
-        nef_facets=((1, 0), (0, 1)),
+        minus_k=tuple(draw(st.integers(1, 3)) for _ in range(rho)),
+        nef_facets=tuple(tuple(int(i == j) for j in range(rho)) for i in range(rho)),
         chambers=chambers,
     )
 
@@ -784,7 +790,7 @@ class TestFibreClassification:
     ``chamber_pieces`` is the rule's one-point case.  Both must match the
     per-class oracle and raise the same first error."""
 
-    @given(chambered_quadrants(), st.integers(1, 8))
+    @given(chambered_orthants(2), st.integers(1, 8))
     @settings(max_examples=150, deadline=None)
     def test_chamber_rule_matches_oracle_property(self, model, d):
         bound = d * r_min(model)
@@ -827,6 +833,22 @@ class TestFibreClassification:
         else:
             with pytest.raises(type(error)) as exc:
                 ratio_check(model, cfg, [d])
+            assert str(exc.value) == str(error)
+
+    @given(chambered_orthants(3), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_match_oracle_at_lattice_rank_three_property(self, model, data):
+        # every row at d <= 4 is the brute force's, or ratio_check raises the
+        # oracle's first error over the largest slice in lexicographic order
+        cfg = drawn_config(data, 3)
+        error = oracle_first_error(model, orthant_slice(model, 4 * r_min(model)))
+        if error is None:
+            for row in ratio_check(model, cfg, range(1, 5)).rows:
+                row_data = (row.points, row.liberated, row.n_value, row.n_liberated)
+                assert row_data == direct_counts(model, cfg, row.d)
+        else:
+            with pytest.raises(type(error)) as exc:
+                ratio_check(model, cfg, range(1, 5))
             assert str(exc.value) == str(error)
 
     @pytest.mark.parametrize("ray", [(1, 1), (2, 1), (1, 3), (3, 2)])

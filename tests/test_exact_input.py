@@ -80,6 +80,7 @@ BOUNDARIES = {
     "cone_rays": lambda x: cone_rays([(x, 0), (0, 1)], 2),
     "cone_rays rho": lambda x: cone_rays([(1,)], x),
     "esp": lambda x: esp(toy_rho2(), (x, 0)),
+    "chamber_pieces": lambda x: toy_rho2().chamber_pieces((x, 0)),
     "liberated_lower_bound": lambda x: liberated_lower_bound(toy_rho2(), (x, 0)),
     "pbundle": lambda x: pbundle(3, 2, [2, x, 0]),
     "pbundle n0": _pbundle_n0,

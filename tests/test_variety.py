@@ -381,8 +381,12 @@ class TestEsp:
             esp(_diagonal_mismatch(), (1, 1))
 
     def test_wrong_length(self):
-        with pytest.raises(ValueError):
-            esp(toy_rho2(), (1, 2, 3))
+        # chamber_pieces checks its class as esp does
+        model = toy_rho2()
+        for alpha in ((3,), (3, 2, 7)):
+            for read in (lambda a: esp(model, a), model.chamber_pieces):
+                with pytest.raises(ValueError, match=f"class length {len(alpha)} != rho 2"):
+                    read(alpha)
 
     def test_panel_length_is_capped(self):
         # the panel lists one entry per summand, so a piece of larger rank
