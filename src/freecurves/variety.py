@@ -14,7 +14,10 @@ One chamber rule serves every answer.  ``VarietyModel.slice_fibres`` walks
 the slice of bounded degree fibre by fibre along the last coordinate t, and
 ``VarietyModel.chamber_runs`` splits a fibre into runs of t held by the same
 chambers: each chamber's facets clip the fibre to one t-interval, and its
-piece numerators are affine in t.  The counting core reads whole fibres;
+piece numerators are affine in t.  One walk from the fibre's start finds
+the runs: at each run's start one pass over the chambers' intervals finds
+the holders and the run's end, the nearest interval end or start after it,
+so a run costs O(chambers).  The counting core reads whole fibres;
 ``chamber_pieces`` is the one-point case, which ``esp``,
 ``liberated_lower_bound`` and ``validate`` call.  Both are int work; ``esp``
 and ``liberated_lower_bound`` divide once at the end and return Fractions.
@@ -67,11 +70,6 @@ def _int_vector(values, rho: int, what: str) -> tuple[int, ...]:
     if len(vec) != rho:
         raise ValueError(f"{what} length {len(vec)} != rho {rho}")
     return vec
-
-
-def _inside(facets, alpha) -> bool:
-    """Whether alpha meets every facet inequality <f, alpha> >= 0."""
-    return all(dot(f, alpha) >= 0 for f in facets)
 
 
 def _cut(vec, floor: int):
@@ -312,27 +310,27 @@ class VarietyModel(Value):
         It runs once per fibre of the counting loop, so it trusts its
         arguments as ``slice_fibres`` gives them: ``prefix`` a tuple of
         rho - 1 ints.  Piece numerators are computed only for the chambers
-        that hold some of the fibre, and a fibre that one chamber alone
-        holds from ``lo`` is one run, found without sorting the chambers'
-        end points.
+        that hold some of the fibre.  The runs come from one walk up the
+        fibre: from each run's start, one pass over the chambers' intervals
+        collects the holders and stops the run at the least of hi + 1, a
+        holder's end + 1 and a later chamber's start.  That is O(chambers)
+        per run, and each run is maximal: the next one starts where a
+        chamber enters or leaves.
         """
-        if lo > hi:
-            return
         spans = []
         for cuts, pieces in self._scaled_chambers:
             c_lo, c_hi = _clip(cuts, prefix, lo, hi)
             if c_lo <= c_hi:
                 spans.append((c_lo, c_hi, [(r, dot(h, prefix), s) for r, h, s in pieces]))
-        if len(spans) == 1 and spans[0][0] == lo:
-            ((_, c_hi, lines),) = spans
-            yield lo, c_hi + 1, lines
-            if c_hi < hi:
-                raise NoChamber(f"{prefix + (c_hi + 1,)} lies in no chamber")
-            return
-        ends = {lo, hi + 1}.union(*((c_lo, c_hi + 1) for c_lo, c_hi, _ in spans))
-        ends = sorted(ends)
-        for start, stop in zip(ends, ends[1:]):
-            held = [lines for c_lo, c_hi, lines in spans if c_lo <= start <= c_hi]
+        start = lo
+        while start <= hi:
+            stop, held = hi + 1, []
+            for c_lo, c_hi, lines in spans:
+                if c_lo > start:
+                    stop = min(stop, c_lo)
+                elif c_hi >= start:
+                    stop = min(stop, c_hi + 1)
+                    held.append(lines)
             if not held:
                 raise NoChamber(f"{prefix + (start,)} lies in no chamber")
             first, *others = held
@@ -342,6 +340,7 @@ class VarietyModel(Value):
                     if any(_merged(lines, t) != pieces for lines in others):
                         raise BoundaryMismatch(f"chambers disagree at {prefix + (t,)}")
             yield start, stop, first
+            start = stop
 
     def chamber_pieces(self, alpha) -> list[tuple[int, int]]:
         """(rank, slope numerator over ``slope_den``) pieces of the class
@@ -356,7 +355,8 @@ class VarietyModel(Value):
 
 
 def in_nef(model: VarietyModel, alpha) -> bool:
-    return _inside(model.nef_facets, alpha)
+    """Whether alpha meets every nef facet inequality <f, alpha> >= 0."""
+    return all(dot(f, alpha) >= 0 for f in model.nef_facets)
 
 
 def _nef_class(model: VarietyModel, alpha) -> tuple[tuple[int, ...], int]:

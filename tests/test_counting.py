@@ -1,7 +1,9 @@
 """Counting functions, threshold schedules, and the ratio report."""
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
+from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -28,9 +30,11 @@ from freecurves.variety import (
     cone_rays,
     pbundle,
     toy_rho1,
+    validate,
 )
 
 from helpers import (
+    _satisfies,
     box_slice,
     cofactor_det,
     direct_counts,
@@ -772,6 +776,11 @@ def chambered_orthants(draw, rho):
 
 CHAMBER_ERRORS = (NoChamber, BoundaryMismatch)
 
+# primitive rays inside the open quadrant
+PRIMITIVE_RAYS = st.tuples(st.integers(1, 20), st.integers(1, 20)).filter(
+    lambda r: gcd(*r) == 1
+)
+
 
 def oracle_first_error(model, classes):
     """The oracle's error at the first class of ``classes`` that no chamber
@@ -834,6 +843,66 @@ class TestFibreClassification:
             with pytest.raises(type(error)) as exc:
                 ratio_check(model, cfg, [d])
             assert str(exc.value) == str(error)
+
+    @pytest.mark.parametrize("rho", [2, 3])
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_runs_are_maximal_property(self, rho, data):
+        # each run is held by one nonempty set of chambers at every t, the
+        # next run by another set, and its lines are the first holder's
+        # piece numerators.  The walk starts at every t of the fibre, so a
+        # gap or a disagreement hides none of the runs past it; islice
+        # stops a walk that makes no progress
+        model = data.draw(chambered_orthants(rho))
+        bound = data.draw(st.integers(1, 10 if rho == 2 else 4)) * r_min(model)
+        for prefix, lo, hi in model.slice_fibres(bound):
+
+            def holders(t):
+                alpha = prefix + (t,)
+                return [
+                    i
+                    for i, ch in enumerate(model.chambers)
+                    if _satisfies(ch.facets, alpha)
+                ]
+
+            for first_t in range(lo, hi + 1):
+                previous = None
+                try:
+                    for start, stop, lines in islice(
+                        model.chamber_runs(prefix, first_t, hi), hi - first_t + 2
+                    ):
+                        assert first_t <= start < stop <= hi + 1
+                        held = holders(start)
+                        assert held and held != previous
+                        for t in range(start, stop):
+                            assert holders(t) == held
+                            alpha = prefix + (t,)
+                            assert [(r, b0 + s * t) for r, b0, s in lines] == [
+                                (r, sum(map(mul, svec, alpha)) * model.slope_den)
+                                for r, svec in model.chambers[held[0]].filtration
+                            ]
+                        previous = held
+                except CHAMBER_ERRORS:
+                    pass
+
+    @given(st.lists(PRIMITIVE_RAYS, max_size=11, unique=True), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_agreeing_wedges_change_nothing_property(self, rays, data):
+        # the quadrant's semistable chamber split into 1-12 wedges along
+        # interior rays: every class on a wall is held by two agreeing
+        # wedges, and every row is the one-chamber model's
+        edges = [(1, 0), *sorted(rays, key=lambda r: Fraction(r[1], r[0])), (0, 1)]
+        wedges = quadrant_model(
+            *(
+                Chamber(((-a[1], a[0]), (b[1], -b[0])), SEMISTABLE)
+                for a, b in zip(edges, edges[1:])
+            )
+        )
+        assert validate(wedges).ok
+        cfg = drawn_config(data, 2)
+        whole = quadrant_model(Chamber((), SEMISTABLE))
+        ds = range(1, 13)
+        assert ratio_check(wedges, cfg, ds).rows == ratio_check(whole, cfg, ds).rows
 
     @given(chambered_orthants(3), st.data())
     @settings(max_examples=100, deadline=None)
