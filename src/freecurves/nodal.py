@@ -5,7 +5,10 @@ line bundle on it is a pair of degrees (a, b).  The central object is the
 degree bound ``degbd``: the least degree a rank-m torsion-free quotient of
 the restricted bundle can carry on a nearby smooth curve.  It is a
 min-cost labeling of the summands, found exactly by a DP whose state is the
-pair of side counts; smoothings are enumerated against its floors.
+pair of side counts; smoothings are enumerated against its floors.  A type
+builds its label costs once, when it is made, and every DP reads them; the
+witness tests each label with one shifted meet of two tables and copies no
+trial table.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ __all__ = [
 class NodalType(Value):
     """Line-bundle summand degrees (a_i, b_i) on the two components.
 
-    Canonical order: sorted descending by (a_i + b_i, a_i).
+    Canonical order: sorted descending by (a_i + b_i, a_i).  The label
+    costs of ``_costs`` and their sentinel are built here, once, and kept
+    outside the fields, so equality, hash and repr see the pairs alone.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -45,6 +50,7 @@ class NodalType(Value):
         if not ps:
             raise ValueError("a nodal type needs at least one summand")
         object.__setattr__(self, "pairs", tuple(ps))
+        object.__setattr__(self, "_label_costs", _costs(ps))
 
     @property
     def rank(self) -> int:
@@ -116,13 +122,16 @@ def glue(t1: SplittingType, t2: SplittingType, align: Alignment) -> NodalType:
 
 
 # Labels of a summand as indices into its cost tuple; the fourth entry is the
-# cost of leaving the summand unlabeled.
+# cost of leaving the summand unlabeled.  A label adds _SHIFT[label] to the
+# side counts.
 _J, _K1, _K2 = range(3)
+_SHIFT = ((1, 1), (1, 0), (0, 1))
 
 
-def _costs(z: NodalType) -> tuple[list[tuple], int]:
+def _costs(pairs) -> tuple[tuple[tuple, ...], int]:
     """Per summand, the costs of the labels J, K1, K2 and none, and the
-    int sentinel: the cost of the unreachable.
+    int sentinel: the cost of the unreachable.  ``NodalType`` calls this
+    once, when the type is built, and keeps the result; no DP rebuilds it.
 
     A labeling's cost is its value times rank + 1 plus |J|.  The cost is
     still additive, and as |J| <= rank its minimum is the least value with
@@ -133,14 +142,14 @@ def _costs(z: NodalType) -> tuple[list[tuple], int]:
     the sentinel 2S + 1 at least once is therefore above S: it loses to
     every real cost and can never equal one.
     """
-    w = z.rank + 1
+    w = len(pairs) + 1
     costs = []
     total = 0
-    for a, b in z.pairs:
+    for a, b in pairs:
         cj, ck1, ck2 = (a + b) * w + 1, (a + 1) * w, (b + 1) * w
         costs.append((cj, ck1, ck2, 0))
         total += abs(cj) + abs(ck1) + abs(ck2)
-    return costs, 1 + 2 * total
+    return tuple(costs), 1 + 2 * total
 
 
 def _start(cap: int, inf: int) -> list[list[int]]:
@@ -148,11 +157,13 @@ def _start(cap: int, inf: int) -> list[list[int]]:
 
     Tables have rows and columns 0..cap and one more, never filled, so that
     index -1 reads ``inf``.  Cells are ints, and ``inf`` is the int sentinel
-    of ``_costs``.  One ``_fill`` call fills a table for a run of summands:
-    ``degbd`` and ``degbd_profile`` fill this one (cap + 2)^2 table in place
-    for all of them in a single call; ``sharpness_witness`` calls ``_fill``
-    once per summand, for each of its rank + 1 suffix tables on a copy of
-    the one before and for each trial label on a copy of its prefix table.
+    of ``_costs``, which the type built with itself.  One ``_fill`` call
+    fills a table for a run of summands: ``degbd`` and ``degbd_profile``
+    fill this one (cap + 2)^2 table in place for all of them in a single
+    call; ``sharpness_witness`` calls ``_fill`` once per summand, for each
+    of its rank + 1 suffix tables on a copy of the one before and for its
+    one prefix table in place, with the label it decided.  It copies no
+    trial table: ``_meet`` tests a label on the prefix table as it is.
     """
     table = [[inf] * (cap + 2) for _ in range(cap + 2)]
     table[0][0] = 0
@@ -215,7 +226,7 @@ def degbd(z: NodalType, m: int) -> int:
     (side-1 count, side-2 count), in O(rank * m^2).
     """
     m = _check_m(z, m)
-    costs, inf = _costs(z)
+    costs, inf = z._label_costs
     table = _start(m, inf)
     _fill(table, costs, m, m, 0, z.rank)
     return table[m][m] // (z.rank + 1)
@@ -239,7 +250,7 @@ def degbd_profile(z: NodalType) -> tuple[int, ...]:
     """All degree bounds (degbd(z, 1), ..., degbd(z, rank)) from one DP:
     the diagonal of the table with side counts up to the rank."""
     r = z.rank
-    costs, inf = _costs(z)
+    costs, inf = z._label_costs
     table = _start(r, inf)
     _fill(table, costs, 0, r, 0, r)
     return tuple(table[m][m] // (r + 1) for m in range(1, r + 1))
@@ -328,18 +339,21 @@ def _without(cost: tuple, label: int, inf: int) -> tuple:
     return tuple(inf if i == label else c for i, c in enumerate(cost))
 
 
-def _meet(front: list[list], back: list[list], m: int):
+def _meet(front: list[list], back: list[list], m: int, d1: int, d2: int):
     """Least cost of a prefix table entry joined with a suffix table entry
-    to side counts (m, m).
+    and one summand between them whose label adds (d1, d2) to the side
+    counts, to side counts (m, m), without that summand's label cost.
 
-    A cell below the counts the last fill reached may hold a stale cost,
-    but the cell it meets lies past every count the other table reached and
-    holds the sentinel, so their sum still loses to every real cost.
+    This is what filling a copy of ``front`` with the summand and meeting
+    it with ``back`` gives, but no trial table is copied or filled.  A cell
+    below the counts the last fill reached may hold a stale cost, but the
+    cell it meets lies past every count the other table reached and holds
+    the sentinel, so their sum still loses to every real cost.
     """
     return min(
-        front[c1][c2] + back[m - c1][m - c2]
-        for c1 in range(m + 1)
-        for c2 in range(m + 1)
+        front[c1][c2] + back[m - d1 - c1][m - d2 - c2]
+        for c1 in range(m + 1 - d1)
+        for c2 in range(m + 1 - d2)
     )
 
 
@@ -349,16 +363,21 @@ def sharpness_witness(z: NodalType, m: int) -> SharpnessWitness:
 
     The labeling is the least-value one with the fewest J, then J, K1 and
     K2 lexicographically smallest.  Labels are fixed greedily, J then K1
-    then K2: an index takes the label when a DP over the decided prefix
-    joined with one over the rest still reaches the optimum.  Each pass
-    builds the rank + 1 suffix tables, each one ``_fill`` of one summand on
-    a copy of the one before, and fills each trial prefix table on a copy,
-    so the DP and its count ranges are the ones ``_fill`` gives ``degbd``.
+    then K2: an index takes the label when its cost plus the ``_meet`` of
+    the DP over the decided prefix with one over the rest, shifted by the
+    label's side counts, still reaches the optimum.  Each pass builds the
+    rank + 1 suffix tables, each one ``_fill`` of one summand on a copy of
+    the one before, and fills one prefix table in place with each decided
+    summand; no trial table is copied.  So the DP and its count ranges are
+    the ones ``_fill`` gives ``degbd``.  The passes narrow a list copy of
+    the label costs the type built with itself.
     """
     m = _check_m(z, m)
     r = z.rank
-    costs, inf = _costs(z)
+    costs, inf = z._label_costs
+    costs = list(costs)
     for label in (_J, _K1, _K2):
+        d1, d2 = _SHIFT[label]
         back = [_start(m, inf)]
         for done, cost in enumerate(reversed(costs)):
             back.append([row[:] for row in back[-1]])
@@ -368,14 +387,8 @@ def sharpness_witness(z: NodalType, m: int) -> SharpnessWitness:
         front = _start(m, inf)
         for i, cost in enumerate(costs):
             if cost[label] != inf:
-                only = _only(cost, label, inf)
-                trial = [row[:] for row in front]
-                _fill(trial, (only,), m, m, i, r)
-                if _meet(trial, back[i + 1], m) == best:
-                    costs[i] = only
-                    front = trial
-                    continue
-                costs[i] = _without(cost, label, inf)
+                meet = cost[label] + _meet(front, back[i + 1], m, d1, d2)
+                costs[i] = (_only if meet == best else _without)(cost, label, inf)
             _fill(front, (costs[i],), m, m, i, r)
     J, K1, K2 = (
         [i for i, cost in enumerate(costs) if cost[label] != inf]

@@ -6,6 +6,18 @@ from math import gcd
 
 from freecurves.errors import BoundaryMismatch, NoChamber
 from freecurves.modelio import fixture_path, load_model_file
+from freecurves.nodal import (
+    _J,
+    _K1,
+    _K2,
+    SharpnessWitness,
+    WitnessBlock,
+    _costs,
+    _fill,
+    _only,
+    _start,
+    _without,
+)
 from freecurves.splitting import SplittingType, is_sequential
 from freecurves.variety import Chamber, VarietyModel
 
@@ -348,3 +360,58 @@ def witness_labeling(pairs, m):
         for label in ("J", "K1", "K2")
     )
     return (optimum[0], J, K1, K2)
+
+
+def _unshifted_meet(front, back, m):
+    """Least cost of a prefix table entry joined with a suffix table entry
+    to side counts (m, m)."""
+    return min(
+        front[c1][c2] + back[m - c1][m - c2]
+        for c1 in range(m + 1)
+        for c2 in range(m + 1)
+    )
+
+
+def copying_witness(z, m):
+    """The witness greedy as it ran before the shifted meet: the oracle for
+    ``nodal.sharpness_witness``.
+
+    Labels are fixed J, then K1, then K2, each in index order.  For each
+    index and label it copies the prefix table, fills the copy with the
+    summand narrowed to that label and meets the copy with the suffix table
+    at (m, m); the label is kept when that reaches the optimum.  The costs
+    come from a fresh ``_costs`` call, not from the type.
+    """
+    r = z.rank
+    costs, inf = _costs(z.pairs)
+    costs = list(costs)
+    for label in (_J, _K1, _K2):
+        back = [_start(m, inf)]
+        for done, cost in enumerate(reversed(costs)):
+            back.append([row[:] for row in back[-1]])
+            _fill(back[-1], (cost,), m, m, done, r)
+        back.reverse()
+        best = back[0][m][m]
+        front = _start(m, inf)
+        for i, cost in enumerate(costs):
+            if cost[label] != inf:
+                only = _only(cost, label, inf)
+                trial = [row[:] for row in front]
+                _fill(trial, (only,), m, m, i, r)
+                if _unshifted_meet(trial, back[i + 1], m) == best:
+                    costs[i] = only
+                    front = trial
+                    continue
+                costs[i] = _without(cost, label, inf)
+            _fill(front, (costs[i],), m, m, i, r)
+    J, K1, K2 = (
+        [i for i, cost in enumerate(costs) if cost[label] != inf]
+        for label in (_J, _K1, _K2)
+    )
+    pairs = z.pairs
+    blocks = [WitnessBlock("single", (i,), pairs[i][0] + pairs[i][1]) for i in J]
+    blocks += [
+        WitnessBlock("pair", (i, ip), pairs[i][0] + pairs[ip][1] + 2)
+        for i, ip in zip(K1, K2)
+    ]
+    return SharpnessWitness(tuple(blocks), best // (r + 1), True)
