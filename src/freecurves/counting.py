@@ -55,6 +55,7 @@ from .errors import (
 from .variety import VarietyModel, _clip, _cut, dot
 
 __all__ = [
+    "MAX_EXPONENT_TERM",
     "EpsPower",
     "EpsTable",
     "CountingConfig",
@@ -67,10 +68,18 @@ __all__ = [
 ]
 
 
+# The largest numerator or denominator of an ``EpsPower`` exponent.  Each
+# comparison raises the bound and c to p's denominator and d to its
+# numerator, so the cost of a test grows with them: at p = 1/10^5 a check on
+# toy_rho1 up to d = 20 took about a second, against a millisecond at 1/10^3.
+MAX_EXPONENT_TERM = 1000
+
+
 class EpsPower(Value):
     """Threshold schedule c * d^(-p); comparisons are done exactly by
     clearing the fractional exponent, so the irrational value itself is
-    never materialized."""
+    never materialized.  A p whose numerator or denominator exceeds
+    ``MAX_EXPONENT_TERM`` is refused with ValueError."""
 
     c: Fraction
     p: Fraction
@@ -80,6 +89,10 @@ class EpsPower(Value):
         p = exact_fraction(p, "p")
         if c <= 0 or p <= 0:
             raise ValueError("power schedule needs c > 0 and p > 0")
+        if max(p.numerator, p.denominator) > MAX_EXPONENT_TERM:
+            raise ValueError(
+                f"power schedule exponent {p} has a term above {MAX_EXPONENT_TERM}"
+            )
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "p", p)
 

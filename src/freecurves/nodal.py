@@ -5,10 +5,12 @@ line bundle on it is a pair of degrees (a, b).  The central object is the
 degree bound ``degbd``: the least degree a rank-m torsion-free quotient of
 the restricted bundle can carry on a nearby smooth curve.  It is a
 min-cost labeling of the summands, found exactly by a DP whose state is the
-pair of side counts; smoothings are enumerated against its floors.  A type
-builds its label costs once, when it is made, and every DP reads them; the
-witness tests each label with one shifted meet of two tables and copies no
-trial table.
+pair of side counts.  Smoothings are listed against its floors by one
+depth-first walk that keeps the sum left and the least allowed entry per
+level, and each listed type is built once, as it is.  A type builds its
+label costs once, when it is made, and every DP reads them; the witness
+tests each label with one shifted meet of two tables and copies no trial
+table.
 """
 
 from __future__ import annotations
@@ -264,35 +266,63 @@ def admissible_smoothings(
     A type qualifies when it has the rank and total degree of ``z`` and, for
     every m, its m smallest entries sum to at least degbd(z, m).  This is a
     necessary condition only, so the result is a superset of the
-    geometrically realizable types.  Entries are chosen largest first, each
-    level walked from high to low, so the list comes out lexicographically
-    descending as generated; it may be empty.
+    geometrically realizable types.
+
+    One depth-first walk chooses the entries largest first.  With ``left``
+    entries still to choose, summing to ``rest``, the next one is at least
+    their mean's ceiling and at most the previous entry and ``rest`` less
+    the floor of the other left - 1.  Sequential types also take it at most
+    one below the previous entry, and at most the cap above which entries
+    falling by one from it would overshoot ``rest``.  Each level keeps the
+    sum it was left and its least allowed entry; the walk gives every level
+    its largest allowed entry, and after each type, or a level with none,
+    lowers the deepest entry still above its least by one.  So the list
+    comes out lexicographically descending; it may be empty.  The entries
+    are ints computed from checked ints, so each type is built once, as it
+    is, with no re-check and no re-sort.
     """
     r = z.rank
     floors = (0,) + degbd_profile(z)
-    found: list[tuple[int, ...]] = []
+    make = SplittingType._of_sorted
+    found: list[SplittingType] = []
     seq = [0] * r
-
-    def rec(left: int, rest: int, prev) -> None:
-        # the `left` entries still to choose sum to `rest`; the next is their
-        # largest: at least their mean, at most prev, and leaving the other
-        # left - 1 their floor.  Sequential: at most one below prev, and
-        # entries falling by one from it must not overshoot rest.
-        if left == 0:
-            found.append(tuple(seq))
-            return
-        lo = -(-rest // left)
-        hi = min(prev, rest - floors[left - 1])
-        if require_sequential:
-            hi = min(hi, (rest + left * (left - 1) // 2) // left)
-            if left < r:
-                lo = max(lo, prev - 1)
-        for s in range(hi, lo - 1, -1):
-            seq[r - left] = s
-            rec(left - 1, rest - s, s)
-
-    rec(r, z.total_degree, z.total_degree - floors[r - 1])
-    return [SplittingType(s) for s in found]
+    rests = [0] * r
+    lows = [0] * r
+    rest = z.total_degree
+    prev = rest - floors[r - 1]
+    i = 0
+    while True:
+        # give each level from i on its largest allowed entry
+        while i < r:
+            left = r - i
+            lo = -(-rest // left)
+            hi = rest - floors[left - 1]
+            if prev < hi:
+                hi = prev
+            if require_sequential:
+                cap = (rest + left * (left - 1) // 2) // left
+                if cap < hi:
+                    hi = cap
+                if i and lo < prev - 1:
+                    lo = prev - 1
+            if hi < lo:
+                break
+            seq[i] = prev = hi
+            rests[i] = rest
+            lows[i] = lo
+            rest -= hi
+            i += 1
+        else:
+            found.append(make(tuple(seq)))
+        # lower the deepest entry still above its least
+        i -= 1
+        while i >= 0 and seq[i] == lows[i]:
+            i -= 1
+        if i < 0:
+            return found
+        seq[i] = prev = seq[i] - 1
+        rest = rests[i] - prev
+        i += 1
 
 
 class WitnessBlock(Value):

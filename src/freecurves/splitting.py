@@ -45,6 +45,15 @@ class SplittingType(Value):
             raise ValueError("a splitting type needs at least one summand")
         object.__setattr__(self, "degrees", degs)
 
+    @classmethod
+    def _of_sorted(cls, degrees: tuple[int, ...]) -> "SplittingType":
+        """The type of a non-empty, non-increasing tuple of ints, taken as
+        it is: no entry is checked and nothing is sorted.  For callers whose
+        entries are computed from checked ints."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "degrees", degrees)
+        return t
+
     @property
     def rank(self) -> int:
         return len(self.degrees)
@@ -60,7 +69,7 @@ class SplittingType(Value):
         return self.degrees[i]
 
     def __str__(self) -> str:
-        return ",".join(str(a) for a in self.degrees)
+        return ",".join(map(str, self.degrees))
 
 
 def parse_splitting_type(text: str) -> SplittingType:

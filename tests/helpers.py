@@ -17,6 +17,7 @@ from freecurves.nodal import (
     _only,
     _start,
     _without,
+    degbd_profile,
 )
 from freecurves.splitting import SplittingType, is_sequential
 from freecurves.variety import Chamber, VarietyModel
@@ -135,6 +136,40 @@ def types_in_class(rank, degree, lo, hi):
                 yield (v,) + tail
 
     return [SplittingType(seq) for seq in rec(rank, degree, hi)]
+
+
+def recursive_smoothings(z, require_sequential):
+    """The smoothing enumeration as it ran before the explicit walk: the
+    oracle for ``nodal.admissible_smoothings``.
+
+    Entries are chosen largest first by recursion, each level walked from
+    high to low, and every type is built by the checking constructor.
+    """
+    r = z.rank
+    floors = (0,) + degbd_profile(z)
+    found = []
+    seq = [0] * r
+
+    def rec(left, rest, prev):
+        # the `left` entries still to choose sum to `rest`; the next is their
+        # largest: at least their mean, at most prev, and leaving the other
+        # left - 1 their floor.  Sequential: at most one below prev, and
+        # entries falling by one from it must not overshoot rest.
+        if left == 0:
+            found.append(tuple(seq))
+            return
+        lo = -(-rest // left)
+        hi = min(prev, rest - floors[left - 1])
+        if require_sequential:
+            hi = min(hi, (rest + left * (left - 1) // 2) // left)
+            if left < r:
+                lo = max(lo, prev - 1)
+        for s in range(hi, lo - 1, -1):
+            seq[r - left] = s
+            rec(left - 1, rest - s, s)
+
+    rec(r, z.total_degree, z.total_degree - floors[r - 1])
+    return [SplittingType(s) for s in found]
 
 
 def sequential_zero_slope_types(rank):

@@ -533,6 +533,32 @@ class TestModelFiles:
         assert out == ""
         assert "ModelFormatError" in err and "start at d <= 1" in err
 
+    @pytest.mark.parametrize("p_num, p_den", [(1, 1001), (1001, 1)])
+    def test_eps_exponent_past_the_cap_refused(self, capsys, tmp_path, p_num, p_den):
+        # the exponent's terms set the cost of every threshold test, so a
+        # file may not make check run without bound through them
+        data = json.loads(fixture_path("toy_rho1.json").read_text())
+        data["counting"]["eps"].update(p_num=p_num, p_den=p_den)
+        with pytest.raises(ModelFormatError, match="counting: .*term above 1000"):
+            load_model(data)
+        path = tmp_path / "long_exponent.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = invoke(capsys, "check", "--model", str(path), "--dmax", "20")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ModelFormatError: ")
+        assert "counting: power schedule exponent" in err
+
+    def test_eps_exponent_at_the_cap_accepted(self, capsys, tmp_path):
+        data = json.loads(fixture_path("toy_rho1.json").read_text())
+        data["counting"]["eps"].update(p_num=1, p_den=1000)
+        assert load_model(data).counting.eps.p == Fraction(1, 1000)
+        path = tmp_path / "cap_exponent.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = invoke(capsys, "check", "--model", str(path), "--dmax", "20")
+        assert (code, err) == (0, "")
+        assert out
+
     def test_counting_block_optional(self):
         data = json.loads(fixture_path("toy_rho1.json").read_text())
         del data["counting"]

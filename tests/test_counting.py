@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from freecurves.counting import (
+    MAX_EXPONENT_TERM,
     CountingConfig,
     EpsPower,
     EpsTable,
@@ -472,6 +473,16 @@ class TestEpsSchedules:
             EpsPower(0, 1)
         with pytest.raises(ValueError):
             EpsPower(1, 0)
+
+    def test_power_exponent_terms_are_capped(self):
+        # each test raises c and the bound to p's denominator and d to its
+        # numerator, so a term past the cap would make a check unbounded
+        assert MAX_EXPONENT_TERM == 1000
+        assert EpsPower(1, Fraction(1, 1000)).p == Fraction(1, 1000)
+        assert EpsPower(1, 1000).p == 1000
+        for p in (Fraction(1, 1001), 1001, Fraction(1001, 1000)):
+            with pytest.raises(ValueError, match="term above 1000"):
+                EpsPower(1, p)
 
     def test_table_step_lookup(self):
         eps = EpsTable([(1, Fraction(1, 2)), (10, Fraction(1, 4))])

@@ -32,6 +32,7 @@ from helpers import (
     copying_witness,
     labeling_minima,
     labelings,
+    recursive_smoothings,
     sequential_zero_slope_types,
     types_in_class,
     witness_labeling,
@@ -241,6 +242,48 @@ class TestAdmissibleSmoothings:
             for flag, oracle in ((False, full), (True, seq_only)):
                 expected = sorted(oracle, key=lambda t: t.degrees, reverse=True)
                 assert admissible_smoothings(z, flag) == expected, (z, flag)
+
+    def test_sequential_walk_backs_out_of_a_level_with_no_entry(self):
+        # floors (-1, -2, -3, -2, 0): the sequential walk starts 2, 1, and
+        # then no entry fits the third level (at least 0, at most -1), so it
+        # backs up from there as it does after a type
+        z = Z((1, 1), (1, 0), (0, -1), (0, -1), (-1, 0))
+        assert degbd_profile(z) == (-1, -2, -3, -2, 0)
+        out = admissible_smoothings(z, require_sequential=True)
+        assert [str(t) for t in out] == ["1,1,0,-1,-1", "1,0,0,0,-1", "0,0,0,0,0"]
+
+    @given(
+        st.one_of(
+            st.lists(
+                st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                min_size=1,
+                max_size=7,
+            ),
+            st.lists(
+                st.tuples(
+                    st.integers(10**30 - 4, 10**30 + 4),
+                    st.integers(10**30 - 4, 10**30 + 4),
+                ),
+                min_size=1,
+                max_size=4,
+            ),
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_walk_matches_recursion(self, pairs, flag):
+        # the walk applies the recursion's entry bounds per level and builds
+        # each type as it is; a wrong bound changes the list, a wrong build
+        # a type's equality, hash or repr
+        z = NodalType(pairs)
+        got = admissible_smoothings(z, flag)
+        assert got == recursive_smoothings(z, flag)
+        for t in got:
+            assert type(t) is SplittingType
+            built = SplittingType(t.degrees)
+            assert t == built
+            assert hash(t) == hash(built)
+            assert repr(t) == repr(built)
 
     def test_glued_smoothings_never_widen(self):
         # gluing a sequential slope-zero type to itself transversally can
