@@ -14,8 +14,10 @@ coordinates over the slice's bounding box, the last coordinate t over its
 exact range, in lexicographic order) and classifies each class once, in
 ints only: its degree, its xi, its certified bound as an integer pair, the
 index of the first tested d whose slice holds it, and the index of the first
-d from there whose threshold admits its bound.  Along a fibre the degree and
-the facet values are affine in t, so the xi translate is one t-interval, and
+d from there whose threshold admits its bound.  The walk hands each fibre
+the values of the model's functional table at its prefix, and the degree
+and the xi translate are read from them: along a fibre the degree and the
+facet values are affine in t, so the xi translate is one t-interval, and
 ``VarietyModel.chamber_runs``, the model's one chamber rule, splits the
 fibre into runs whose piece slope numerators are b0 + s * t; every class
 takes the least of them.  The runs raise NoChamber or BoundaryMismatch at
@@ -26,12 +28,16 @@ as d grows, and table values do not increase from a first degree <= 1.
 Before the walk, per degree step * k up to top (degrees are multiples of
 step), the call sets up once the index of the first tested d whose slice
 holds that degree and the class weight xi * q^degree over the common
-denominator q_den^top, for xi on the translate and off it.  Each class is
-then tallied straight into its report row: its count and weight are added
-at its entry index and at its first admitting index, so no class is keyed,
-bisected or stored.  A Fraction is built only for the N, N_lib and ratio
-fields of each row.  Rows are running sums, and ``d0`` compares them with
-1 - delta by cross-multiplying the integer sums.
+denominator q_den^top, for xi on the translate and off it, each power from
+the one before by one multiply and one exact division.  Each class is then
+tallied straight into its report row: its count and weight are added at
+its entry index and at its first admitting index, so no class is keyed,
+bisected or stored.  Fractions are built only for the N, N_lib and ratio
+fields of a row, and only where a row's sums differ from the previous
+row's: a row whose weight sum is unchanged shares its N, one whose
+liberated weight sum is unchanged its N_lib, and one with both its ratio.
+Rows are running sums, and ``d0`` compares them with 1 - delta by
+cross-multiplying the integer sums.
 
 Degree exponents use the class degree itself; a dimension-shift convention
 would rescale every sum by the same power of q and leave all ratios
@@ -52,10 +58,11 @@ from .errors import (
     exact_fraction,
     exact_int,
 )
-from .variety import VarietyModel, _clip, _cut, dot
+from .variety import VarietyModel, _clip, dot
 
 __all__ = [
     "MAX_EXPONENT_TERM",
+    "MAX_COEFFICIENT_TERM",
     "EpsPower",
     "EpsTable",
     "CountingConfig",
@@ -73,13 +80,19 @@ __all__ = [
 # numerator, so the cost of a test grows with them: at p = 1/10^5 a check on
 # toy_rho1 up to d = 20 took about a second, against a millisecond at 1/10^3.
 MAX_EXPONENT_TERM = 1000
+# The largest numerator or denominator of an ``EpsPower`` coefficient c,
+# which each comparison raises to p's denominator: on toy_rho1 up to d = 20
+# at p = 1/1000 a check took 0.0017 s for a 1-digit c and 1.39 s for a
+# 1,000-digit one.
+MAX_COEFFICIENT_TERM = 10**6
 
 
 class EpsPower(Value):
     """Threshold schedule c * d^(-p); comparisons are done exactly by
     clearing the fractional exponent, so the irrational value itself is
     never materialized.  A p whose numerator or denominator exceeds
-    ``MAX_EXPONENT_TERM`` is refused with ValueError."""
+    ``MAX_EXPONENT_TERM``, or a c whose numerator or denominator exceeds
+    ``MAX_COEFFICIENT_TERM``, is refused with ValueError."""
 
     c: Fraction
     p: Fraction
@@ -92,6 +105,11 @@ class EpsPower(Value):
         if max(p.numerator, p.denominator) > MAX_EXPONENT_TERM:
             raise ValueError(
                 f"power schedule exponent {p} has a term above {MAX_EXPONENT_TERM}"
+            )
+        if max(c.numerator, c.denominator) > MAX_COEFFICIENT_TERM:
+            # c itself is left out of the message, which it could make long
+            raise ValueError(
+                f"power schedule coefficient has a term above {MAX_COEFFICIENT_TERM}"
             )
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "p", p)
@@ -243,6 +261,23 @@ class CountRow(Value):
     n_liberated: Fraction
     ratio: Fraction | None
 
+    @classmethod
+    def _of(cls, d, points, liberated, n_value, n_liberated, ratio) -> "CountRow":
+        """The row of these fields, set as they are, without the argument
+        count check of ``Value.__init__``.  For ``ratio_check``."""
+        row = object.__new__(cls)
+        vars(row).update(
+            {
+                "d": d,
+                "points": points,
+                "liberated": liberated,
+                "n_value": n_value,
+                "n_liberated": n_liberated,
+                "ratio": ratio,
+            }
+        )
+        return row
+
 
 class CountReport(Value):
     rows: tuple[CountRow, ...]
@@ -281,20 +316,30 @@ def ratio_check(model: VarietyModel, cfg: CountingConfig, d_values) -> CountRepo
     top = ds[-1] * step
     first_lib = cfg.eps.first_admitting(ds)
     n, sden = model.dim_n, model.slope_den
-    bound_den = 2 * sden * step
+    # the certified bound (2 n b - n^2 D) / (2 D step k) of a class whose
+    # least piece slope is b / D
+    two_n, n_n_sden, bound_den = 2 * n, n * n * sden, 2 * sden * step
     # every entry of minus_k is a multiple of step, so a class's degree is
-    # step * k with k = k0 + k_last * t along a fibre
-    k_head = [c // step for c in model.minus_k[:-1]]
-    k_last = model.minus_k[-1] // step
+    # step * k with k = k0 + k_last * t along a fibre, k0 read from the
+    # walk's value of the degree head
+    degree, k_last = model._degree, model.minus_k[-1] // step
     # xi is br on the beta-translate of the nef cone, the outside value
     # elsewhere: alpha - beta is nef when <f, alpha> >= <f, beta> for every f
-    xi_cuts = [_cut(f, dot(f, cfg.beta)) for f in model.nef_facets]
+    xi_cuts = [
+        (i, last, dot(f, cfg.beta))
+        for (i, last, _), f in zip(model._nef_cuts, model.nef_facets)
+    ]
     # per k in 0..ds[-1], set up once: the index of the first d whose slice
     # holds the degree step * k, and the weight of a class of that degree
-    # times q_den^top, on the translate and outside it
+    # times q_den^top, on the translate and outside it.  The power
+    # q_num^deg * q_den^(top - deg) of each degree is the one before it
+    # times q_num^step over q_den^step
     q_num, q_den = cfg.q.numerator, cfg.q.denominator
     enter_at = [bisect_left(ds, k) for k in range(ds[-1] + 1)]
-    power = [q_num**deg * q_den ** (top - deg) for deg in range(0, top + 1, step)]
+    rise, fall = q_num**step, q_den**step
+    power = [q_den**top]
+    for _ in range(ds[-1]):
+        power.append(power[-1] * rise // fall)
     inside_weight = [cfg.br * w for w in power]
     outside_weight = [cfg.outside_xi * w for w in power]
     # per index of ds, each class is added straight in: its count and weight
@@ -304,19 +349,21 @@ def ratio_check(model: VarietyModel, cfg: CountingConfig, d_values) -> CountRepo
     new_weight = [0] * len(ds)
     new_lib = [0] * (len(ds) + 1)
     new_lib_weight = [0] * (len(ds) + 1)
-    for prefix, lo, hi in model.slice_fibres(top):
+    for prefix, values, lo, hi in model._fibres(top):
         # along the fibre the translate is one t-interval, and the model's
         # chamber rule splits the fibre into runs whose piece numerators are
         # b0 + s * t
-        k0 = dot(k_head, prefix)
-        in_lo, in_hi = _clip(xi_cuts, prefix, lo, hi)
-        for start, stop, lines in model.chamber_runs(prefix, lo, hi):
+        k0 = values[degree] // step
+        in_lo, in_hi = _clip(xi_cuts, values, lo, hi)
+        for start, stop, lines in model._runs(prefix, values, lo, hi):
+            (_, b0, s0), *others = lines
             for t in range(start, stop):
                 k = k0 + k_last * t
-                # the certified bound (2 n b - n^2 D) / (2 D step k) of the
-                # least piece slope b / D
-                least = min([b0 + s * t for _, b0, s in lines])
-                num, den = 2 * n * least - n * n * sden, bound_den * k
+                least = b0 + s0 * t
+                for _, b, s in others:
+                    if b + s * t < least:
+                        least = b + s * t
+                num, den = two_n * least - n_n_sden, bound_den * k
                 enter = enter_at[k]
                 lib = first_lib(num, den, enter)
                 weight = (inside_weight if in_lo <= t <= in_hi else outside_weight)[k]
@@ -325,20 +372,23 @@ def ratio_check(model: VarietyModel, cfg: CountingConfig, d_values) -> CountRepo
                 new_lib[lib] += 1
                 new_lib_weight[lib] += weight
 
+    # rows are running sums; a row shares the previous row's N when its
+    # weight sum is unchanged, its N_lib when its liberated weight sum is,
+    # and its ratio when both are
     scale = q_den**top
     buckets = (new_points, new_lib, new_weight, new_lib_weight)
     sums = list(zip(*map(accumulate, buckets)))
-    rows = [
-        CountRow(
-            d,
-            npts,
-            nlib,
-            Fraction(weight, scale),
-            Fraction(lib_weight, scale),
-            Fraction(lib_weight, weight) if weight > 0 else None,
-        )
-        for d, (npts, nlib, weight, lib_weight) in zip(ds, sums)
-    ]
+    rows = []
+    last_weight = last_lib_weight = None
+    for d, (npts, nlib, weight, lib_weight) in zip(ds, sums):
+        if weight != last_weight:
+            n_value = Fraction(weight, scale)
+        if lib_weight != last_lib_weight:
+            n_lib = Fraction(lib_weight, scale)
+        if weight != last_weight or lib_weight != last_lib_weight:
+            ratio = Fraction(lib_weight, weight) if weight > 0 else None
+        last_weight, last_lib_weight = weight, lib_weight
+        rows.append(CountRow._of(d, npts, nlib, n_value, n_lib, ratio))
 
     # ratio > 1 - delta, cross-multiplied over the integer running sums
     dn, dd = cfg.delta.numerator, cfg.delta.denominator

@@ -8,20 +8,27 @@ expected slope panels and certified lower bounds for the minimal slope
 ratio.  Integers are checked once, where they enter; behind that, lattice
 arithmetic is plain int.  When a model is built its chamber slopes are
 scaled once to integer numerators over one model denominator, the lcm of
-every slope denominator.
+every slope denominator, and every linear functional the slice walk reads
+(nef facets, the degree, chamber facets, scaled piece slopes) goes once into
+one table, split into its head on the leading coordinates and its last
+entry.
 
 One chamber rule serves every answer.  ``VarietyModel.slice_fibres`` walks
-the slice of bounded degree fibre by fibre along the last coordinate t, and
-``VarietyModel.chamber_runs`` splits a fibre into runs of t held by the same
-chambers: each chamber's facets clip the fibre to one t-interval, and its
-piece numerators are affine in t.  One walk from the fibre's start finds
-the runs: at each run's start one pass over the chambers' intervals finds
-the holders and the run's end, the nearest interval end or start after it,
-so a run costs O(chambers).  The counting core reads whole fibres;
-``chamber_pieces`` is the one-point case, which ``esp``,
-``liberated_lower_bound`` and ``validate`` call.  Both are int work; ``esp``
-and ``liberated_lower_bound`` divide once at the end and return Fractions.
-Cone rays come from one double-description pass over the facets.
+the slice of bounded degree fibre by fibre along the last coordinate t,
+keeping every head's value at the current prefix: a step of the innermost
+prefix coordinate adds each head's innermost entry, and ``dot`` runs only
+when an outer coordinate moves.  Each cut then costs one floor division.
+``VarietyModel.chamber_runs`` splits a fibre into runs of t held by the
+same chambers: each chamber's facets clip the fibre to one t-interval, and
+its piece numerators are affine in t.  One walk from the fibre's start
+finds the runs: at each run's start one pass over the chambers' intervals
+finds the holders and the run's end, the nearest interval end or start
+after it, so a run costs O(chambers).  The counting core reads whole fibres
+with their values; ``chamber_pieces`` is the one-point case, which
+``esp``, ``liberated_lower_bound`` and ``validate`` call, with values from
+``dot``.  Both are int work; ``esp`` and ``liberated_lower_bound`` divide
+once at the end and return Fractions.  Cone rays come from one
+double-description pass over the facets.
 """
 
 from __future__ import annotations
@@ -72,22 +79,21 @@ def _int_vector(values, rho: int, what: str) -> tuple[int, ...]:
     return vec
 
 
-def _cut(vec, floor: int):
-    """The inequality <vec, x> >= floor split as (head, last, floor) for
-    ``_clip``."""
-    return vec[:-1], vec[-1], floor
-
-
-def _clip(cuts, prefix, lo: int, hi: int) -> tuple[int, int]:
-    """[lo, hi] narrowed to the t with <head, prefix> + last * t >= floor
-    for every cut (head, last, floor), by floor and ceiling division; empty
-    when lo > hi."""
-    for head, last, floor in cuts:
-        rest = floor - dot(head, prefix)
+def _clip(cuts, values, lo: int, hi: int) -> tuple[int, int]:
+    """[lo, hi] narrowed to the t with values[i] + last * t >= floor for
+    every cut (i, last, floor), by one floor or ceiling division per cut;
+    empty when lo > hi.  ``values`` holds each table functional's head at
+    the prefix."""
+    for i, last, floor in cuts:
+        rest = floor - values[i]
         if last > 0:
-            lo = max(lo, -(-rest // last))
+            t = -(-rest // last)
+            if t > lo:
+                lo = t
         elif last < 0:
-            hi = min(hi, rest // last)
+            t = rest // last
+            if t < hi:
+                hi = t
         elif rest > 0:
             return lo, lo - 1
     return lo, hi
@@ -212,23 +218,40 @@ class VarietyModel(Value):
         object.__setattr__(self, "nef_facets", nf)
         object.__setattr__(self, "chambers", chs)
         # Set up once, outside the fields (so outside equality, hash and
-        # repr): the nef facets as ``_cut``s; D = ``slope_den``, the lcm of
-        # every slope denominator; and per chamber its facets as ``_cut``s and
-        # its pieces as (rank, head, last) of the integer slope vector
-        # D * slope, split as the facets are.
+        # repr): D = ``slope_den``, the lcm of every slope denominator, and
+        # one table of every linear functional the walk reads, each vector
+        # kept once: the nef facets, the degree and its negative, each
+        # chamber's facets and each piece's integer slope vector D * slope.
+        # The table keeps each functional's head (its entries on the
+        # prefix); a cut (i, last, 0) and a piece line (rank, i, last) point
+        # into it by index and carry the last entry.
         den = lcm(*(c.denominator for ch in chs for _, sv in ch.filtration for c in sv))
+        table: dict[tuple[int, ...], int] = {}
+
+        def index(vec):
+            return table.setdefault(vec, len(table))
+
         scaled = tuple(
             (
-                tuple(_cut(f, 0) for f in ch.facets),
+                tuple((index(f), f[-1], 0) for f in ch.facets),
                 tuple(
-                    (r, vec[:-1], vec[-1])
+                    (r, index(vec), vec[-1])
                     for r, sv in ch.filtration
                     for vec in [tuple(c.numerator * (den // c.denominator) for c in sv)]
                 ),
             )
             for ch in chs
         )
-        object.__setattr__(self, "_nef_cuts", tuple(_cut(f, 0) for f in nf))
+        nef_cuts = tuple((index(f), f[-1], 0) for f in nf)
+        object.__setattr__(self, "_nef_cuts", nef_cuts)
+        object.__setattr__(self, "_degree", index(mk))
+        object.__setattr__(self, "_neg_degree", index(tuple(-c for c in mk)))
+        heads = tuple(vec[:-1] for vec in table)
+        object.__setattr__(self, "_heads", heads)
+        # each head's innermost entry: what one step of the innermost prefix
+        # coordinate adds to its value
+        steps = tuple(h[-1] for h in heads) if rho > 1 else ()
+        object.__setattr__(self, "_steps", steps)
         object.__setattr__(self, "slope_den", den)
         object.__setattr__(self, "_scaled_chambers", scaled)
 
@@ -245,21 +268,29 @@ class VarietyModel(Value):
         return tuple(cone_rays(self.nef_facets, self.rho))
 
     @cached_property
-    def _slice_rays(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """(ray, degree) per nef ray.  UnboundedSlice when a slice of
-        bounded degree is unbounded: the cone contains a line, or the
-        degree is not positive on a ray."""
+    def _slice_box(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Per coordinate i, (a, b, c, e): a / b the least and c / e the
+        largest of 0 and ray[i] / degree over the nef rays, so that the
+        slice of degree at most bound spans floor(bound a / b) to
+        ceil(bound c / e) in it.  UnboundedSlice when a slice of bounded
+        degree is unbounded: the cone contains a line, or the degree is not
+        positive on a ray."""
         try:
             rays = self._nef_rays
         except ValueError as exc:
             raise UnboundedSlice(str(exc)) from exc
-        pairs = tuple((ray, self.degree(ray)) for ray in rays)
-        for ray, deg in pairs:
+        degrees = [self.degree(ray) for ray in rays]
+        for ray, deg in zip(rays, degrees):
             if deg <= 0:
                 raise UnboundedSlice(
                     f"anticanonical degree not positive on nef ray {ray}"
                 )
-        return pairs
+        ends = []
+        for i in range(self.rho):
+            ratios = [Fraction(0), *map(Fraction, (ray[i] for ray in rays), degrees)]
+            least, largest = min(ratios), max(ratios)
+            ends.append((*least.as_integer_ratio(), *largest.as_integer_ratio()))
+        return tuple(ends)
 
     def slice_fibres(self, bound):
         """(prefix, lo, hi) per nonempty fibre of the slice of nef classes
@@ -272,28 +303,55 @@ class VarietyModel(Value):
         the box's last range clipped by every nef facet and both degree
         cuts.  UnboundedSlice is raised when the slice is unbounded.
         """
+        return ((prefix, lo, hi) for prefix, _, lo, hi in self._fibres(bound))
+
+    def _fibres(self, bound):
+        """``slice_fibres`` with each fibre's table values: (prefix, values,
+        lo, hi), where values[i] is the table functional i's head at the
+        prefix.  The bound is checked on the call; the fibres come lazily.
+
+        The walk keeps the values as the prefix moves.  A step of the
+        innermost prefix coordinate adds each head's innermost entry; the
+        values come from ``dot`` only at the first prefix and when an outer
+        coordinate moves, which never happens at rho <= 2.
+        """
         bound = exact_int(bound, "slice bound")
         if bound < 1:
             raise ValueError("slice bound must be positive")
-        rays = self._slice_rays
-        if not rays:
-            return iter(())
         box = [
-            range(
-                min(0, *(bound * ray[i] // deg for ray, deg in rays)),
-                max(0, *(-(-bound * ray[i] // deg) for ray, deg in rays)) + 1,
-            )
-            for i in range(self.rho)
+            range(bound * a // b, -(-bound * c // e) + 1)
+            for a, b, c, e in self._slice_box
         ]
-        mk = self.minus_k
-        cuts = (*self._nef_cuts, _cut(mk, 1), _cut(tuple(-c for c in mk), -bound))
-        t_lo, t_hi = box[-1][0], box[-1][-1]
-        return (
-            (prefix, lo, hi)
-            for prefix in product(*box[:-1])
-            for lo, hi in [_clip(cuts, prefix, t_lo, t_hi)]
-            if lo <= hi
+        last = self.minus_k[-1]
+        # the degree cuts 1 <= degree and -degree >= -bound
+        cuts = (
+            *self._nef_cuts,
+            (self._degree, last, 1),
+            (self._neg_degree, -last, -bound),
         )
+        return self._walk(box[:-1], box[-1][0], box[-1][-1], cuts)
+
+    def _walk(self, prefix_box, t_lo: int, t_hi: int, cuts):
+        """The fibres of ``_fibres``: the prefix over ``prefix_box`` in
+        lexicographic order, t over [t_lo, t_hi] clipped by ``cuts``."""
+        heads = self._heads
+        if not prefix_box:
+            values = [0] * len(heads)
+            lo, hi = _clip(cuts, values, t_lo, t_hi)
+            if lo <= hi:
+                yield (), values, lo, hi
+            return
+        *outer_box, inner = prefix_box
+        steps = self._steps
+        for outer in product(*outer_box):
+            # the values one step before the inner range; every step adds
+            # each head's innermost entry
+            values = [dot(h, (*outer, inner[0] - 1)) for h in heads]
+            for x in inner:
+                values = list(map(add, values, steps))
+                lo, hi = _clip(cuts, values, t_lo, t_hi)
+                if lo <= hi:
+                    yield (*outer, x), values, lo, hi
 
     def chamber_runs(self, prefix, lo: int, hi: int):
         """(start, stop, lines) per run start <= t < stop of the classes
@@ -307,21 +365,28 @@ class VarietyModel(Value):
         holders' pieces, equal neighbours merged, differ.  An empty range
         yields no run.
 
-        It runs once per fibre of the counting loop, so it trusts its
-        arguments as ``slice_fibres`` gives them: ``prefix`` a tuple of
-        rho - 1 ints.  Piece numerators are computed only for the chambers
-        that hold some of the fibre.  The runs come from one walk up the
-        fibre: from each run's start, one pass over the chambers' intervals
-        collects the holders and stops the run at the least of hi + 1, a
-        holder's end + 1 and a later chamber's start.  That is O(chambers)
-        per run, and each run is maximal: the next one starts where a
-        chamber enters or leaves.
+        It trusts its arguments as ``slice_fibres`` gives them: ``prefix`` a
+        tuple of rho - 1 ints.  It computes the table values at the prefix
+        with ``dot``; the counting walk hands its own values to ``_runs``.
+        """
+        return self._runs(prefix, [dot(h, prefix) for h in self._heads], lo, hi)
+
+    def _runs(self, prefix, values, lo: int, hi: int):
+        """``chamber_runs`` from the table values at the prefix.
+
+        Piece numerators are read only for the chambers that hold some of
+        the fibre.  The runs come from one walk up the fibre: from each
+        run's start, one pass over the chambers' intervals collects the
+        holders and stops the run at the least of hi + 1, a holder's end + 1
+        and a later chamber's start.  That is O(chambers) per run, and each
+        run is maximal: the next one starts where a chamber enters or
+        leaves.
         """
         spans = []
         for cuts, pieces in self._scaled_chambers:
-            c_lo, c_hi = _clip(cuts, prefix, lo, hi)
+            c_lo, c_hi = _clip(cuts, values, lo, hi)
             if c_lo <= c_hi:
-                spans.append((c_lo, c_hi, [(r, dot(h, prefix), s) for r, h, s in pieces]))
+                spans.append((c_lo, c_hi, [(r, values[i], s) for r, i, s in pieces]))
         start = lo
         while start <= hi:
             stop, held = hi + 1, []

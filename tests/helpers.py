@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from freecurves.errors import BoundaryMismatch, NoChamber
+from freecurves.errors import BoundaryMismatch, NoChamber, UnboundedSlice
 from freecurves.modelio import fixture_path, load_model_file
 from freecurves.nodal import (
     _J,
@@ -20,7 +20,7 @@ from freecurves.nodal import (
     degbd_profile,
 )
 from freecurves.splitting import SplittingType, is_sequential
-from freecurves.variety import Chamber, VarietyModel
+from freecurves.variety import Chamber, VarietyModel, _merged, cone_rays, dot
 
 
 def toy_rho2():
@@ -241,6 +241,101 @@ def orthant_slice(model, bound):
         if _satisfies(model.nef_facets, alpha)
         and 0 < _pairing(model.minus_k, alpha) <= bound
     ]
+
+
+def _cut(vec, floor):
+    """The inequality <vec, x> >= floor split as (head, last, floor) for
+    ``_dot_clip``."""
+    return vec[:-1], vec[-1], floor
+
+
+def _dot_clip(cuts, prefix, lo, hi):
+    """[lo, hi] narrowed to the t with <head, prefix> + last * t >= floor
+    for every cut (head, last, floor), by floor and ceiling division; empty
+    when lo > hi."""
+    for head, last, floor in cuts:
+        rest = floor - dot(head, prefix)
+        if last > 0:
+            lo = max(lo, -(-rest // last))
+        elif last < 0:
+            hi = min(hi, rest // last)
+        elif rest > 0:
+            return lo, lo - 1
+    return lo, hi
+
+
+def dot_slice_fibres(model, bound):
+    """``VarietyModel.slice_fibres`` with every cut recomputed from the
+    prefix by ``dot`` at each fibre and the box read from the rays at each
+    call: the oracle for the model's stepping walk."""
+    if bound < 1:
+        raise ValueError("slice bound must be positive")
+    try:
+        rays = cone_rays(model.nef_facets, model.rho)
+    except ValueError as exc:
+        raise UnboundedSlice(str(exc)) from exc
+    rays = [(ray, model.degree(ray)) for ray in rays]
+    for ray, deg in rays:
+        if deg <= 0:
+            raise UnboundedSlice(f"anticanonical degree not positive on nef ray {ray}")
+    if not rays:
+        return iter(())
+    box = [
+        range(
+            min(0, *(bound * ray[i] // deg for ray, deg in rays)),
+            max(0, *(-(-bound * ray[i] // deg) for ray, deg in rays)) + 1,
+        )
+        for i in range(model.rho)
+    ]
+    mk = model.minus_k
+    cuts = (
+        *(_cut(f, 0) for f in model.nef_facets),
+        _cut(mk, 1),
+        _cut(tuple(-c for c in mk), -bound),
+    )
+    t_lo, t_hi = box[-1][0], box[-1][-1]
+    return (
+        (prefix, lo, hi)
+        for prefix in product(*box[:-1])
+        for lo, hi in [_dot_clip(cuts, prefix, t_lo, t_hi)]
+        if lo <= hi
+    )
+
+
+def dot_chamber_runs(model, prefix, lo, hi):
+    """``VarietyModel.chamber_runs`` with every chamber facet and piece
+    numerator recomputed from the prefix by ``dot``: the oracle for the
+    runs the stepping walk hands its table values to."""
+    den = model.slope_den
+    spans = []
+    for ch in model.chambers:
+        cuts = [_cut(f, 0) for f in ch.facets]
+        c_lo, c_hi = _dot_clip(cuts, prefix, lo, hi)
+        if c_lo <= c_hi:
+            lines = []
+            for r, svec in ch.filtration:
+                vec = [c.numerator * (den // c.denominator) for c in svec]
+                lines.append((r, dot(vec[:-1], prefix), vec[-1]))
+            spans.append((c_lo, c_hi, lines))
+    start = lo
+    while start <= hi:
+        stop, held = hi + 1, []
+        for c_lo, c_hi, lines in spans:
+            if c_lo > start:
+                stop = min(stop, c_lo)
+            elif c_hi >= start:
+                stop = min(stop, c_hi + 1)
+                held.append(lines)
+        if not held:
+            raise NoChamber(f"{prefix + (start,)} lies in no chamber")
+        first, *others = held
+        if others:
+            for t in range(start, stop):
+                pieces = _merged(first, t)
+                if any(_merged(lines, t) != pieces for lines in others):
+                    raise BoundaryMismatch(f"chambers disagree at {prefix + (t,)}")
+        yield start, stop, first
+        start = stop
 
 
 def pieces_oracle(model, alpha):

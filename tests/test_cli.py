@@ -559,6 +559,33 @@ class TestModelFiles:
         assert (code, err) == (0, "")
         assert out
 
+    @pytest.mark.parametrize("c_num, c_den", [(10**6 + 1, 1), (1, 10**6 + 1)])
+    def test_eps_coefficient_past_the_cap_refused(self, capsys, tmp_path, c_num, c_den):
+        # every threshold test raises c to p's denominator, so a file may
+        # not make check run without bound through c either
+        data = json.loads(fixture_path("toy_rho1.json").read_text())
+        data["counting"]["eps"].update(c_num=c_num, c_den=c_den)
+        with pytest.raises(ModelFormatError, match="counting: .*term above 1000000"):
+            load_model(data)
+        path = tmp_path / "long_coefficient.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = invoke(capsys, "check", "--model", str(path), "--dmax", "20")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ModelFormatError: ")
+        assert "counting: power schedule coefficient" in err
+
+    @pytest.mark.parametrize("c_num, c_den", [(10**6, 1), (1, 10**6)])
+    def test_eps_coefficient_at_the_cap_accepted(self, capsys, tmp_path, c_num, c_den):
+        data = json.loads(fixture_path("toy_rho1.json").read_text())
+        data["counting"]["eps"].update(c_num=c_num, c_den=c_den, p_den=1000)
+        assert load_model(data).counting.eps.c == Fraction(c_num, c_den)
+        path = tmp_path / "cap_coefficient.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = invoke(capsys, "check", "--model", str(path), "--dmax", "20")
+        assert (code, err) == (0, "")
+        assert out
+
     def test_counting_block_optional(self):
         data = json.loads(fixture_path("toy_rho1.json").read_text())
         del data["counting"]

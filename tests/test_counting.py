@@ -1,6 +1,7 @@
 """Counting functions, threshold schedules, and the ratio report."""
 
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, islice, product
 from math import gcd
 from operator import mul
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from freecurves.counting import (
+    MAX_COEFFICIENT_TERM,
     MAX_EXPONENT_TERM,
     CountingConfig,
+    CountRow,
     EpsPower,
     EpsTable,
     count_N,
@@ -39,6 +42,8 @@ from helpers import (
     box_slice,
     cofactor_det,
     direct_counts,
+    dot_chamber_runs,
+    dot_slice_fibres,
     orthant_slice,
     pieces_oracle,
     slice_classes,
@@ -83,6 +88,17 @@ def wall_model(minus_k, normal, ranks, t):
         minus_k=minus_k,
         nef_facets=tuple(tuple(int(i == j) for j in range(rho)) for i in range(rho)),
         chambers=chambers,
+    )
+
+
+@st.composite
+def wall_models(draw, rho):
+    """``wall_model``s of lattice rank ``rho`` with a random wall normal."""
+    return wall_model(
+        minus_k=tuple(draw(st.integers(1, 3)) for _ in range(rho)),
+        normal=tuple(draw(st.integers(-3, 3)) for _ in range(rho)) if rho > 1 else (1,),
+        ranks=(draw(st.integers(1, 3)), draw(st.integers(1, 3))),
+        t=draw(st.fractions(min_value=0, max_value=3, max_denominator=4)),
     )
 
 
@@ -484,6 +500,17 @@ class TestEpsSchedules:
             with pytest.raises(ValueError, match="term above 1000"):
                 EpsPower(1, p)
 
+    def test_power_coefficient_terms_are_capped(self):
+        # each test raises c to p's denominator, so c's size sets its cost
+        assert MAX_COEFFICIENT_TERM == 10**6
+        for c in (10**6, Fraction(1, 10**6), Fraction(10**6 - 1, 10**6)):
+            assert EpsPower(c, Fraction(1, 1000)).c == c
+        for c in (10**6 + 1, Fraction(1, 10**6 + 1), Fraction(10**6 + 1, 10**6)):
+            with pytest.raises(ValueError, match="coefficient has a term above 1000000"):
+                EpsPower(c, Fraction(1, 2))
+        with pytest.raises(ValueError, match="coefficient has a term above"):
+            EpsPower(10**5000, 1)
+
     def test_table_step_lookup(self):
         eps = EpsTable([(1, Fraction(1, 2)), (10, Fraction(1, 4))])
         assert eps.value_at(1) == Fraction(1, 2)
@@ -804,6 +831,21 @@ def oracle_first_error(model, classes):
     return None
 
 
+def walked(fibres, runs):
+    """(prefix, lo, hi, runs) per fibre of ``fibres``, with the runs that
+    ``runs(*fibre)`` yields, up to the first chamber error; and that error's
+    type and message, or None."""
+    out = []
+    try:
+        for fibre in fibres:
+            out.append((fibre[0], *fibre[-2:], []))
+            for run in runs(*fibre):
+                out[-1][-1].append(run)
+    except CHAMBER_ERRORS as exc:
+        return out, (type(exc), str(exc))
+    return out, None
+
+
 class TestFibreClassification:
     """``VarietyModel.chamber_runs`` is the one chamber rule: ``ratio_check``
     classifies every class from its run's affine piece numerators, and
@@ -854,6 +896,35 @@ class TestFibreClassification:
             with pytest.raises(type(error)) as exc:
                 ratio_check(model, cfg, [d])
             assert str(exc.value) == str(error)
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_stepping_walk_matches_dot_walk_property(self, data):
+        # the walk steps its table values along the innermost prefix
+        # coordinate and recomputes them when an outer one moves; the oracle
+        # recomputes every cut and piece numerator from the prefix by dot.
+        # Fibres, runs and the first chamber error must agree
+        rho = data.draw(st.integers(1, 3))
+        model = data.draw(st.one_of(wall_models(rho), chambered_orthants(rho)))
+        bound = data.draw(st.integers(1, 12 if rho < 3 else 6)) * r_min(model)
+        fibres = list(dot_slice_fibres(model, bound))
+        assert list(model.slice_fibres(bound)) == fibres
+        want = walked(fibres, partial(dot_chamber_runs, model))
+        assert walked(model._fibres(bound), model._runs) == want
+        assert walked(fibres, model.chamber_runs) == want
+        # ratio_check builds its rows with CountRow._of
+        fields = (
+            data.draw(st.integers(1, 20)),
+            data.draw(st.integers(0, 99)),
+            data.draw(st.integers(0, 99)),
+            data.draw(st.fractions()),
+            data.draw(st.fractions()),
+            data.draw(st.none() | st.fractions()),
+        )
+        row, built = CountRow._of(*fields), CountRow(*fields)
+        assert row == built
+        assert hash(row) == hash(built)
+        assert repr(row) == repr(built)
 
     @pytest.mark.parametrize("rho", [2, 3])
     @given(st.data())
