@@ -9,7 +9,7 @@ which the liberated count stays above the 1 - delta fraction.
 
 ``ratio_check`` is the one summation core: ``count_N`` and
 ``count_N_liberated`` are its N and N_lib columns at a single d.  It walks
-the fibres of the largest slice (``VarietyModel.slice_fibres``: the leading
+the fibres of the largest slice (``VarietyModel._fibres``: the leading
 coordinates over the slice's bounding box, the last coordinate t over its
 exact range, in lexicographic order) and classifies each class once, in
 ints only: its degree, its xi, its certified bound as an integer pair, the
@@ -18,9 +18,9 @@ d from there whose threshold admits its bound.  The walk hands each fibre
 the values of the model's functional table at its prefix, and the degree
 and the xi translate are read from them: along a fibre the degree and the
 facet values are affine in t, so the xi translate is one t-interval, and
-``VarietyModel.chamber_runs``, the model's one chamber rule, splits the
-fibre into runs whose piece slope numerators are b0 + s * t; every class
-takes the least of them.  The runs raise NoChamber or BoundaryMismatch at
+``VarietyModel._runs``, the model's one chamber rule, splits the fibre
+into runs whose piece slope numerators are b0 + s * t; every class takes
+the least of them.  The runs raise NoChamber or BoundaryMismatch at
 the first class, in lexicographic order, that no chamber holds or on which
 holders disagree.  Each schedule builds the admission lookup once per call
 (``first_admitting``); it needs admission monotone in d: c * d^(-p) falls
@@ -116,6 +116,7 @@ class EpsPower(Value):
 
     def admits(self, bound: Fraction, d: int) -> bool:
         """Exact test of bound > c * d^(-p)."""
+        bound, d = exact_fraction(bound, "bound"), exact_int(d, "d")
         if bound <= 0:
             return False
         pd = self.p.denominator
@@ -166,6 +167,7 @@ class EpsTable(Value):
         object.__setattr__(self, "entries", es)
 
     def value_at(self, d: int) -> Fraction:
+        d = exact_int(d, "d")
         if d < self.entries[0][0]:
             raise DomainError(f"threshold table starts at {self.entries[0][0]}, got {d}")
         val = self.entries[0][1]
@@ -176,7 +178,7 @@ class EpsTable(Value):
         return val
 
     def admits(self, bound: Fraction, d: int) -> bool:
-        return bound > self.value_at(d)
+        return exact_fraction(bound, "bound") > self.value_at(d)
 
     def first_admitting(self, ds):
         """Lookup for the sorted positive degrees ``ds``, as for

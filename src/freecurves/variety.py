@@ -13,21 +13,20 @@ every slope denominator, and every linear functional the slice walk reads
 one table, split into its head on the leading coordinates and its last
 entry.
 
-One chamber rule serves every answer.  ``VarietyModel.slice_fibres`` walks
-the slice of bounded degree fibre by fibre along the last coordinate t,
-keeping every head's value at the current prefix: a step of the innermost
-prefix coordinate adds each head's innermost entry, and ``dot`` runs only
-when an outer coordinate moves.  Each cut then costs one floor division.
-``VarietyModel.chamber_runs`` splits a fibre into runs of t held by the
-same chambers: each chamber's facets clip the fibre to one t-interval, and
-its piece numerators are affine in t.  One walk from the fibre's start
-finds the runs: at each run's start one pass over the chambers' intervals
-finds the holders and the run's end, the nearest interval end or start
-after it, so a run costs O(chambers).  The counting core reads whole fibres
-with their values; ``chamber_pieces`` is the one-point case, which
-``esp``, ``liberated_lower_bound`` and ``validate`` call, with values from
-``dot``.  Both are int work; ``esp`` and ``liberated_lower_bound`` divide
-once at the end and return Fractions.  Cone rays come from one
+One chamber rule serves every answer.  ``VarietyModel._fibres`` walks the
+slice of bounded degree fibre by fibre along the last coordinate t, keeping
+every head's value at the current prefix: a step of the innermost prefix
+coordinate adds each head's innermost entry, and ``dot`` runs only when an
+outer coordinate moves, so each cut costs one floor division.
+``VarietyModel._runs`` splits a fibre into runs of t held by the same
+chambers: each chamber's facets clip the fibre to one t-interval, its piece
+numerators are affine in t, and one pass over the intervals at each run's
+start finds the holders and the run's end.  A single class is read once:
+``_read`` checks it and computes its table values with ``dot``, and
+``chamber_pieces``, ``esp`` and ``liberated_lower_bound`` take from them its
+nef membership (the nef cuts on the fibre t..t), its degree and its
+one-point run.  All of it is int work; ``esp`` and ``liberated_lower_bound``
+divide once at the end and return Fractions.  Cone rays come from one
 double-description pass over the facets.
 """
 
@@ -59,7 +58,6 @@ __all__ = [
     "esp",
     "liberated_lower_bound",
     "validate",
-    "in_nef",
     "cone_rays",
     "pbundle",
     "toy_rho1",
@@ -256,7 +254,7 @@ class VarietyModel(Value):
         object.__setattr__(self, "_scaled_chambers", scaled)
 
     def degree(self, alpha) -> int:
-        return dot(self.minus_k, alpha)
+        return dot(self.minus_k, _int_vector(alpha, self.rho, "class"))
 
     # The nef rays are found on first use and kept, so loading a model or
     # asking ``esp`` pays nothing for them.  A cached_property keeps no
@@ -292,28 +290,17 @@ class VarietyModel(Value):
             ends.append((*least.as_integer_ratio(), *largest.as_integer_ratio()))
         return tuple(ends)
 
-    def slice_fibres(self, bound):
-        """(prefix, lo, hi) per nonempty fibre of the slice of nef classes
-        with 0 < degree <= bound, in lexicographic order: the classes are
-        prefix + (t,) for lo <= t <= hi.
+    def _fibres(self, bound):
+        """(prefix, values, lo, hi) per nonempty fibre of the slice of nef
+        classes with 0 < degree <= bound, in lexicographic order: the
+        classes are prefix + (t,) for lo <= t <= hi, and values[i] is table
+        functional i's head at the prefix.  The bound is checked on the call.
 
         The prefix runs over the slice's bounding box, which comes from the
         rays: the slice is the convex hull of the origin and the scaled rays
         (bound / ray degree) * ray.  The last coordinate's range is exact:
         the box's last range clipped by every nef facet and both degree
         cuts.  UnboundedSlice is raised when the slice is unbounded.
-        """
-        return ((prefix, lo, hi) for prefix, _, lo, hi in self._fibres(bound))
-
-    def _fibres(self, bound):
-        """``slice_fibres`` with each fibre's table values: (prefix, values,
-        lo, hi), where values[i] is the table functional i's head at the
-        prefix.  The bound is checked on the call; the fibres come lazily.
-
-        The walk keeps the values as the prefix moves.  A step of the
-        innermost prefix coordinate adds each head's innermost entry; the
-        values come from ``dot`` only at the first prefix and when an outer
-        coordinate moves, which never happens at rho <= 2.
         """
         bound = exact_int(bound, "slice bound")
         if bound < 1:
@@ -333,54 +320,36 @@ class VarietyModel(Value):
 
     def _walk(self, prefix_box, t_lo: int, t_hi: int, cuts):
         """The fibres of ``_fibres``: the prefix over ``prefix_box`` in
-        lexicographic order, t over [t_lo, t_hi] clipped by ``cuts``."""
-        heads = self._heads
-        if not prefix_box:
-            values = [0] * len(heads)
+        lexicographic order, t over [t_lo, t_hi] clipped by ``cuts``.
+        ``product`` moves the innermost coordinate up by one except where it
+        wraps back to its first value; there (and at rho 1) the values come
+        from ``dot``, elsewhere each head adds its innermost entry."""
+        heads, steps = self._heads, self._steps
+        first = prefix_box[-1][0] if prefix_box else None
+        for prefix in product(*prefix_box):
+            if prefix and prefix[-1] != first:
+                values = list(map(add, values, steps))
+            else:
+                values = [dot(h, prefix) for h in heads]
             lo, hi = _clip(cuts, values, t_lo, t_hi)
             if lo <= hi:
-                yield (), values, lo, hi
-            return
-        *outer_box, inner = prefix_box
-        steps = self._steps
-        for outer in product(*outer_box):
-            # the values one step before the inner range; every step adds
-            # each head's innermost entry
-            values = [dot(h, (*outer, inner[0] - 1)) for h in heads]
-            for x in inner:
-                values = list(map(add, values, steps))
-                lo, hi = _clip(cuts, values, t_lo, t_hi)
-                if lo <= hi:
-                    yield (*outer, x), values, lo, hi
-
-    def chamber_runs(self, prefix, lo: int, hi: int):
-        """(start, stop, lines) per run start <= t < stop of the classes
-        prefix + (t,), lo <= t <= hi, held by the same chambers, in order.
-
-        Along the fibre the facet values are affine in t, so each chamber
-        holds one t-interval, and ``lines`` are the first holder's pieces as
-        (rank, b0, s): slope numerator b0 + s * t over ``slope_den``.  This
-        is the one chamber rule: NoChamber is raised at the first class that
-        no chamber holds, and BoundaryMismatch at the first class where two
-        holders' pieces, equal neighbours merged, differ.  An empty range
-        yields no run.
-
-        It trusts its arguments as ``slice_fibres`` gives them: ``prefix`` a
-        tuple of rho - 1 ints.  It computes the table values at the prefix
-        with ``dot``; the counting walk hands its own values to ``_runs``.
-        """
-        return self._runs(prefix, [dot(h, prefix) for h in self._heads], lo, hi)
+                yield prefix, values, lo, hi
 
     def _runs(self, prefix, values, lo: int, hi: int):
-        """``chamber_runs`` from the table values at the prefix.
+        """(start, stop, lines) per run start <= t < stop of the classes
+        prefix + (t,), lo <= t <= hi, held by the same chambers, in order,
+        from the table values at the prefix as ``_fibres`` or ``_read``
+        gives them.
 
-        Piece numerators are read only for the chambers that hold some of
-        the fibre.  The runs come from one walk up the fibre: from each
-        run's start, one pass over the chambers' intervals collects the
-        holders and stops the run at the least of hi + 1, a holder's end + 1
-        and a later chamber's start.  That is O(chambers) per run, and each
-        run is maximal: the next one starts where a chamber enters or
-        leaves.
+        Each chamber's facets clip the fibre to one t-interval, and
+        ``lines`` are the first holder's pieces as (rank, b0, s): slope
+        numerator b0 + s * t over ``slope_den``.  From each run's start one
+        pass over the intervals collects the holders and stops the run at
+        the least of hi + 1, a holder's end + 1 and a later chamber's start,
+        so a run costs O(chambers) and is maximal.  This is the one chamber
+        rule: NoChamber is raised at the first class that no chamber holds,
+        and BoundaryMismatch at the first class where two holders' pieces,
+        equal neighbours merged, differ.  An empty range yields no run.
         """
         spans = []
         for cuts, pieces in self._scaled_chambers:
@@ -407,32 +376,39 @@ class VarietyModel(Value):
             yield start, stop, first
             start = stop
 
+    def _read(self, alpha) -> tuple[tuple[int, ...], list[int]]:
+        """The one read of a single class: alpha checked as rho ints, and
+        each table functional's head at its prefix, by ``dot``."""
+        alpha = _int_vector(alpha, self.rho, "class")
+        return alpha, [dot(h, alpha[:-1]) for h in self._heads]
+
+    def _pieces(self, alpha, values) -> list[tuple[int, int]]:
+        """``chamber_pieces`` from the read of alpha."""
+        t = alpha[-1]
+        ((_, _, lines),) = self._runs(alpha[:-1], values, t, t)
+        return _merged(lines, t)
+
     def chamber_pieces(self, alpha) -> list[tuple[int, int]]:
         """(rank, slope numerator over ``slope_den``) pieces of the class
         alpha, rho ints, in filtration order, neighbours of equal slope
-        merged: the run-length form of the per-summand slopes.  The
-        one-point case of ``chamber_runs``, with its NoChamber and
-        BoundaryMismatch."""
-        alpha = _int_vector(alpha, self.rho, "class")
-        t = alpha[-1]
-        ((_, _, lines),) = self.chamber_runs(alpha[:-1], t, t)
-        return _merged(lines, t)
+        merged: the run-length form of the per-summand slopes, the one-point
+        case of ``_runs`` with its NoChamber and BoundaryMismatch."""
+        return self._pieces(*self._read(alpha))
 
 
-def in_nef(model: VarietyModel, alpha) -> bool:
-    """Whether alpha meets every nef facet inequality <f, alpha> >= 0."""
-    return all(dot(f, alpha) >= 0 for f in model.nef_facets)
-
-
-def _nef_class(model: VarietyModel, alpha) -> tuple[tuple[int, ...], int]:
-    """A nef class of positive degree, checked, and its degree."""
-    alpha = _int_vector(alpha, model.rho, "class")
-    if not in_nef(model, alpha):
+def _nef_pieces(model: VarietyModel, alpha) -> tuple[int, list[tuple[int, int]]]:
+    """The degree and ``chamber_pieces`` of a nef class of positive degree,
+    all from one read: the nef facets clip the one-point fibre t..t, and
+    the degree is its head's value plus its last entry times t."""
+    alpha, values = model._read(alpha)
+    t = alpha[-1]
+    lo, hi = _clip(model._nef_cuts, values, t, t)
+    if lo > hi:
         raise NotInNefCone(f"{alpha} violates a nef facet")
-    deg = model.degree(alpha)
+    deg = values[model._degree] + model.minus_k[-1] * t
     if deg <= 0:
         raise ZeroDegree(f"anticanonical degree {deg} of {alpha} is not positive")
-    return alpha, deg
+    return deg, model._pieces(alpha, values)
 
 
 # The longest panel ``esp`` lists, one entry per summand; a chamber piece of
@@ -449,8 +425,7 @@ def esp(model: VarietyModel, alpha) -> tuple[Fraction, ...]:
     containing chambers must give the same slopes.  A panel of more than
     ``MAX_PANEL_LENGTH`` entries raises RankTooLarge.
     """
-    alpha, deg = _nef_class(model, alpha)
-    pieces = model.chamber_pieces(alpha)
+    deg, pieces = _nef_pieces(model, alpha)
     length = sum(r for r, _ in pieces)
     if length > MAX_PANEL_LENGTH:
         raise RankTooLarge(f"panel of {length} entries exceeds {MAX_PANEL_LENGTH}")
@@ -468,9 +443,9 @@ def liberated_lower_bound(model: VarietyModel, alpha) -> Fraction:
     piece slope b / D and D = ``slope_den``, (2 n b - n^2 D) / (2 D deg).
     Non-positive values certify nothing.
     """
-    alpha, deg = _nef_class(model, alpha)
+    deg, pieces = _nef_pieces(model, alpha)
     n, den = model.dim_n, model.slope_den
-    b = min(s for _, s in model.chamber_pieces(alpha))
+    b = min(s for _, s in pieces)
     return Fraction(2 * n * b - n * n * den, 2 * den * deg)
 
 
@@ -508,7 +483,7 @@ def validate(model: VarietyModel) -> ValidationReport:
         bad.append(f"nef cone: {exc}")
 
     for g in rays or ():
-        if dot(model.minus_k, g) <= 0:
+        if model.degree(g) <= 0:
             bad.append(f"anticanonical degree not positive on nef ray {g}")
 
     sample = set(rays or ())

@@ -206,16 +206,16 @@ def _satisfies(facets, alpha):
 
 
 def slice_classes(model, bound):
-    """The classes of ``VarietyModel.slice_fibres(bound)``, in its order."""
-    fibres = model.slice_fibres(bound)
-    return [prefix + (t,) for prefix, lo, hi in fibres for t in range(lo, hi + 1)]
+    """The classes of ``VarietyModel._fibres(bound)``, in its order."""
+    fibres = model._fibres(bound)
+    return [prefix + (t,) for prefix, _, lo, hi in fibres for t in range(lo, hi + 1)]
 
 
 def box_slice(model, bound, radius):
     """Nef classes with 0 < degree <= bound, lexicographically sorted, by a
     scan of the box [-radius, radius]^rho that keeps each point passing
     every facet and both degree cuts: the brute-force oracle for
-    ``VarietyModel.slice_fibres``.  The box must hold the slice."""
+    ``VarietyModel._fibres``.  The box must hold the slice."""
     return [
         alpha
         for alpha in product(range(-radius, radius + 1), repeat=model.rho)
@@ -264,10 +264,10 @@ def _dot_clip(cuts, prefix, lo, hi):
     return lo, hi
 
 
-def dot_slice_fibres(model, bound):
-    """``VarietyModel.slice_fibres`` with every cut recomputed from the
-    prefix by ``dot`` at each fibre and the box read from the rays at each
-    call: the oracle for the model's stepping walk."""
+def dot_fibres(model, bound):
+    """(prefix, lo, hi) per fibre of ``VarietyModel._fibres``, with every
+    cut recomputed from the prefix by ``dot`` at each fibre and the box read
+    from the rays at each call: the oracle for the model's stepping walk."""
     if bound < 1:
         raise ValueError("slice bound must be positive")
     try:
@@ -302,10 +302,10 @@ def dot_slice_fibres(model, bound):
     )
 
 
-def dot_chamber_runs(model, prefix, lo, hi):
-    """``VarietyModel.chamber_runs`` with every chamber facet and piece
-    numerator recomputed from the prefix by ``dot``: the oracle for the
-    runs the stepping walk hands its table values to."""
+def dot_runs(model, prefix, lo, hi):
+    """``VarietyModel._runs`` with every chamber facet and piece numerator
+    recomputed from the prefix by ``dot`` instead of read from the table
+    values: the oracle for the runs the stepping walk hands its values to."""
     den = model.slope_den
     spans = []
     for ch in model.chambers:
@@ -341,9 +341,9 @@ def dot_chamber_runs(model, prefix, lo, hi):
 def pieces_oracle(model, alpha):
     """(rank, slope) pieces of alpha, neighbours of equal slope merged, read
     as Fractions from ``Chamber.filtration`` of every chamber whose facets
-    alpha meets, one class at a time: the oracle for
-    ``VarietyModel.chamber_runs``.  Raises NoChamber when no chamber holds
-    alpha and BoundaryMismatch when two holders disagree."""
+    alpha meets, one class at a time: the oracle for ``VarietyModel._runs``.
+    Raises NoChamber when no chamber holds alpha and BoundaryMismatch when
+    two holders disagree."""
     found = None
     for chamber in model.chambers:
         if _satisfies(chamber.facets, alpha):

@@ -25,25 +25,30 @@ from freecurves.errors import (
     BoundaryMismatch,
     DomainError,
     NoChamber,
+    NotInNefCone,
     UnboundedSlice,
+    ZeroDegree,
     ZeroFunctional,
 )
 from freecurves.variety import (
     Chamber,
     VarietyModel,
     cone_rays,
+    esp,
+    liberated_lower_bound,
     pbundle,
     toy_rho1,
     validate,
 )
 
 from helpers import (
+    _pairing,
     _satisfies,
     box_slice,
     cofactor_det,
     direct_counts,
-    dot_chamber_runs,
-    dot_slice_fibres,
+    dot_fibres,
+    dot_runs,
     orthant_slice,
     pieces_oracle,
     slice_classes,
@@ -256,7 +261,7 @@ class TestLatticeSlice:
         # checked at the call, before any fibre is asked for
         for bound in (0, -3):
             with pytest.raises(ValueError, match="slice bound must be positive"):
-                toy_rho2().slice_fibres(bound)
+                toy_rho2()._fibres(bound)
 
     def test_unbounded_when_degree_vanishes_on_ray(self):
         model = VarietyModel(
@@ -847,7 +852,7 @@ def walked(fibres, runs):
 
 
 class TestFibreClassification:
-    """``VarietyModel.chamber_runs`` is the one chamber rule: ``ratio_check``
+    """``VarietyModel._runs`` is the one chamber rule: ``ratio_check``
     classifies every class from its run's affine piece numerators, and
     ``chamber_pieces`` is the rule's one-point case.  Both must match the
     per-class oracle and raise the same first error."""
@@ -870,10 +875,10 @@ class TestFibreClassification:
                 assert model.chamber_pieces(list(alpha)) == expected
         # the runs of each fibre follow one another from lo up to the first
         # error or to hi, and each run's least piece is the oracle's
-        for prefix, lo, hi in model.slice_fibres(bound):
+        for prefix, values, lo, hi in model._fibres(bound):
             ends = [lo]
             try:
-                for start, stop, lines in model.chamber_runs(prefix, lo, hi):
+                for start, stop, lines in model._runs(prefix, values, lo, hi):
                     assert start == ends[-1] < stop
                     ends.append(stop)
                     for t in range(start, stop):
@@ -885,7 +890,7 @@ class TestFibreClassification:
                 assert ends[-1] <= hi
             else:
                 assert ends[-1] == hi + 1
-            assert list(model.chamber_runs(prefix, hi + 1, hi)) == []
+            assert list(model._runs(prefix, values, hi + 1, hi)) == []
         cfg = config(m_cap=3, beta=(1, 0), br=2, outside_xi=1)
         error = oracle_first_error(model, classes)
         if error is None:
@@ -907,11 +912,14 @@ class TestFibreClassification:
         rho = data.draw(st.integers(1, 3))
         model = data.draw(st.one_of(wall_models(rho), chambered_orthants(rho)))
         bound = data.draw(st.integers(1, 12 if rho < 3 else 6)) * r_min(model)
-        fibres = list(dot_slice_fibres(model, bound))
-        assert list(model.slice_fibres(bound)) == fibres
-        want = walked(fibres, partial(dot_chamber_runs, model))
-        assert walked(model._fibres(bound), model._runs) == want
-        assert walked(fibres, model.chamber_runs) == want
+        fibres = list(dot_fibres(model, bound))
+        walk = list(model._fibres(bound))
+        assert [(prefix, lo, hi) for prefix, _, lo, hi in walk] == fibres
+        # the stepped values are the table heads' values at each prefix
+        for prefix, values, _, _ in walk:
+            assert values == [sum(map(mul, h, prefix)) for h in model._heads]
+        want = walked(fibres, partial(dot_runs, model))
+        assert walked(walk, model._runs) == want
         # ratio_check builds its rows with CountRow._of
         fields = (
             data.draw(st.integers(1, 20)),
@@ -937,7 +945,7 @@ class TestFibreClassification:
         # stops a walk that makes no progress
         model = data.draw(chambered_orthants(rho))
         bound = data.draw(st.integers(1, 10 if rho == 2 else 4)) * r_min(model)
-        for prefix, lo, hi in model.slice_fibres(bound):
+        for prefix, values, lo, hi in model._fibres(bound):
 
             def holders(t):
                 alpha = prefix + (t,)
@@ -951,7 +959,7 @@ class TestFibreClassification:
                 previous = None
                 try:
                     for start, stop, lines in islice(
-                        model.chamber_runs(prefix, first_t, hi), hi - first_t + 2
+                        model._runs(prefix, values, first_t, hi), hi - first_t + 2
                     ):
                         assert first_t <= start < stop <= hi + 1
                         held = holders(start)
@@ -1056,6 +1064,63 @@ class TestFibreClassification:
             with pytest.raises(NoChamber) as exc:
                 ratio_check(model, config(), [d])
             assert str(exc.value) == "(1, 1) lies in no chamber"
+
+
+def nef_pieces_oracle(model, alpha):
+    """The degree and ``pieces_oracle`` of alpha, checked in the order the
+    single-class entry points check it: nef first, then the degree, then
+    the chambers."""
+    if not _satisfies(model.nef_facets, alpha):
+        raise NotInNefCone(f"{alpha} violates a nef facet")
+    deg = _pairing(model.minus_k, alpha)
+    if deg <= 0:
+        raise ZeroDegree(f"anticanonical degree {deg} of {alpha} is not positive")
+    return deg, pieces_oracle(model, alpha)
+
+
+def esp_oracle(model, alpha):
+    deg, pieces = nef_pieces_oracle(model, alpha)
+    return tuple(e for r, b in pieces for e in [b * model.dim_n / deg] * r)
+
+
+def bound_oracle(model, alpha):
+    deg, pieces = nef_pieces_oracle(model, alpha)
+    n = model.dim_n
+    return min(b for _, b in pieces) * n / deg - Fraction(n * n, 2 * deg)
+
+
+def scaled_pieces_oracle(model, alpha):
+    return [(r, b * model.slope_den) for r, b in pieces_oracle(model, alpha)]
+
+
+def outcome(entry, model, alpha):
+    """What ``entry(model, alpha)`` returns, or the type and text of what
+    it raises."""
+    try:
+        return entry(model, alpha)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+class TestSingleClass:
+    """``esp``, ``liberated_lower_bound`` and ``chamber_pieces`` read a
+    class once, through the model's functional table; on every class of a
+    box that also holds classes outside the nef cone, the origin and
+    classes in no chamber, each gives the oracle's value or its error."""
+
+    @pytest.mark.parametrize("rho, radius", [(2, 3), (3, 2)])
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_single_class_matches_oracle_property(self, rho, radius, data):
+        model = data.draw(chambered_orthants(rho))
+        for alpha in product(range(-2, radius + 1), repeat=rho):
+            assert outcome(esp, model, alpha) == outcome(esp_oracle, model, alpha)
+            assert outcome(liberated_lower_bound, model, alpha) == outcome(
+                bound_oracle, model, alpha
+            )
+            assert outcome(VarietyModel.chamber_pieces, model, alpha) == outcome(
+                scaled_pieces_oracle, model, alpha
+            )
 
 
 class TestEhrhartGrowth:

@@ -87,7 +87,11 @@ BOUNDARIES = {
     "pbundle m": lambda x: pbundle(3, x, [3, 0]),
     "toy_rho1 c": lambda x: toy_rho1(x),
     "toy_rho1 dim": lambda x: toy_rho1(2, dim=x),
-    "slice_fibres": lambda x: list(toy_rho2().slice_fibres(x)),
+    "VarietyModel._fibres": lambda x: list(toy_rho2()._fibres(x)),
+    "VarietyModel.degree": lambda x: toy_rho2().degree((x, 0)),
+    "EpsPower.admits d": lambda x: EpsPower(1, Fraction(1, 2)).admits(Fraction(1), x),
+    "EpsTable.admits d": lambda x: EpsTable([(1, Fraction(1, 2))]).admits(Fraction(1), x),
+    "EpsTable.value_at": lambda x: EpsTable([(1, Fraction(1, 2))]).value_at(x),
     "count_N": lambda x: count_N(*_toy_rho2_counting(), x),
     "ratio_check": lambda x: ratio_check(*_toy_rho2_counting(), [x]),
 }
@@ -154,6 +158,45 @@ def test_rational_boundary_stores_fraction(boundary):
     for x in good:
         value = build(x)
         assert type(value) is Fraction and value == x
+
+
+# Each rational argument that is compared, not stored, with the values it
+# accepts: 0.6 would be compared as its binary expansion and True as 1.
+COMPARED = {
+    "EpsPower.admits bound": lambda x: EpsPower(1, Fraction(1, 2)).admits(x, 4),
+    "EpsTable.admits bound": lambda x: EpsTable([(1, Fraction(1, 2))]).admits(x, 4),
+}
+
+
+@pytest.mark.parametrize("boundary", sorted(COMPARED))
+@pytest.mark.parametrize("bad", [0.6, True, "1/2"])
+def test_compared_rational_rejects_inexact(boundary, bad):
+    with pytest.raises(ValueError, match="an int, a Fraction or an integral float"):
+        COMPARED[boundary](bad)
+
+
+@pytest.mark.parametrize("boundary", sorted(COMPARED))
+def test_compared_rational_accepts_exact(boundary):
+    admits = COMPARED[boundary]
+    assert admits(Fraction(3, 5)) and not admits(Fraction(1, 2))
+    assert admits(1) == admits(1.0) == admits(Fraction(2, 2)) is True
+
+
+# Each single-class entry point names the length of a class of the wrong
+# length, rho - 1 or rho + 1, as a ValueError.
+SINGLE_CLASS = {
+    "VarietyModel.degree": lambda model, alpha: model.degree(alpha),
+    "chamber_pieces": lambda model, alpha: model.chamber_pieces(alpha),
+    "esp": esp,
+    "liberated_lower_bound": liberated_lower_bound,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SINGLE_CLASS))
+@pytest.mark.parametrize("length", [1, 3])
+def test_single_class_rejects_wrong_length(entry, length):
+    with pytest.raises(ValueError, match=f"class length {length} != rho 2"):
+        SINGLE_CLASS[entry](toy_rho2(), (1,) * length)
 
 
 def test_accepted_values_are_stored_as_int():

@@ -24,7 +24,6 @@ from freecurves.variety import (
     cone_rays,
     dot,
     esp,
-    in_nef,
     liberated_lower_bound,
     pbundle,
     toy_rho1,
@@ -315,6 +314,16 @@ class TestEsp:
     def test_not_in_nef(self):
         with pytest.raises(NotInNefCone):
             esp(toy_rho2(), (-1, 0))
+
+    def test_nef_membership(self):
+        # nef membership comes before the degree: the origin is nef and of
+        # degree 0, and (-1, 2) has positive degree but is not nef
+        model = toy_rho2()
+        assert esp(model, (3, 1))
+        with pytest.raises(ZeroDegree):
+            esp(model, (0, 0))
+        with pytest.raises(NotInNefCone, match=r"\(-1, 2\) violates a nef facet"):
+            esp(model, (-1, 2))
 
     def test_no_chamber(self):
         half = VarietyModel(
@@ -726,10 +735,3 @@ class TestNefRayCache:
         # the fixtures are valid; the line cone and the one-chamber F_1 not
         assert (fresh == "violations: 0") == name.endswith(".json")
 
-
-class TestInNef:
-    def test_membership(self):
-        model = toy_rho2()
-        assert in_nef(model, (0, 0))
-        assert in_nef(model, (3, 1))
-        assert not in_nef(model, (-1, 2))
