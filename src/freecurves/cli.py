@@ -125,10 +125,12 @@ def _cmd_balance(args) -> str:
 
 
 def _cmd_esp(args) -> str:
-    loaded = _load_model(args.model)
-    panel = variety.esp(loaded.model, args.cls)
-    bound = variety.liberated_lower_bound(loaded.model, args.cls)
-    deg = loaded.model.degree(args.cls)
+    # one read of the class gives its degree and pieces; the panel, with
+    # its RankTooLarge, comes before the bound
+    model = _load_model(args.model).model
+    deg, pieces = variety._nef_pieces(model, args.cls)
+    panel = variety._panel(model, deg, pieces)
+    bound = variety._bound(model, deg, pieces)
     return (
         f"esp: {_joined(panel)}\n"
         f"min_entry: {min(panel)}\n"

@@ -25,19 +25,27 @@ the first class, in lexicographic order, that no chamber holds or on which
 holders disagree.  Each schedule builds the admission lookup once per call
 (``first_admitting``); it needs admission monotone in d: c * d^(-p) falls
 as d grows, and table values do not increase from a first degree <= 1.
-Before the walk, per degree step * k up to top (degrees are multiples of
-step), the call sets up once the index of the first tested d whose slice
-holds that degree and the class weight xi * q^degree over the common
-denominator q_den^top, for xi on the translate and off it, each power from
-the one before by one multiply and one exact division.  Each class is then
-tallied straight into its report row: its count and weight are added at
-its entry index and at its first admitting index, so no class is keyed,
-bisected or stored.  Fractions are built only for the N, N_lib and ratio
-fields of a row, and only where a row's sums differ from the previous
-row's: a row whose weight sum is unchanged shares its N, one whose
-liberated weight sum is unchanged its N_lib, and one with both its ratio.
-Rows are running sums, and ``d0`` compares them with 1 - delta by
-cross-multiplying the integer sums.
+
+What is set up once, when the model is built: the degree step (the gcd of
+minus_k, read by ``r_min``; degrees are multiples of it), the slope
+denominator, the nef cuts and the functional table the walk reads.  What
+a call sets up, in O(largest d) before the walk: the tested degrees (a
+``range`` of positive step is read as it is, any other iterable is
+checked, deduplicated and sorted), the admission lookup, and per degree
+step * k up to top the index of the first tested d whose slice holds it
+(the count of tested d below it, one running sum) and, in one loop, the
+class weight xi * q^degree over the common denominator q_den^top, for xi
+on the translate and off it, each power from the one before by one
+multiply and one exact division.  Each class is then tallied straight
+into its report row: its count and weight are added at its entry index
+and at its first admitting index, so no class is keyed, bisected or
+stored.  Fractions are built only for the N, N_lib and ratio fields of a
+row, and only where a row's sums differ from the previous row's: a row
+whose weight sum is unchanged shares its N, one whose liberated weight
+sum is unchanged its N_lib, and one with both its ratio.  Over
+q_den^top = 1 an N is built without a gcd, and every zero ratio is the
+one module-level ``ZERO``.  Rows are running sums, and ``d0`` compares
+them with 1 - delta by cross-multiplying the integer sums.
 
 Degree exponents use the class degree itself; a dimension-shift convention
 would rescale every sum by the same power of q and leave all ratios
@@ -48,8 +56,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
-from math import gcd, lcm
+from math import lcm
 
 from .errors import (
     DomainError,
@@ -85,6 +94,9 @@ MAX_EXPONENT_TERM = 1000
 # at p = 1/1000 a check took 0.0017 s for a 1-digit c and 1.39 s for a
 # 1,000-digit one.
 MAX_COEFFICIENT_TERM = 10**6
+
+# The one zero that ``ratio_check`` rows share.
+ZERO = Fraction(0)
 
 
 class EpsPower(Value):
@@ -236,9 +248,9 @@ class CountingConfig(Value):
 
 def r_min(model: VarietyModel) -> int:
     """Minimal positive value of the anticanonical functional on the lattice."""
-    if all(c == 0 for c in model.minus_k):
+    if not model._degree_step:
         raise ZeroFunctional("anticanonical functional is zero")
-    return gcd(*(abs(c) for c in model.minus_k))
+    return model._degree_step
 
 
 def count_N(model: VarietyModel, cfg: CountingConfig, d: int) -> Fraction:
@@ -268,15 +280,13 @@ class CountRow(Value):
         """The row of these fields, set as they are, without the argument
         count check of ``Value.__init__``.  For ``ratio_check``."""
         row = object.__new__(cls)
-        vars(row).update(
-            {
-                "d": d,
-                "points": points,
-                "liberated": liberated,
-                "n_value": n_value,
-                "n_liberated": n_liberated,
-                "ratio": ratio,
-            }
+        row.__dict__.update(
+            d=d,
+            points=points,
+            liberated=liberated,
+            n_value=n_value,
+            n_liberated=n_liberated,
+            ratio=ratio,
         )
         return row
 
@@ -307,7 +317,11 @@ def ratio_check(model: VarietyModel, cfg: CountingConfig, d_values) -> CountRepo
     exceeds 1 - delta (rows with N = 0 never qualify); None when no suffix
     works.
     """
-    ds = sorted({exact_int(d, "d value") for d in d_values})
+    # a range of positive step is sorted, duplicate-free and all ints
+    if type(d_values) is range and d_values.step > 0:
+        ds = d_values
+    else:
+        ds = sorted({exact_int(d, "d value") for d in d_values})
     if not ds or ds[0] < 1:
         raise ValueError("d values must be positive")
     if len(cfg.beta) != model.rho:
@@ -332,18 +346,24 @@ def ratio_check(model: VarietyModel, cfg: CountingConfig, d_values) -> CountRepo
         for (i, last, _), f in zip(model._nef_cuts, model.nef_facets)
     ]
     # per k in 0..ds[-1], set up once: the index of the first d whose slice
-    # holds the degree step * k, and the weight of a class of that degree
-    # times q_den^top, on the translate and outside it.  The power
-    # q_num^deg * q_den^(top - deg) of each degree is the one before it
-    # times q_num^step over q_den^step
+    # holds the degree step * k, which is the count of tested d below k (a
+    # running sum over a list that marks d + 1 for each d but the last),
+    # and the weight of a class of that degree times q_den^top, on the
+    # translate and outside it.  The power q_num^deg * q_den^(top - deg) of
+    # each degree is the one before it times q_num^step over q_den^step
+    below = [0] * (ds[-1] + 1)
+    for d in ds[:-1]:
+        below[d + 1] = 1
+    enter_at = list(accumulate(below))
+    br, outside_xi = cfg.br, cfg.outside_xi
     q_num, q_den = cfg.q.numerator, cfg.q.denominator
-    enter_at = [bisect_left(ds, k) for k in range(ds[-1] + 1)]
     rise, fall = q_num**step, q_den**step
-    power = [q_den**top]
+    power = scale = q_den**top
+    inside_weight, outside_weight = [br * power], [outside_xi * power]
     for _ in range(ds[-1]):
-        power.append(power[-1] * rise // fall)
-    inside_weight = [cfg.br * w for w in power]
-    outside_weight = [cfg.outside_xi * w for w in power]
+        power = power * rise // fall
+        inside_weight.append(br * power)
+        outside_weight.append(outside_xi * power)
     # per index of ds, each class is added straight in: its count and weight
     # at the index where it enters the slice, and at the index where it is
     # first certified; the index len(ds) holds the never-certified
@@ -376,19 +396,25 @@ def ratio_check(model: VarietyModel, cfg: CountingConfig, d_values) -> CountRepo
 
     # rows are running sums; a row shares the previous row's N when its
     # weight sum is unchanged, its N_lib when its liberated weight sum is,
-    # and its ratio when both are
-    scale = q_den**top
+    # and its ratio when both are.  Over a denominator of 1 a sum is in
+    # lowest terms already, and every zero ratio is the one ZERO
+    over = Fraction if scale == 1 else partial(Fraction, denominator=scale)
     buckets = (new_points, new_lib, new_weight, new_lib_weight)
     sums = list(zip(*map(accumulate, buckets)))
     rows = []
     last_weight = last_lib_weight = None
     for d, (npts, nlib, weight, lib_weight) in zip(ds, sums):
         if weight != last_weight:
-            n_value = Fraction(weight, scale)
+            n_value = over(weight)
         if lib_weight != last_lib_weight:
-            n_lib = Fraction(lib_weight, scale)
+            n_lib = over(lib_weight)
         if weight != last_weight or lib_weight != last_lib_weight:
-            ratio = Fraction(lib_weight, weight) if weight > 0 else None
+            if not weight:
+                ratio = None
+            elif lib_weight:
+                ratio = Fraction(lib_weight, weight)
+            else:
+                ratio = ZERO
         last_weight, last_lib_weight = weight, lib_weight
         rows.append(CountRow._of(d, npts, nlib, n_value, n_lib, ratio))
 

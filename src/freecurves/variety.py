@@ -6,9 +6,10 @@ carrying filtration data: per chamber, the ranks and linear slope
 functionals of the successive filtration quotients.  From these it computes
 expected slope panels and certified lower bounds for the minimal slope
 ratio.  Integers are checked once, where they enter; behind that, lattice
-arithmetic is plain int.  When a model is built its chamber slopes are
-scaled once to integer numerators over one model denominator, the lcm of
-every slope denominator, and every linear functional the slice walk reads
+arithmetic is plain int.  When a model is built its degree step (the gcd
+of minus_k) is found, its chamber slopes are scaled once to integer
+numerators over one model denominator, the lcm of every slope
+denominator, and every linear functional the slice walk reads
 (nef facets, the degree, chamber facets, scaled piece slopes) goes once into
 one table, split into its head on the leading coordinates and its last
 entry.
@@ -26,8 +27,9 @@ start finds the holders and the run's end.  A single class is read once:
 ``chamber_pieces``, ``esp`` and ``liberated_lower_bound`` take from them its
 nef membership (the nef cuts on the fibre t..t), its degree and its
 one-point run.  All of it is int work; ``esp`` and ``liberated_lower_bound``
-divide once at the end and return Fractions.  Cone rays come from one
-double-description pass over the facets.
+divide once at the end, in ``_panel`` and ``_bound``, and return
+Fractions; the ``esp`` command calls both helpers on one ``_nef_pieces``
+read.  Cone rays come from one double-description pass over the facets.
 """
 
 from __future__ import annotations
@@ -242,6 +244,9 @@ class VarietyModel(Value):
         )
         nef_cuts = tuple((index(f), f[-1], 0) for f in nf)
         object.__setattr__(self, "_nef_cuts", nef_cuts)
+        # the degree step: every degree on the lattice is a multiple of the
+        # gcd of minus_k, 0 when minus_k is zero
+        object.__setattr__(self, "_degree_step", gcd(*mk))
         object.__setattr__(self, "_degree", index(mk))
         object.__setattr__(self, "_neg_degree", index(tuple(-c for c in mk)))
         heads = tuple(vec[:-1] for vec in table)
@@ -355,23 +360,25 @@ class VarietyModel(Value):
         for cuts, pieces in self._scaled_chambers:
             c_lo, c_hi = _clip(cuts, values, lo, hi)
             if c_lo <= c_hi:
-                spans.append((c_lo, c_hi, [(r, values[i], s) for r, i, s in pieces]))
-        start = lo
-        while start <= hi:
-            stop, held = hi + 1, []
-            for c_lo, c_hi, lines in spans:
+                spans.append((c_lo, c_hi + 1, [(r, values[i], s) for r, i, s in pieces]))
+        start, end = lo, hi + 1
+        while start < end:
+            stop, held = end, []
+            for c_lo, c_end, lines in spans:
                 if c_lo > start:
-                    stop = min(stop, c_lo)
-                elif c_hi >= start:
-                    stop = min(stop, c_hi + 1)
+                    if c_lo < stop:
+                        stop = c_lo
+                elif c_end > start:
+                    if c_end < stop:
+                        stop = c_end
                     held.append(lines)
             if not held:
                 raise NoChamber(f"{prefix + (start,)} lies in no chamber")
-            first, *others = held
-            if others:
+            first = held[0]
+            if len(held) > 1:
                 for t in range(start, stop):
                     pieces = _merged(first, t)
-                    if any(_merged(lines, t) != pieces for lines in others):
+                    if any(_merged(lines, t) != pieces for lines in held[1:]):
                         raise BoundaryMismatch(f"chambers disagree at {prefix + (t,)}")
             yield start, stop, first
             start = stop
@@ -416,16 +423,8 @@ def _nef_pieces(model: VarietyModel, alpha) -> tuple[int, list[tuple[int, int]]]
 MAX_PANEL_LENGTH = 10**6
 
 
-def esp(model: VarietyModel, alpha) -> tuple[Fraction, ...]:
-    """Expected slope panel of a nef class: piece slopes over the bundle slope,
-    each repeated by its rank.
-
-    The class must lie in the nef cone, have positive anticanonical degree,
-    and belong to at least one chamber.  On a shared chamber face all
-    containing chambers must give the same slopes.  A panel of more than
-    ``MAX_PANEL_LENGTH`` entries raises RankTooLarge.
-    """
-    deg, pieces = _nef_pieces(model, alpha)
+def _panel(model: VarietyModel, deg: int, pieces) -> tuple[Fraction, ...]:
+    """``esp`` from the degree and pieces of ``_nef_pieces``."""
     length = sum(r for r, _ in pieces)
     if length > MAX_PANEL_LENGTH:
         raise RankTooLarge(f"panel of {length} entries exceeds {MAX_PANEL_LENGTH}")
@@ -436,6 +435,26 @@ def esp(model: VarietyModel, alpha) -> tuple[Fraction, ...]:
     )
 
 
+def _bound(model: VarietyModel, deg: int, pieces) -> Fraction:
+    """``liberated_lower_bound`` from the degree and pieces of
+    ``_nef_pieces``."""
+    n, den = model.dim_n, model.slope_den
+    b = min(s for _, s in pieces)
+    return Fraction(2 * n * b - n * n * den, 2 * den * deg)
+
+
+def esp(model: VarietyModel, alpha) -> tuple[Fraction, ...]:
+    """Expected slope panel of a nef class: piece slopes over the bundle slope,
+    each repeated by its rank.
+
+    The class must lie in the nef cone, have positive anticanonical degree,
+    and belong to at least one chamber.  On a shared chamber face all
+    containing chambers must give the same slopes.  A panel of more than
+    ``MAX_PANEL_LENGTH`` entries raises RankTooLarge.
+    """
+    return _panel(model, *_nef_pieces(model, alpha))
+
+
 def liberated_lower_bound(model: VarietyModel, alpha) -> Fraction:
     """Certified lower bound for the minimal slope ratio of class alpha.
 
@@ -443,10 +462,7 @@ def liberated_lower_bound(model: VarietyModel, alpha) -> Fraction:
     piece slope b / D and D = ``slope_den``, (2 n b - n^2 D) / (2 D deg).
     Non-positive values certify nothing.
     """
-    deg, pieces = _nef_pieces(model, alpha)
-    n, den = model.dim_n, model.slope_den
-    b = min(s for _, s in pieces)
-    return Fraction(2 * n * b - n * n * den, 2 * den * deg)
+    return _bound(model, *_nef_pieces(model, alpha))
 
 
 class ValidationReport(Value):

@@ -18,7 +18,7 @@ from freecurves.errors import ModelFormatError, exact_fraction
 from freecurves.modelio import fixture_path, load_model, load_model_file
 from freecurves.nodal import parse_nodal_type
 from freecurves.splitting import parse_splitting_type
-from freecurves.variety import pbundle, toy_rho1, validate
+from freecurves.variety import esp, liberated_lower_bound, pbundle, toy_rho1, validate
 
 
 def invoke(capsys, *argv):
@@ -211,6 +211,45 @@ class TestCommands:
         code, out, err = invoke(capsys, "esp", "--model", str(path), "--class", "3")
         assert (code, out) == (1, "")
         assert err.startswith("error: RankTooLarge: panel of 10")
+
+    @pytest.mark.parametrize(
+        "cls, error",
+        [
+            ("-1", "NotInNefCone"),
+            ("0", "ZeroDegree"),
+            ("3", "NoChamber"),
+        ],
+    )
+    def test_esp_errors_come_in_order(self, capsys, tmp_path, cls, error):
+        # the one read of the class refuses it outside the nef cone, then at
+        # degree 0, then in no chamber, all before the panel's RankTooLarge:
+        # the one chamber of rank 10^30 holds only t <= 0
+        data = json.loads(fixture_path("toy_rho1.json").read_text())
+        data["dim"] = data["chambers"][0]["filtration"][0]["rank"] = 10**30
+        data["chambers"][0]["facets"] = [[-1]]
+        path = tmp_path / "huge_rank_half.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = invoke(capsys, "esp", "--model", str(path), "--class", cls)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {error}: ")
+
+    @pytest.mark.parametrize("name", ["toy_rho1.json", "toy_rho2.json", "pbundle.json"])
+    def test_esp_matches_library(self, capsys, name):
+        # the command's panel, degree and bound are the library's
+        loaded = load_model_file(fixture_path(name))
+        model = loaded.model
+        classes = [(1,), (4,)] if model.rho == 1 else [(1, 0), (2, 3), (5, 1)]
+        for alpha in classes:
+            text = ",".join(map(str, alpha))
+            code, out, err = invoke(capsys, "esp", "--model", name, "--class", text)
+            panel = esp(model, alpha)
+            assert (code, err) == (0, "")
+            assert out == (
+                f"esp: {','.join(map(str, panel))}\n"
+                f"min_entry: {min(panel)}\n"
+                f"degree: {model.degree(alpha)}\n"
+                f"liberated_bound: {liberated_lower_bound(model, alpha)}\n"
+            )
 
     def test_check_reports_threshold_degree(self, capsys):
         code, out, _ = invoke(

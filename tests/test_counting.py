@@ -229,13 +229,28 @@ class TestRMin:
             chambers=(),
         )
         assert r_min(model3) == 1
+        signed = VarietyModel(
+            rho=2, dim_n=2, minus_k=(-4, 6), nef_facets=((1, 0), (0, 1)), chambers=()
+        )
+        assert r_min(signed) == 2
 
     def test_zero_functional(self):
-        model = VarietyModel(
-            rho=1, dim_n=2, minus_k=(0,), nef_facets=((1,),), chambers=()
-        )
-        with pytest.raises(ZeroFunctional):
-            r_min(model)
+        # the model builds; the degree step it sets up is zero, and both
+        # r_min and ratio_check refuse it
+        for rho in (1, 2):
+            model = VarietyModel(
+                rho=rho,
+                dim_n=2,
+                minus_k=(0,) * rho,
+                nef_facets=tuple(
+                    tuple(int(i == j) for j in range(rho)) for i in range(rho)
+                ),
+                chambers=(),
+            )
+            with pytest.raises(ZeroFunctional, match="anticanonical functional is zero"):
+                r_min(model)
+            with pytest.raises(ZeroFunctional, match="anticanonical functional is zero"):
+                ratio_check(model, config(beta=(0,) * rho), range(1, 4))
 
 
 class TestLatticeSlice:
@@ -769,6 +784,68 @@ class TestRatioCheck:
         with pytest.raises(ValueError):
             ratio_check(toy_rho2(), config(), [0, 1])
 
+    @pytest.mark.parametrize(
+        "ds", [range(0, 5), range(0), range(4, 4), range(3, -1, -1), range(0, 9, 3)]
+    )
+    def test_bad_ranges_raise_as_lists(self, ds):
+        # a range of positive step is read as it is, and any other d list is
+        # sorted first; both refuse a d below 1 and an empty set alike
+        for d_values in (ds, list(ds)):
+            with pytest.raises(ValueError, match="^d values must be positive$"):
+                ratio_check(toy_rho2(), config(), d_values)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_range_matches_shuffled_list_property(self, data):
+        # range(a, b, s) with a, s >= 1 is read without sorting; the same
+        # degrees as a shuffled list with duplicates give the same report,
+        # and so does the range reversed
+        model = data.draw(
+            st.sampled_from(
+                [toy_rho1(1), toy_rho1(3), toy_rho2(), pbundle(3, 2, [3, 0, 0])]
+            )
+            | split_models()
+        )
+        cfg = drawn_config(data, model.rho)
+        a = data.draw(st.integers(1, 8))
+        ds = range(a, data.draw(st.integers(a + 1, 14)), data.draw(st.integers(1, 4)))
+        extra = data.draw(st.lists(st.sampled_from(ds), max_size=5))
+        shuffled = data.draw(st.permutations([*ds, *extra]))
+        report = ratio_check(model, cfg, ds)
+        assert [row.d for row in report.rows] == list(ds)
+        for other in (shuffled, ds[::-1]):
+            again = ratio_check(model, cfg, other)
+            assert again.rows == report.rows
+            assert again.d0 == report.d0
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_fields_are_fractions_property(self, data):
+        # N, N_lib and every ratio that is not None are Fractions, never
+        # ints: over q_den = 1 and for the shared zero ratio too
+        model = data.draw(
+            st.sampled_from([toy_rho1(1), toy_rho2(), pbundle(3, 2, [3, 0, 0])])
+            | split_models()
+        )
+        cfg = drawn_config(data, model.rho)
+        ds = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=8))
+        for row in ratio_check(model, cfg, ds).rows:
+            assert type(row.n_value) is Fraction
+            assert type(row.n_liberated) is Fraction
+            assert row.ratio is None or type(row.ratio) is Fraction
+
+    def test_fields_are_fractions_over_unit_denominator(self):
+        # q = 2: every row's sums lie over q_den^top = 1, and the first rows
+        # of toy_rho2 certify nothing, so their ratio is zero
+        rows = ratio_check(toy_rho2(), config(), range(1, 13)).rows
+        assert rows[0].ratio == 0
+        zero_weight = ratio_check(toy_rho2(), config(br=0, outside_xi=0), [1, 2]).rows
+        assert [row.ratio for row in zero_weight] == [None, None]
+        for row in rows + zero_weight:
+            assert type(row.n_value) is Fraction
+            assert type(row.n_liberated) is Fraction
+            assert row.ratio is None or type(row.ratio) is Fraction
+
 
 def assert_rows_match_oracle(model, cfg, dmax):
     for row in ratio_check(model, cfg, range(1, dmax + 1)).rows:
@@ -849,6 +926,26 @@ def walked(fibres, runs):
     except CHAMBER_ERRORS as exc:
         return out, (type(exc), str(exc))
     return out, None
+
+
+class TestDegreeStep:
+    @pytest.mark.parametrize("rho", [1, 2, 3])
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_r_min_is_gcd_property(self, rho, data):
+        # the degree step set up at model build is the gcd of minus_k, also
+        # when the entries share a factor
+        model = data.draw(chambered_orthants(rho))
+        factor = data.draw(st.integers(1, 4))
+        scaled = VarietyModel(
+            rho=rho,
+            dim_n=model.dim_n,
+            minus_k=tuple(factor * c for c in model.minus_k),
+            nef_facets=model.nef_facets,
+            chambers=(),
+        )
+        assert r_min(model) == gcd(*model.minus_k)
+        assert r_min(scaled) == gcd(*scaled.minus_k) == factor * r_min(model)
 
 
 class TestFibreClassification:
