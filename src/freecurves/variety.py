@@ -23,13 +23,15 @@ outer coordinate moves, so each cut costs one floor division.
 chambers: each chamber's facets clip the fibre to one t-interval, its piece
 numerators are affine in t, and one pass over the intervals at each run's
 start finds the holders and the run's end.  A single class is read once:
-``_read`` checks it and computes its table values with ``dot``, and
-``chamber_pieces``, ``esp`` and ``liberated_lower_bound`` take from them its
-nef membership (the nef cuts on the fibre t..t), its degree and its
-one-point run.  All of it is int work; ``esp`` and ``liberated_lower_bound``
-divide once at the end, in ``_panel`` and ``_bound``, and return
-Fractions; the ``esp`` command calls both helpers on one ``_nef_pieces``
-read.  Cone rays come from one double-description pass over the facets.
+``_read`` checks it and computes its table values with ``dot``.
+``chamber_pieces`` takes from them only its one-point run, so it checks
+neither nef membership nor degree.  ``esp`` and ``liberated_lower_bound``
+read through ``_nef_pieces``, which takes from them its nef membership (the
+nef cuts on the fibre t..t), its degree and its one-point run.  All of it
+is int work; ``esp`` and ``liberated_lower_bound`` divide once at the end,
+in ``_panel`` and ``_bound``, and return Fractions; the ``esp`` command
+calls both helpers on one ``_nef_pieces`` read.  Cone rays come from one
+double-description pass over the facets.
 """
 
 from __future__ import annotations

@@ -5,7 +5,6 @@ import io
 import json
 import os
 import pathlib
-import subprocess
 import sys
 from fractions import Fraction
 
@@ -32,35 +31,6 @@ class TestCommands:
         code, out, _ = invoke(capsys, "sp", "--type", "4,3,3,2")
         assert code == 0
         assert out == "panel: 4/3,1,1,2/3  min_ratio: 2/3\n"
-
-    def test_runs_as_module(self):
-        src = pathlib.Path(__file__).resolve().parent.parent / "src"
-        proc = subprocess.run(
-            [sys.executable, "-m", "freecurves.cli", "sp", "--type=4,3,3,2"],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0
-        assert proc.stdout == "panel: 4/3,1,1,2/3  min_ratio: 2/3\n"
-
-    def test_prints_values_past_digit_limit(self):
-        # N at d = 500 and q = 10^9 has 4,501 digits, past the default
-        # int-to-str limit of 4,300 that the entry point lifts
-        src = pathlib.Path(__file__).resolve().parent.parent / "src"
-        argv = ["count", "--model", "toy_rho1.json", "--dmax", "500", "--q", "1000000000"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "freecurves.cli", *argv],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        last = proc.stdout.splitlines()[-1].split("\t")
-        assert last[0] == "500"
-        # N = q + q^2 + ... + q^500: a one every nine digits, then nine zeros
-        assert last[3] == "1" + "000000001" * 499 + "0" * 9
-        assert len(last[3]) == 4501
 
     def test_sp_negative_slope(self, capsys):
         # a leading minus needs the = form, as usual for argparse values
@@ -734,22 +704,13 @@ class TestModelFiles:
     def test_integer_past_digit_limit_rejected(self, tmp_path):
         # in-process, the interpreter's default limit used to end the decode
         # in a bare ValueError; the CLI lifts that limit, and must still
-        # refuse the literal rather than read it in quadratic time
+        # refuse the literal rather than read it in quadratic time (the
+        # process half is test_golden's esp-integer-past-digit-limit row)
         text = fixture_path("toy_rho1.json").read_text(encoding="utf-8")
         path = tmp_path / "long.json"
         path.write_text(text.replace('"dim": 2,', f'"dim": 1{"0" * 4300},'), "utf-8")
         with pytest.raises(ModelFormatError, match="more than 4,300 digits"):
             load_model_file(path)
-        src = pathlib.Path(__file__).resolve().parent.parent / "src"
-        proc = subprocess.run(
-            [sys.executable, "-m", "freecurves.cli", "esp", "--model", str(path)]
-            + ["--class", "4"],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True,
-            text=True,
-        )
-        assert (proc.returncode, proc.stdout) == (1, "")
-        assert "ModelFormatError" in proc.stderr and "4,300 digits" in proc.stderr
 
     def test_integer_at_digit_limit_is_read(self, tmp_path):
         text = fixture_path("toy_rho1.json").read_text(encoding="utf-8")
