@@ -44,7 +44,10 @@ def _alignment_token(text: str):
         return text
     if text.startswith("perm:"):
         return _class_vector(text[len("perm:") :])
-    raise ValueError(f"bad alignment {text!r}; use dual, identity or perm:i1,i2,...")
+    # argparse prints an ArgumentTypeError's message; a ValueError's it drops
+    raise argparse.ArgumentTypeError(
+        f"bad alignment {text!r}; use dual, identity or perm:i1,i2,..."
+    )
 
 
 def _build_alignment(token, rank: int) -> nodal.Alignment:

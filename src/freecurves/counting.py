@@ -123,8 +123,7 @@ class EpsPower(Value):
             raise ValueError(
                 f"power schedule coefficient has a term above {MAX_COEFFICIENT_TERM}"
             )
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "p", p)
+        super().__init__(c, p)
 
     def admits(self, bound: Fraction, d: int) -> bool:
         """Exact test of bound > c * d^(-p)."""
@@ -176,7 +175,7 @@ class EpsTable(Value):
             raise ValueError("table values must be positive")
         if any(v2 > v1 for (_, v1), (_, v2) in zip(es, es[1:])):
             raise ValueError("table values must be non-increasing")
-        object.__setattr__(self, "entries", es)
+        super().__init__(es)
 
     def value_at(self, d: int) -> Fraction:
         d = exact_int(d, "d")
@@ -235,15 +234,8 @@ class CountingConfig(Value):
             raise ValueError("delta must lie strictly between 0 and 1")
         if not isinstance(eps, (EpsPower, EpsTable)):
             raise ValueError(f"eps must be an EpsPower or an EpsTable, got {eps!r}")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "br", br)
-        object.__setattr__(self, "m_cap", m_cap)
-        object.__setattr__(
-            self, "beta", tuple(exact_int(c, "beta entry") for c in beta)
-        )
-        object.__setattr__(self, "outside_xi", outside_xi)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "delta", delta)
+        beta = tuple(exact_int(c, "beta entry") for c in beta)
+        super().__init__(q, br, m_cap, beta, outside_xi, eps, delta)
 
 
 def r_min(model: VarietyModel) -> int:

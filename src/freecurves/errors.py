@@ -105,9 +105,11 @@ class Value:
     order.  An instance equals only an instance of the same class with equal
     fields, hashes as the tuple of its fields, prints as
     ``Name(field=value, ...)`` and refuses assignment and deletion with
-    AttributeError.  A subclass without an ``__init__`` of its own takes its
-    fields positionally; one with its own checks its arguments and sets each
-    field with ``object.__setattr__``.
+    AttributeError.  ``__init__`` is the one place that stores the fields:
+    a subclass without an ``__init__`` of its own takes them positionally,
+    and one with its own checks its arguments, then passes the checked
+    fields, in field order, to ``Value.__init__``.  What a class keeps
+    outside its fields goes into ``self.__dict__`` with one ``update``.
     """
 
     _fields: tuple[str, ...] = ()

@@ -199,8 +199,6 @@ def _unique_fields(pairs) -> dict:
     return obj
 
 
-# built once: json.loads given a hook builds a new decoder on every call
-_DECODER = json.JSONDecoder(object_pairs_hook=_unique_fields)
 # Reading an integer takes time quadratic in its digits (a million take
 # seconds), so model files keep the interpreter's default 4,300-digit limit
 # even where it is lifted, as the freecurves entry point does to print long
@@ -225,7 +223,7 @@ def _load_bytes(raw: bytes, digit_limit: int | None) -> LoadedModel:
         text = raw.decode("utf-8")
         if _LONG_INTEGER.search(text):
             raise ModelFormatError("an integer has more than 4,300 digits")
-        data = _DECODER.decode(text)
+        data = json.loads(text, object_pairs_hook=_unique_fields)
     except UnicodeDecodeError as exc:
         raise ModelFormatError(f"not UTF-8: {exc}") from exc
     except (ValueError, RecursionError) as exc:

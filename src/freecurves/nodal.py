@@ -51,8 +51,8 @@ class NodalType(Value):
         )
         if not ps:
             raise ValueError("a nodal type needs at least one summand")
-        object.__setattr__(self, "pairs", tuple(ps))
-        object.__setattr__(self, "_label_costs", _costs(ps))
+        super().__init__(tuple(ps))
+        self.__dict__.update(_label_costs=_costs(ps))
 
     @property
     def rank(self) -> int:
@@ -61,9 +61,6 @@ class NodalType(Value):
     @property
     def total_degree(self) -> int:
         return sum(a + b for a, b in self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
 
     def __str__(self) -> str:
         return ",".join(f"{a}/{b}" for a, b in self.pairs)
@@ -93,7 +90,7 @@ class Alignment(Value):
         p = tuple(exact_int(i, "alignment index") for i in perm)
         if sorted(p) != list(range(len(p))):
             raise ValueError(f"not a permutation of 0..{len(p) - 1}: {p}")
-        object.__setattr__(self, "perm", p)
+        super().__init__(p)
 
     @classmethod
     def identity(cls, rank: int) -> "Alignment":
@@ -341,16 +338,19 @@ class WitnessBlock(Value):
 class SharpnessWitness(Value):
     """Block decomposition realizing degbd(z, m).
 
-    ``serre_ok`` records that every pair block satisfies the rank-two
-    construction inequalities a' >= a + 2 and b >= b' + 2.  It is always
-    True: in an optimal labeling, any i in K1 and i' in K2 meet them, since
-    b_i < b_{i'} + 2 would make moving i into J (dropping i' from K2)
-    lower the sum, and a_{i'} < a_i + 2 would do the same for i'.
+    ``serre_ok``, a class constant and not a field, says that every pair
+    block satisfies the rank-two construction inequalities a' >= a + 2 and
+    b >= b' + 2.  It is always True: in an optimal labeling, any i in K1
+    and i' in K2 meet them, since b_i < b_{i'} + 2 would make moving i into
+    J (dropping i' from K2) lower the sum, and a_{i'} < a_i + 2 would do
+    the same for i'.  ``test_pair_blocks_meet_serre`` in
+    ``tests/test_nodal.py`` checks both inequalities, and the total, on
+    random types.
     """
 
     blocks: tuple[WitnessBlock, ...]
     total: int
-    serre_ok: bool
+    serre_ok = True
 
     def render(self) -> str:
         lines = []
@@ -430,4 +430,4 @@ def sharpness_witness(z: NodalType, m: int) -> SharpnessWitness:
         WitnessBlock("pair", (i, ip), pairs[i][0] + pairs[ip][1] + 2)
         for i, ip in zip(K1, K2)
     ]
-    return SharpnessWitness(tuple(blocks), best // (r + 1), True)
+    return SharpnessWitness(tuple(blocks), best // (r + 1))

@@ -43,7 +43,7 @@ class SplittingType(Value):
         degs = tuple(sorted((exact_int(a, "degree") for a in degrees), reverse=True))
         if not degs:
             raise ValueError("a splitting type needs at least one summand")
-        object.__setattr__(self, "degrees", degs)
+        super().__init__(degs)
 
     @classmethod
     def _of_sorted(cls, degrees: tuple[int, ...]) -> "SplittingType":
@@ -51,7 +51,7 @@ class SplittingType(Value):
         it is: no entry is checked and nothing is sorted.  For callers whose
         entries are computed from checked ints."""
         t = object.__new__(cls)
-        object.__setattr__(t, "degrees", degrees)
+        t.__dict__["degrees"] = degrees
         return t
 
     @property

@@ -190,8 +190,7 @@ class Chamber(Value):
             raise ValueError("chamber needs at least one filtration piece")
         if any(r < 1 for r, _ in fl):
             raise ValueError("filtration ranks must be positive")
-        object.__setattr__(self, "facets", fs)
-        object.__setattr__(self, "filtration", fl)
+        super().__init__(fs, fl)
 
 
 class VarietyModel(Value):
@@ -214,11 +213,7 @@ class VarietyModel(Value):
                 raise ValueError("chamber facet of wrong length")
             if any(len(s) != rho for _, s in ch.filtration):
                 raise ValueError("slope functional of wrong length")
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "dim_n", dim_n)
-        object.__setattr__(self, "minus_k", mk)
-        object.__setattr__(self, "nef_facets", nf)
-        object.__setattr__(self, "chambers", chs)
+        super().__init__(rho, dim_n, mk, nf, chs)
         # Set up once, outside the fields (so outside equality, hash and
         # repr): D = ``slope_den``, the lcm of every slope denominator, and
         # one table of every linear functional the walk reads, each vector
@@ -245,20 +240,22 @@ class VarietyModel(Value):
             for ch in chs
         )
         nef_cuts = tuple((index(f), f[-1], 0) for f in nf)
-        object.__setattr__(self, "_nef_cuts", nef_cuts)
-        # the degree step: every degree on the lattice is a multiple of the
-        # gcd of minus_k, 0 when minus_k is zero
-        object.__setattr__(self, "_degree_step", gcd(*mk))
-        object.__setattr__(self, "_degree", index(mk))
-        object.__setattr__(self, "_neg_degree", index(tuple(-c for c in mk)))
+        degree, neg_degree = index(mk), index(tuple(-c for c in mk))
         heads = tuple(vec[:-1] for vec in table)
-        object.__setattr__(self, "_heads", heads)
-        # each head's innermost entry: what one step of the innermost prefix
-        # coordinate adds to its value
-        steps = tuple(h[-1] for h in heads) if rho > 1 else ()
-        object.__setattr__(self, "_steps", steps)
-        object.__setattr__(self, "slope_den", den)
-        object.__setattr__(self, "_scaled_chambers", scaled)
+        self.__dict__.update(
+            _nef_cuts=nef_cuts,
+            # the degree step: every degree on the lattice is a multiple of
+            # the gcd of minus_k, 0 when minus_k is zero
+            _degree_step=gcd(*mk),
+            _degree=degree,
+            _neg_degree=neg_degree,
+            _heads=heads,
+            # each head's innermost entry: what one step of the innermost
+            # prefix coordinate adds to its value
+            _steps=tuple(h[-1] for h in heads) if rho > 1 else (),
+            slope_den=den,
+            _scaled_chambers=scaled,
+        )
 
     def degree(self, alpha) -> int:
         return dot(self.minus_k, _int_vector(alpha, self.rho, "class"))

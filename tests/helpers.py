@@ -544,4 +544,4 @@ def copying_witness(z, m):
         WitnessBlock("pair", (i, ip), pairs[i][0] + pairs[ip][1] + 2)
         for i, ip in zip(K1, K2)
     ]
-    return SharpnessWitness(tuple(blocks), best // (r + 1), True)
+    return SharpnessWitness(tuple(blocks), best // (r + 1))

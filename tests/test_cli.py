@@ -104,6 +104,20 @@ class TestCommands:
         code, _, err = invoke(capsys, "glue", "--type", "1,0", "--type", "5,0,0")
         assert code == 1
         assert "RankMismatch" in err
+        # a third type is a usage error, not a mismatch
+        code, out, err = invoke(capsys, "glue", *["--type", "1,0"] * 3)
+        assert (code, out) == (2, "")
+        assert err == "usage error: glue takes one or two --type arguments\n"
+
+    def test_glue_bad_alignment_names_the_choices(self, capsys):
+        # argparse shows the message of an ArgumentTypeError, not a ValueError's
+        with pytest.raises(SystemExit) as exc:
+            run(["glue", "--type", "1,0", "--align", "bogus"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "freecurves glue: error: argument --align: bad alignment 'bogus';"
+            " use dual, identity or perm:i1,i2,..."
+        )
 
     def test_balance(self, capsys):
         code, out, _ = invoke(capsys, "balance", "--type", "2,1,0")
@@ -412,6 +426,7 @@ BAD_ARGVS = [
     ["balance", "--type=2,1,0", "stray"],
     ["balance", "--type=2,1,0", "--policy=middle"],
     ["degbd", "--nodal=1/1", "--m=x"],
+    ["glue", "--type=1,0", "--align=bogus"],
     ["sp", "--type=1.5"],
     ["sp"],
     ["count", "--model", "toy_rho1.json"],
@@ -623,6 +638,48 @@ class TestModelFiles:
                 ["count", "--dmax", "2"],
                 "counting.q_den must be positive",
                 id="zero-q_den",
+            ),
+            pytest.param(
+                lambda data: data["counting"].update(M=0),
+                ["count", "--dmax", "2"],
+                "counting: the xi bound must be positive",
+                id="zero-M",
+            ),
+            pytest.param(
+                lambda data: data["counting"].update(eps=[1, 2]),
+                ["count", "--dmax", "2"],
+                "counting.eps: expected an object",
+                id="eps-list",
+            ),
+            pytest.param(
+                lambda data: data["counting"].update(eps={"table": {"d": 1}}),
+                ["count", "--dmax", "2"],
+                "counting.eps.table: expected a list",
+                id="eps-table-object",
+            ),
+            pytest.param(
+                lambda data: data["counting"].update(eps={"table": [[1, 1]]}),
+                ["count", "--dmax", "2"],
+                "counting.eps.table row: need [d, num, den]",
+                id="eps-table-short-row",
+            ),
+            pytest.param(
+                lambda data: data["chambers"][0].update(filtration={"rank": 2}),
+                ["count", "--dmax", "2"],
+                "chambers[0].filtration: expected a list",
+                id="filtration-object",
+            ),
+            pytest.param(
+                lambda data: data["chambers"][0]["filtration"][0].update(rank=0),
+                ["count", "--dmax", "2"],
+                "chambers[0]: filtration ranks must be positive",
+                id="zero-piece-rank",
+            ),
+            pytest.param(
+                lambda data: data.update(rho=0, dim=0),
+                ["count", "--dmax", "2"],
+                "rho and dim must be positive",
+                id="zero-rho-and-dim",
             ),
             # nef generators were a second description of the nef cone,
             # which is computed from the facets

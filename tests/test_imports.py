@@ -64,6 +64,16 @@ def test_command_start_up_loads_neither_dataclasses_nor_inspect():
                 assert node.module != "dataclasses", path.name
 
 
+def test_value_fields_are_stored_by_value_init_alone():
+    # a checked constructor passes its fields to Value.__init__ and puts
+    # what it keeps outside them in __dict__; object.__setattr__ is a
+    # second path round the frozen base
+    for path in (SRC / "freecurves").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "__setattr__":
+                assert ast.unparse(node.value) != "object", f"{path.name}:{node.lineno}"
+
+
 @pytest.mark.parametrize(
     "name", sorted(info.name for info in pkgutil.iter_modules(freecurves.__path__))
 )

@@ -78,6 +78,8 @@ class TestNodalType:
             parse_nodal_type("2,-1")
         with pytest.raises(ValueError):
             parse_nodal_type("")
+        with pytest.raises(ValueError, match="needs at least one summand"):
+            NodalType([])
 
 
 class TestGlue:
@@ -350,6 +352,26 @@ class TestSharpnessWitness:
                     assert z.pairs[ip][0] >= z.pairs[i][0] + 2
                     assert z.pairs[i][1] >= z.pairs[ip][1] + 2
         assert sharpness_witness(z, m).serre_ok
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-12, 12), st.integers(-12, 12)),
+            min_size=2,
+            max_size=14,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pair_blocks_meet_serre(self, pairs):
+        # serre_ok is a constant: what it states is checked here, for every m
+        z = NodalType(pairs)
+        for m in range(1, z.rank + 1):
+            w = sharpness_witness(z, m)
+            for blk in w.blocks:
+                if blk.kind == "pair":
+                    i, ip = blk.indices
+                    assert z.pairs[ip][0] >= z.pairs[i][0] + 2
+                    assert z.pairs[i][1] >= z.pairs[ip][1] + 2
+            assert w.total == sum(blk.value for blk in w.blocks)
 
 
 def witness_text(pairs, value, J, K1, K2):

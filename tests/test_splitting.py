@@ -38,6 +38,8 @@ class TestConstruction:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             SplittingType([])
+        with pytest.raises(ValueError, match="^rank must be positive$"):
+            most_balanced(0, 3)
 
     def test_parse_any_order(self):
         assert parse_splitting_type("2,3,-1") == T(3, 2, -1)

@@ -41,9 +41,9 @@ CASES = [
     ),
     (
         SharpnessWitness,
-        ("blocks", "total", "serre_ok"),
-        [(WitnessBlock("single", (0,), 3),), 3, True],
-        [(), 0, True],
+        ("blocks", "total"),
+        [(WitnessBlock("single", (0,), 3),), 3],
+        [(), 0],
     ),
     (
         BalanceTrace,

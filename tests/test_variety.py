@@ -220,6 +220,8 @@ class TestBuilders:
             pbundle(3, 2, [0, 3, 0])
         with pytest.raises(ValueError):
             pbundle(2, 1, [2, 1])
+        with pytest.raises(ValueError, match="^n0 and m must be positive$"):
+            pbundle(0, 1, [1, 0])
 
     def test_pbundle_builds_exactly_the_valid_one_chamber_models(self):
         # F_1 = pbundle(1, 1, [1, 0]) and (2, 1, [1, 0]) have the base slope
@@ -245,6 +247,8 @@ class TestBuilders:
         assert validate(toy_rho1(1)).ok
         assert validate(toy_rho1(3, dim=4)).ok
         assert validate(toy_rho2()).ok
+        with pytest.raises(ValueError, match="^anticanonical step must be positive$"):
+            toy_rho1(0)
 
 
 def _diagonal_mismatch():
