@@ -21,33 +21,39 @@ from .modelio import LoadedModel, fixture_path, load_model_file
 __all__ = ["run", "script"]
 
 
+def _shown(read):
+    """The argument reader ``read`` with its ValueError's text shown: argparse
+    prints an ArgumentTypeError's message, but for a ValueError it prints
+    only "invalid <function name> value"."""
+
+    def reader(text: str):
+        try:
+            return read(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return reader
+
+
 def _fraction(text: str) -> Fraction:
     """A rational written ``N`` or ``N/D``, each part read by ``int_token``."""
     num, slash, den = text.partition("/")
     try:
         return Fraction(int_token(num), int_token(den) if slash else 1)
     except ZeroDivisionError as exc:
-        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from exc
+        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 def _joined(values) -> str:
     return ",".join(map(str, values))
 
 
-def _class_vector(text: str) -> tuple[int, ...]:
-    # a def of its own: argparse names it in "invalid _class_vector value"
-    return int_tokens(text)
-
-
 def _alignment_token(text: str):
     if text in ("dual", "identity"):
         return text
     if text.startswith("perm:"):
-        return _class_vector(text[len("perm:") :])
-    # argparse prints an ArgumentTypeError's message; a ValueError's it drops
-    raise argparse.ArgumentTypeError(
-        f"bad alignment {text!r}; use dual, identity or perm:i1,i2,..."
-    )
+        return int_tokens(text[len("perm:") :])
+    raise ValueError(f"bad alignment {text!r}; use dual, identity or perm:i1,i2,...")
 
 
 def _build_alignment(token, rank: int) -> nodal.Alignment:
@@ -172,34 +178,34 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
         return p
 
     p = command("sp", "slope panel and minimal slope ratio", _cmd_sp)
-    p.add_argument("--type", type=splitting.parse_splitting_type, required=True)
+    p.add_argument("--type", type=_shown(splitting.parse_splitting_type), required=True)
 
     p = command("degbd", "degree bound for rank-m quotients", _cmd_degbd)
-    p.add_argument("--nodal", type=nodal.parse_nodal_type, required=True)
-    p.add_argument("--m", type=int_token, required=True)
+    p.add_argument("--nodal", type=_shown(nodal.parse_nodal_type), required=True)
+    p.add_argument("--m", type=_shown(int_token), required=True)
 
     p = command("smooth", "admissible smoothings of a nodal type", _cmd_smooth)
-    p.add_argument("--nodal", type=nodal.parse_nodal_type, required=True)
+    p.add_argument("--nodal", type=_shown(nodal.parse_nodal_type), required=True)
     p.add_argument("--sequential", action="store_true")
 
     p = command("glue", "glue splitting types into a nodal type", _cmd_glue)
     p.add_argument(
         "--type",
-        type=splitting.parse_splitting_type,
+        type=_shown(splitting.parse_splitting_type),
         action="append",
         required=True,
         help="give once to glue a type to itself, twice for two types",
     )
-    p.add_argument("--align", type=_alignment_token, default="dual")
+    p.add_argument("--align", type=_shown(_alignment_token), default="dual")
 
     p = command("balance", "iterate worst-case glue-and-smooth steps", _cmd_balance)
-    p.add_argument("--type", type=splitting.parse_splitting_type, required=True)
-    p.add_argument("--max-steps", type=int_token, default=8)
+    p.add_argument("--type", type=_shown(splitting.parse_splitting_type), required=True)
+    p.add_argument("--max-steps", type=_shown(int_token), default=8)
     p.add_argument("--policy", choices=("worst", "best"), default="worst")
 
     p = command("esp", "expected slope panel of a curve class", _cmd_esp)
     p.add_argument("--model", required=True)
-    p.add_argument("--class", dest="cls", type=_class_vector, required=True)
+    p.add_argument("--class", dest="cls", type=_shown(int_tokens), required=True)
 
     tally_commands = (
         ("count", "tabulate per-degree counting sums"),
@@ -208,9 +214,9 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     for name, text in tally_commands:
         p = command(name, text, _cmd_count)
         p.add_argument("--model", required=True)
-        p.add_argument("--dmax", type=int_token, required=True)
-        p.add_argument("--q", type=_fraction, default=None)
-        p.add_argument("--delta", type=_fraction, default=None)
+        p.add_argument("--dmax", type=_shown(int_token), required=True)
+        p.add_argument("--q", type=_shown(_fraction), default=None)
+        p.add_argument("--delta", type=_shown(_fraction), default=None)
 
     return parser, commands
 

@@ -8,9 +8,10 @@ min-cost labeling of the summands, found exactly by a DP whose state is the
 pair of side counts.  Smoothings are listed against its floors by one
 depth-first walk that keeps the sum left and the least allowed entry per
 level, and each listed type is built once, as it is.  A type builds its
-label costs once, when it is made, and every DP reads them; the witness
-tests each label with one shifted meet of two tables and copies no trial
-table.
+label costs once, when it is made, and every DP reads them.  The witness
+takes two DP passes and one sort: the passes fix J and then K1, testing
+each label with one shifted meet of two tables and copying no trial table,
+and the sort gives K2.
 """
 
 from __future__ import annotations
@@ -120,11 +121,9 @@ def glue(t1: SplittingType, t2: SplittingType, align: Alignment) -> NodalType:
     return NodalType((t1[i], t2[align.perm[i]]) for i in range(t1.rank))
 
 
-# Labels of a summand as indices into its cost tuple; the fourth entry is the
-# cost of leaving the summand unlabeled.  A label adds _SHIFT[label] to the
-# side counts.
-_J, _K1, _K2 = range(3)
-_SHIFT = ((1, 1), (1, 0), (0, 1))
+# The labels J and K1, and no label, as indices into a summand's cost tuple;
+# its third entry is the cost of K2.
+_J, _K1, _NONE = 0, 1, 3
 
 
 def _costs(pairs) -> tuple[tuple[tuple, ...], int]:
@@ -159,10 +158,11 @@ def _start(cap: int, inf: int) -> list[list[int]]:
     of ``_costs``, which the type built with itself.  One ``_fill`` call
     fills a table for a run of summands: ``degbd`` and ``degbd_profile``
     fill this one (cap + 2)^2 table in place for all of them in a single
-    call; ``sharpness_witness`` calls ``_fill`` once per summand, for each
-    of its rank + 1 suffix tables on a copy of the one before and for its
-    one prefix table in place, with the label it decided.  It copies no
-    trial table: ``_meet`` tests a label on the prefix table as it is.
+    call; ``sharpness_witness`` makes two DP passes and one sort, and in
+    each pass calls ``_fill`` once per summand, for each of its rank + 1
+    suffix tables on a copy of the one before and for its one prefix table
+    in place, with the label it decided.  It copies no trial table:
+    ``_meet`` tests a label on the prefix table as it is.
     """
     table = [[inf] * (cap + 2) for _ in range(cap + 2)]
     table[0][0] = 0
@@ -392,22 +392,29 @@ def sharpness_witness(z: NodalType, m: int) -> SharpnessWitness:
     index order.
 
     The labeling is the least-value one with the fewest J, then J, K1 and
-    K2 lexicographically smallest.  Labels are fixed greedily, J then K1
-    then K2: an index takes the label when its cost plus the ``_meet`` of
-    the DP over the decided prefix with one over the rest, shifted by the
-    label's side counts, still reaches the optimum.  Each pass builds the
-    rank + 1 suffix tables, each one ``_fill`` of one summand on a copy of
-    the one before, and fills one prefix table in place with each decided
-    summand; no trial table is copied.  So the DP and its count ranges are
-    the ones ``_fill`` gives ``degbd``.  The passes narrow a list copy of
-    the label costs the type built with itself.
+    K2 lexicographically smallest, found by two DP passes and one sort.
+    The passes fix J, then K1, greedily: an index takes the label when its
+    cost plus the ``_meet`` of the DP over the decided prefix with one over
+    the rest, shifted by the label's side counts, still reaches the
+    optimum.  Each pass builds the rank + 1 suffix tables, each one
+    ``_fill`` of one summand on a copy of the one before, and fills one
+    prefix table in place with each decided summand; no trial table is
+    copied.  So the DP and its count ranges are the ones ``_fill`` gives
+    ``degbd``.  The passes narrow a list copy of the label costs the type
+    built with itself.
+
+    The sort gives K2.  Once J and K1 are fixed, K2 is any |K1| of the
+    other indices and each adds b_i + 1 on its own, so the value is least
+    exactly when no index left out has a smaller b than one taken.  Among
+    those sets, exchanging a taken index for one left out with equal b and
+    a lower index makes the set lexicographically smaller, so K2 is the
+    first |K1| of the other indices stably sorted by b.
     """
     m = _check_m(z, m)
     r = z.rank
     costs, inf = z._label_costs
     costs = list(costs)
-    for label in (_J, _K1, _K2):
-        d1, d2 = _SHIFT[label]
+    for label, d1, d2 in ((_J, 1, 1), (_K1, 1, 0)):
         back = [_start(m, inf)]
         for done, cost in enumerate(reversed(costs)):
             back.append([row[:] for row in back[-1]])
@@ -420,11 +427,12 @@ def sharpness_witness(z: NodalType, m: int) -> SharpnessWitness:
                 meet = cost[label] + _meet(front, back[i + 1], m, d1, d2)
                 costs[i] = (_only if meet == best else _without)(cost, label, inf)
             _fill(front, (costs[i],), m, m, i, r)
-    J, K1, K2 = (
+    J, K1, rest = (
         [i for i, cost in enumerate(costs) if cost[label] != inf]
-        for label in (_J, _K1, _K2)
+        for label in (_J, _K1, _NONE)
     )
     pairs = z.pairs
+    K2 = sorted(sorted(rest, key=lambda i: pairs[i][1])[: len(K1)])
     blocks = [WitnessBlock("single", (i,), pairs[i][0] + pairs[i][1]) for i in J]
     blocks += [
         WitnessBlock("pair", (i, ip), pairs[i][0] + pairs[ip][1] + 2)

@@ -9,7 +9,6 @@ from freecurves.modelio import fixture_path, load_model_file
 from freecurves.nodal import (
     _J,
     _K1,
-    _K2,
     SharpnessWitness,
     WitnessBlock,
     _costs,
@@ -490,6 +489,11 @@ def witness_labeling(pairs, m):
         for label in ("J", "K1", "K2")
     )
     return (optimum[0], J, K1, K2)
+
+
+# The K2 label as an index into a summand's cost tuple: ``sharpness_witness``
+# chooses K2 by a sort and names no K2 label, ``copying_witness`` tries it.
+_K2 = 2
 
 
 def _unshifted_meet(front, back, m):

@@ -26,6 +26,36 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# Argument lists holding one malformed integer token, each with the flag
+# that carries it and the token.
+MALFORMED_INTEGERS = {
+    ("sp", "--type", "1_0,2"): ("--type", "1_0"),
+    ("count", "--model", "toy_rho1.json", "--dmax", "0_3"): ("--dmax", "0_3"),
+    ("degbd", "--nodal", "2/-1,-1/2", "--m", "\u0661"): ("--m", "\u0661"),
+    ("esp", "--model", "toy_rho2.json", "--class", "1_0,0"): ("--class", "1_0"),
+    ("glue", "--type", "2,1", "--align", "perm:0_2,1"): ("--align", "0_2"),
+    ("balance", "--type", "1,1", "--max-steps", "\u0663"): ("--max-steps", "\u0663"),
+    # an empty list item is an empty token, not skipped: 1,,0 is not 1,0
+    ("esp", "--model", "toy_rho2.json", "--class", "1,,2"): ("--class", ""),
+    ("sp", "--type", "1,,0"): ("--type", ""),
+    ("sp", "--type=4,3,"): ("--type", ""),
+    ("degbd", "--nodal=1/0,,0/1", "--m", "1"): ("--nodal", ""),
+    ("glue", "--type", "2,1", "--align", "perm:1,,2"): ("--align", ""),
+    # the perm: list and the class vector name the token too
+    ("glue", "--type", "1,0", "--align", "perm:1,x"): ("--align", "x"),
+    ("esp", "--model", "toy_rho2.json", "--class", "1,x"): ("--class", "x"),
+}
+
+# Malformed rationals for check, each with the integer token it fails on.
+MALFORMED_FRACTIONS = {
+    "--q=1_0/3": "1_0",
+    "--q=\u0663": "\u0663",
+    "--q=1e2": "1e2",
+    "--q=1.5": "1.5",
+    "--delta=0.5": "0.5",
+}
+
+
 class TestCommands:
     def test_sp(self, capsys):
         code, out, _ = invoke(capsys, "sp", "--type", "4,3,3,2")
@@ -110,7 +140,7 @@ class TestCommands:
         assert err == "usage error: glue takes one or two --type arguments\n"
 
     def test_glue_bad_alignment_names_the_choices(self, capsys):
-        # argparse shows the message of an ArgumentTypeError, not a ValueError's
+        # argparse shows the reader's message, not its function's name
         with pytest.raises(SystemExit) as exc:
             run(["glue", "--type", "1,0", "--align", "bogus"])
         assert exc.value.code == 2
@@ -332,40 +362,28 @@ class TestCommands:
             run(["sp", "--type", "x,y"])
         assert err.value.code == 2
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("sp", "--type", "1_0,2"),
-            ("count", "--model", "toy_rho1.json", "--dmax", "0_3"),
-            ("degbd", "--nodal", "2/-1,-1/2", "--m", "\u0661"),
-            ("esp", "--model", "toy_rho2.json", "--class", "1_0,0"),
-            ("glue", "--type", "2,1", "--align", "perm:0_2,1"),
-            ("balance", "--type", "1,1", "--max-steps", "\u0663"),
-            # an empty list item is an empty token, not skipped: 1,,0 is
-            # not 1,0
-            ("esp", "--model", "toy_rho2.json", "--class", "1,,2"),
-            ("sp", "--type", "1,,0"),
-            ("sp", "--type=4,3,"),
-            ("degbd", "--nodal=1/0,,0/1", "--m", "1"),
-            ("glue", "--type", "2,1", "--align", "perm:1,,2"),
-        ],
-    )
+    @pytest.mark.parametrize("argv", MALFORMED_INTEGERS)
     def test_malformed_integer_token_is_usage_error(self, capsys, argv):
-        # int() alone would read 1_0 as 10 and Arabic-Indic digits as digits
+        # int() alone would read 1_0 as 10 and Arabic-Indic digits as digits;
+        # the message names the token, not the function that read it
+        flag, token = MALFORMED_INTEGERS[argv]
         with pytest.raises(SystemExit) as err:
             run(list(argv))
         assert err.value.code == 2
-        assert "invalid" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"freecurves {argv[0]}: error: argument {flag}: not an integer: {token!r}"
+        )
 
-    @pytest.mark.parametrize(
-        "flag", ["--q=1_0/3", "--q=\u0663", "--q=1e2", "--q=1.5", "--delta=0.5"]
-    )
+    @pytest.mark.parametrize("flag", MALFORMED_FRACTIONS)
     def test_malformed_fraction_is_usage_error(self, capsys, flag):
         # Fraction(text) would read these as 10/3, 3, 100, 3/2 and 1/2
         with pytest.raises(SystemExit) as err:
             run(["check", "--model", "toy_rho1.json", "--dmax", "1", flag])
         assert err.value.code == 2
-        assert "invalid _fraction value" in capsys.readouterr().err
+        name, token = flag.partition("=")[0], MALFORMED_FRACTIONS[flag]
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"freecurves check: error: argument {name}: not an integer: {token!r}"
+        )
 
     @pytest.mark.parametrize(
         "argv, n_value",

@@ -457,6 +457,27 @@ def test_witness_matches_copying_greedy(pairs, m):
     assert got.render() == want.render()
 
 
+@st.composite
+def tie_heavy_pairs(draw):
+    """Ranks 9-16, every degree -1, 0, 1 or one huge value drawn once per
+    type: many summands share a b, so K2's ties decide the text."""
+    huge = draw(st.integers(10**20, 10**30) | st.integers(-(10**30), -(10**20)))
+    degree = st.sampled_from((-1, 0, 1, huge))
+    return draw(st.lists(st.tuples(degree, degree), min_size=9, max_size=16))
+
+
+@given(tie_heavy_pairs())
+@settings(max_examples=20, deadline=None)
+def test_witness_k2_sort_matches_trial_greedies_on_ties(pairs):
+    # every m: K2 comes from one sort by b, ties to the lower index; both
+    # oracles fix K2 by trial, one index at a time, and must agree with it
+    z = NodalType(pairs)
+    for m in range(1, z.rank + 1):
+        got = sharpness_witness(z, m).render()
+        assert got == witness_text(z.pairs, *witness_labeling(z.pairs, m))
+        assert got == copying_witness(z, m).render()
+
+
 def test_degbd_memory_does_not_grow_with_rank():
     # degbd fills one (m + 2)^2 table in place with the label costs the
     # type built with itself, so beyond its input it needs about a
