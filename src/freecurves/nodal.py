@@ -4,14 +4,16 @@ The nodal curve is a union of two projective lines meeting at one node; a
 line bundle on it is a pair of degrees (a, b).  The central object is the
 degree bound ``degbd``: the least degree a rank-m torsion-free quotient of
 the restricted bundle can carry on a nearby smooth curve.  It is a
-min-cost labeling of the summands, found exactly by a DP whose state is the
-pair of side counts.  Smoothings are listed against its floors by one
-depth-first walk that keeps the sum left and the least allowed entry per
-level, and each listed type is built once, as it is.  A type builds its
-label costs once, when it is made, and every DP reads them.  The witness
-takes two DP passes and one sort: the passes fix J and then K1, testing
-each label with one shifted meet of two tables and copying no trial table,
-and the sort gives K2.
+min-cost labeling of the summands, a min-cost flow, found exactly by
+successive shortest augmenting paths: each unit of m takes the cheapest of
+five exchanges, priced by one scan of minima over the summands, so the
+bound costs O(rank * m) and the whole profile O(rank^2).  Smoothings are
+listed against its floors by one depth-first walk that keeps the sum left
+and the least allowed entry per level, and each listed type is built once,
+as it is.  The witness is a DP whose state is the pair of side counts: it
+builds its label costs per call and takes two DP passes and one sort; the
+passes fix J and then K1, testing each label with one shifted meet of two
+tables and copying no trial table, and the sort gives K2.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ __all__ = [
 class NodalType(Value):
     """Line-bundle summand degrees (a_i, b_i) on the two components.
 
-    Canonical order: sorted descending by (a_i + b_i, a_i).  The label
-    costs of ``_costs`` and their sentinel are built here, once, and kept
-    outside the fields, so equality, hash and repr see the pairs alone.
+    Canonical order: sorted descending by (a_i + b_i, a_i).  The pairs are
+    all a type keeps: the degree bounds read them as they are, and the
+    witness builds its label costs per call.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -53,7 +55,6 @@ class NodalType(Value):
         if not ps:
             raise ValueError("a nodal type needs at least one summand")
         super().__init__(tuple(ps))
-        self.__dict__.update(_label_costs=_costs(ps))
 
     @property
     def rank(self) -> int:
@@ -121,15 +122,15 @@ def glue(t1: SplittingType, t2: SplittingType, align: Alignment) -> NodalType:
     return NodalType((t1[i], t2[align.perm[i]]) for i in range(t1.rank))
 
 
-# The labels J and K1, and no label, as indices into a summand's cost tuple;
-# its third entry is the cost of K2.
+# The witness's labels J and K1, and no label, as indices into a summand's
+# cost tuple; its third entry is the cost of K2.
 _J, _K1, _NONE = 0, 1, 3
 
 
 def _costs(pairs) -> tuple[tuple[tuple, ...], int]:
     """Per summand, the costs of the labels J, K1, K2 and none, and the
-    int sentinel: the cost of the unreachable.  ``NodalType`` calls this
-    once, when the type is built, and keeps the result; no DP rebuilds it.
+    int sentinel: the cost of the unreachable.  ``sharpness_witness``
+    builds them once per call; the degree bounds need none.
 
     A labeling's cost is its value times rank + 1 plus |J|.  The cost is
     still additive, and as |J| <= rank its minimum is the least value with
@@ -155,14 +156,12 @@ def _start(cap: int, inf: int) -> list[list[int]]:
 
     Tables have rows and columns 0..cap and one more, never filled, so that
     index -1 reads ``inf``.  Cells are ints, and ``inf`` is the int sentinel
-    of ``_costs``, which the type built with itself.  One ``_fill`` call
-    fills a table for a run of summands: ``degbd`` and ``degbd_profile``
-    fill this one (cap + 2)^2 table in place for all of them in a single
-    call; ``sharpness_witness`` makes two DP passes and one sort, and in
-    each pass calls ``_fill`` once per summand, for each of its rank + 1
-    suffix tables on a copy of the one before and for its one prefix table
-    in place, with the label it decided.  It copies no trial table:
-    ``_meet`` tests a label on the prefix table as it is.
+    of ``_costs``.  The tables serve the witness alone: it makes two DP
+    passes and one sort, and in each pass calls ``_fill`` once per summand,
+    for each of its rank + 1 suffix tables on a copy of the one before and
+    for its one prefix table in place, with the label it decided.  It
+    copies no trial table: ``_meet`` tests a label on the prefix table as
+    it is.
     """
     table = [[inf] * (cap + 2) for _ in range(cap + 2)]
     table[0][0] = 0
@@ -216,28 +215,106 @@ def _check_m(z: NodalType, m) -> int:
     return m
 
 
+def _bounds(pairs, m: int) -> list[int]:
+    """The degree bounds for quotient ranks 1..m, by successive shortest
+    augmenting paths.
+
+    With X = J + K1 and Y = J + K2, both of size m, a labeling's sum is
+    sum_X a + sum_Y b - 2|X & Y| + 2m.  The first three terms are the cost
+    of a flow of m units: from the source into summand i's a-node at cost
+    a_i, from there to its own b-node at cost -2 (J) or through one hub to
+    any b-node (K1 to K2), and out of b-node j at cost b_j.  So the
+    cheapest augmenting path from the best flow of m units gives the best
+    of m + 1, and its cost never decreases with m (Busacker and Gowen;
+    Ahuja, Magnanti and Orlin, Network Flows, ch. 9).  From the labels
+    so far, each path is one of five exchanges, priced by the least a
+    and b of the free, K1 and K2 summands:
+
+    1. free i into J: a_i + b_i - 2;
+    2. free i into K1 and free j into K2: a_i + b_j;
+    3. K2 i into J and free j into K2: a_i + b_j - 2;
+    4. free i into K1 and K1 k into J: a_i + b_k - 2;
+    5. K2 i into J and K1 k into J: a_i + b_k - 4.
+
+    Every other path is dearer than one of these.  Exchange 2 takes the
+    least free a and the least free b; when one summand holds both, the
+    sum is above that summand's exchange 1, so it never wins.  Each step is
+    one scan of the summands; the labels take one byte per summand.
+    """
+    labels = bytearray(len(pairs))  # 0 free, 1 J, 2 K1, 3 K2
+    bounds = []
+    value = 0
+    for _ in range(m):
+        free = k1_b = k2_a = None
+        for i, (a, b) in enumerate(pairs):
+            label = labels[i]
+            if not label:
+                if free is None:
+                    free, free_i, free_a, a_i, free_b, b_i = a + b, i, a, i, b, i
+                    continue
+                if a + b < free:
+                    free, free_i = a + b, i
+                if a < free_a:
+                    free_a, a_i = a, i
+                if b < free_b:
+                    free_b, b_i = b, i
+            elif label == 2:
+                if k1_b is None or b < k1_b:
+                    k1_b, k1_i = b, i
+            elif label == 3:
+                if k2_a is None or a < k2_a:
+                    k2_a, k2_i = a, i
+        # below the rank a summand is free or K1 and K2 (of one size) are not
+        # empty, so some exchange is priced
+        best = exchange = None
+        if free is not None:
+            best, exchange = free - 2, 1
+            if free_a + free_b < best:
+                best, exchange = free_a + free_b, 2
+        if k1_b is not None:
+            if free is not None:
+                if k2_a + free_b - 2 < best:
+                    best, exchange = k2_a + free_b - 2, 3
+                if free_a + k1_b - 2 < best:
+                    best, exchange = free_a + k1_b - 2, 4
+            if best is None or k2_a + k1_b - 4 < best:
+                best, exchange = k2_a + k1_b - 4, 5
+        if exchange == 1:
+            labels[free_i] = 1
+        elif exchange == 2:
+            labels[a_i], labels[b_i] = 2, 3
+        elif exchange == 3:
+            labels[k2_i], labels[b_i] = 1, 3
+        elif exchange == 4:
+            labels[a_i], labels[k1_i] = 2, 1
+        else:
+            labels[k2_i] = labels[k1_i] = 1
+        value += best + 2
+        bounds.append(value)
+    return bounds
+
+
 def degbd(z: NodalType, m: int) -> int:
     """Degree bound for rank-m quotients on a general smoothing.
 
     Least labeled sum over disjoint J, K1, K2 with |J| + |K1| = |J| + |K2|
     = m, where J contributes a_i + b_i, K1 contributes a_i + 1 and K2
-    contributes b_i + 1.  Computed by a DP over the summands with state
-    (side-1 count, side-2 count), in O(rank * m^2).
+    contributes b_i + 1.  Computed by m augmenting steps of ``_bounds``,
+    each one scan of the summands, in O(rank * m) time and one byte of
+    label per summand.
     """
-    m = _check_m(z, m)
-    costs, inf = z._label_costs
-    table = _start(m, inf)
-    _fill(table, costs, m, m, 0, z.rank)
-    return table[m][m] // (z.rank + 1)
+    return _bounds(z.pairs, _check_m(z, m))[-1]
 
 
 def degbd_m1_closed_form(z: NodalType) -> int:
     """Rank-one degree bound: min of the smallest pair sum and
     (min a) + (min b) + 2.
 
-    When both minima sit on the same single summand the cross term is not a
-    legal labeling, but it is then dominated by that summand's pair sum, so
-    the formula is still exact.
+    This is the first augmenting step of ``_bounds``, from no labels: its
+    exchange 1 gives the pair sum and its exchange 2 the cross term, each
+    plus 2 for the unit of m.  When both minima sit on the same single
+    summand the cross term is not a legal labeling, but it is then
+    dominated by that summand's pair sum, so the formula is still exact.
     """
     min_sum = min(a + b for a, b in z.pairs)
     min_a = min(a for a, _ in z.pairs)
@@ -246,13 +323,10 @@ def degbd_m1_closed_form(z: NodalType) -> int:
 
 
 def degbd_profile(z: NodalType) -> tuple[int, ...]:
-    """All degree bounds (degbd(z, 1), ..., degbd(z, rank)) from one DP:
-    the diagonal of the table with side counts up to the rank."""
-    r = z.rank
-    costs, inf = z._label_costs
-    table = _start(r, inf)
-    _fill(table, costs, 0, r, 0, r)
-    return tuple(table[m][m] // (r + 1) for m in range(1, r + 1))
+    """All degree bounds (degbd(z, 1), ..., degbd(z, rank)): the rank
+    augmenting steps of ``_bounds``, in O(rank^2) time.  Its increments
+    never decrease, since the cost of a shortest augmenting path does not."""
+    return tuple(_bounds(z.pairs, z.rank))
 
 
 def admissible_smoothings(
@@ -399,9 +473,8 @@ def sharpness_witness(z: NodalType, m: int) -> SharpnessWitness:
     optimum.  Each pass builds the rank + 1 suffix tables, each one
     ``_fill`` of one summand on a copy of the one before, and fills one
     prefix table in place with each decided summand; no trial table is
-    copied.  So the DP and its count ranges are the ones ``_fill`` gives
-    ``degbd``.  The passes narrow a list copy of the label costs the type
-    built with itself.
+    copied.  The passes narrow a list of the label costs ``_costs`` builds
+    for this call.
 
     The sort gives K2.  Once J and K1 are fixed, K2 is any |K1| of the
     other indices and each adds b_i + 1 on its own, so the value is least
@@ -412,7 +485,7 @@ def sharpness_witness(z: NodalType, m: int) -> SharpnessWitness:
     """
     m = _check_m(z, m)
     r = z.rank
-    costs, inf = z._label_costs
+    costs, inf = _costs(z.pairs)
     costs = list(costs)
     for label, d1, d2 in ((_J, 1, 1), (_K1, 1, 0)):
         back = [_start(m, inf)]

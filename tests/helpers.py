@@ -447,6 +447,27 @@ def labeling_minima(pairs):
     return best
 
 
+def table_degbd(z, m):
+    """degbd(z, m) by the table DP that computed it before augmenting
+    paths, the oracle for ``nodal.degbd``: the label costs of a fresh
+    ``_costs`` call filled into one (m + 2)^2 table of side counts, in
+    O(rank * m^2)."""
+    costs, inf = _costs(z.pairs)
+    table = _start(m, inf)
+    _fill(table, costs, m, m, 0, z.rank)
+    return table[m][m] // (z.rank + 1)
+
+
+def table_profile(z):
+    """degbd_profile(z) by the same table DP at cap rank, the oracle for
+    ``nodal.degbd_profile``: the diagonal of one table, in O(rank^3)."""
+    r = z.rank
+    costs, inf = _costs(z.pairs)
+    table = _start(r, inf)
+    _fill(table, costs, 0, r, 0, r)
+    return tuple(table[m][m] // (r + 1) for m in range(1, r + 1))
+
+
 def witness_labeling(pairs, m):
     """(value, J, K1, K2) of the labeling ``sharpness_witness`` exhibits:
     among those with |J| + |K1| = |J| + |K2| = m, the least value with the

@@ -42,6 +42,15 @@ z = parse_nodal_type(sys.argv[1])
 print(sharpness_witness(z, 32).total, degbd_profile(z)[31])
 """
 
+# a rank-1,000 type: the bound at m = 500 and the sum of the whole profile
+PROFILE1000 = """
+import random
+from freecurves.nodal import NodalType, degbd, degbd_profile
+r = random.Random(1000)
+z = NodalType((int(r.random() * 13) - 6, int(r.random() * 13) - 6) for _ in range(1000))
+print(degbd(z, 500), sum(degbd_profile(z)))
+"""
+
 WITNESS64 = """
 import sys
 from freecurves.nodal import parse_nodal_type, sharpness_witness
@@ -166,13 +175,17 @@ class Case(NamedTuple):
 
 CASES = [
     Case("sp-as-module", CLI + ("sp", "--type=4,3,3,2"), text="panel: 4/3,1,1,2/3  min_ratio: 2/3\n"),
-    # degbd, its profile and the witness at rank 64 are DPs over the
-    # summands; a labeling enumeration would not finish in 30 s.  The witness
-    # is pinned by digest, so the labeling it chooses cannot change
+    # degbd and its profile at rank 64 take augmenting paths and the witness
+    # a DP over the summands; a labeling enumeration would not finish in
+    # 30 s.  The witness is pinned by digest, so the labeling it chooses
+    # cannot change, and probe-rank64 checks its total against the profile
     Case("degbd-rank64", CLI + ("degbd", f"--nodal={NODAL64}", "--m", "32"), text="-217\n"),
     Case("probe-rank64", ("-c", PROBE64, NODAL64), text="-217 -217\n"),
     Case("witness-rank64", ("-c", WITNESS64, NODAL64),
          sha256="5e7772eb8d8eaad2090825684baae3985de47047aacf26d26bebe5886add2673"),
+    # the bound and the profile take augmenting paths, O(rank * m) and
+    # O(rank^2); a table DP over side counts took over a minute at rank 1,000
+    Case("profile-rank1000", ("-c", PROFILE1000), text="-2739 -1755219\n"),
     # the smoothing walk's cost stays proportional to its output; the
     # digests pin each listing in its order
     Case("smooth-sequential-rank20", CLI + ("smooth", f"--nodal={NODAL20}", "--sequential"),

@@ -11,6 +11,7 @@ from freecurves.errors import OutOfRange, RankMismatch
 from freecurves.nodal import (
     Alignment,
     NodalType,
+    _bounds,
     admissible_smoothings,
     degbd,
     degbd_m1_closed_form,
@@ -34,6 +35,8 @@ from helpers import (
     labelings,
     recursive_smoothings,
     sequential_zero_slope_types,
+    table_degbd,
+    table_profile,
     types_in_class,
     witness_labeling,
 )
@@ -425,6 +428,43 @@ def test_dp_matches_dictionary_dp_past_enumeration(pairs, m):
     assert sharpness_witness(z, m).total == profile[m - 1]
 
 
+@st.composite
+def tied_pairs(draw):
+    """Ranks 1-40 over at most four degrees drawn once per type, so many
+    summands tie in a, in b or in a + b."""
+    degree = st.sampled_from(draw(st.lists(degrees, min_size=1, max_size=4)))
+    return draw(st.lists(st.tuples(degree, degree), min_size=1, max_size=40))
+
+
+bound_pairs = st.lists(st.tuples(degrees, degrees), min_size=1, max_size=40) | tied_pairs()
+
+
+@given(bound_pairs, st.integers(1, 40), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_augmenting_paths_match_table_dp(pairs, m, rng):
+    # ranks 1-40: the bound and the profile against the table DP they
+    # replaced, and the profile from the summands in a shuffled order,
+    # which meets every tie in the scan of minima in another order
+    z = NodalType(pairs)
+    m = 1 + (m - 1) % z.rank
+    profile = table_profile(z)
+    assert degbd_profile(z) == profile
+    assert degbd(z, m) == table_degbd(z, m) == profile[m - 1]
+    shuffled = list(z.pairs)
+    rng.shuffle(shuffled)
+    assert tuple(_bounds(shuffled, z.rank)) == profile
+
+
+@given(bound_pairs)
+@settings(max_examples=80, deadline=None)
+def test_profile_increments_never_decrease(pairs):
+    # degbd is convex in m: each unit of m costs 2 plus a shortest
+    # augmenting path, and those paths never get cheaper
+    bounds = (0,) + degbd_profile(NodalType(pairs))
+    steps = [b - a for a, b in zip(bounds, bounds[1:])]
+    assert steps == sorted(steps)
+
+
 @given(
     st.lists(st.tuples(degrees, degrees), min_size=9, max_size=16),
     st.integers(1, 16),
@@ -479,10 +519,9 @@ def test_witness_k2_sort_matches_trial_greedies_on_ties(pairs):
 
 
 def test_degbd_memory_does_not_grow_with_rank():
-    # degbd fills one (m + 2)^2 table in place with the label costs the
-    # type built with itself, so beyond its input it needs about a
-    # kilobyte at rank 20,000; rebuilding the per-summand cost list would
-    # take about 3 MB, and a table per summand some 24 MB
+    # degbd keeps one byte of label per summand and a few ints, so beyond
+    # its input it needs about 20 kB at rank 20,000; a per-summand cost
+    # list would take about 3 MB, and a DP table per summand some 24 MB
     rng = random.Random(20000)
     z = NodalType((rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(20000))
     tracemalloc.start()

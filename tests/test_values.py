@@ -19,7 +19,6 @@ from freecurves.nodal import (
     NodalType,
     SharpnessWitness,
     WitnessBlock,
-    _costs,
 )
 from freecurves.splitting import SplittingType
 from freecurves.stability import BalanceTrace
@@ -145,13 +144,10 @@ def test_repr_strings():
     )
 
 
-def test_nodal_type_keeps_its_label_costs_outside_the_fields():
-    # the label costs are built with the type; they are not a field, so
-    # equality, hash and repr see the pairs alone
+def test_nodal_type_keeps_only_its_pairs():
+    # a type keeps its pairs and nothing else, so equality, hash and repr
+    # see the pairs alone
     z, same = NodalType([(2, -1), (-1, 2)]), NodalType([(-1, 2), (2, -1)])
-    assert z._label_costs == _costs(z.pairs)
-    # scaled by rank + 1 = 3, +1 for J; sentinel 1 + 2 * (13 + 13)
-    assert z._label_costs == (((4, 9, 0, 0), (4, 0, 9, 0)), 53)
-    object.__setattr__(same, "_label_costs", ((), 0))
+    assert list(z.__dict__) == ["pairs"]
     assert z == same and hash(z) == hash(same) == hash((z.pairs,))
     assert repr(z) == repr(same) == "NodalType(pairs=((2, -1), (-1, 2)))"
