@@ -7,7 +7,11 @@ the restricted bundle can carry on a nearby smooth curve.  It is a
 min-cost labeling of the summands, a min-cost flow, found exactly by
 successive shortest augmenting paths: each unit of m takes the cheapest of
 five exchanges, priced by one scan of minima over the summands, so the
-bound costs O(rank * m) and the whole profile O(rank^2).  Smoothings are
+whole profile costs O(rank^2).  A rank-m quotient's kernel has a dual that
+is a rank-(rank - m) quotient of the dual bundle, and taking complements of
+the labeled sets shows degbd(z, m) = deg z + degbd(z dual, rank - m), the
+dual negating every degree; so one bound takes the cheaper side, with
+min(m, rank - m) steps in O(rank * min(m, rank - m)).  Smoothings are
 listed against its floors by one depth-first walk that keeps the sum left
 and the least allowed entry per level, and each listed type is built once,
 as it is.  The witness is a DP whose state is the pair of side counts: it
@@ -169,55 +173,57 @@ def _start(cap: int, inf: int) -> list[list[int]]:
 
 
 def _fill(
-    table: list[list[int]], costs, need: int, cap: int, done: int, n: int
+    table: list[list[int]], cost, need: int, cap: int, done: int, n: int
 ) -> None:
-    """Update ``table`` in place for the summands with label costs ``costs``
-    (the sentinel forbids a label): entry [c1][c2] becomes the least cost
-    of labeling the summands so far with side counts c1 and c2.
+    """Update ``table`` in place with one more summand, of label costs
+    ``cost`` (the sentinel forbids a label): entry [c1][c2] becomes the
+    least cost of labeling the summands so far with side counts c1 and c2.
 
-    The table holds the first ``done`` of ``n`` summands; counts are capped
-    at ``cap``, and counts from which the summands left cannot reach
-    ``need`` are dropped.  So after ``done`` summands only counts
-    max(0, need - (n - done)) through min(done, cap) are filled; this is
-    the only place that rule lives.  Both counts are walked from the top
-    down, as in an in-place 0/1-knapsack update, so every cell still reads
-    the previous summand's values at counts one lower.  The lowest count
-    is 0 for every summand or one more than for the summand before, so the
-    row and column just below it hold the previous summand's values (or
-    the sentinel at index -1), and no cell below them is read again.
+    The table holds the first ``done`` of ``n`` summands before the call;
+    counts are capped at ``cap``, and counts from which the summands left
+    cannot reach ``need`` are dropped.  So after ``done`` + 1 summands only
+    counts max(0, need - (n - done - 1)) through min(done + 1, cap) are
+    filled; this is the only place that rule lives.  Both counts are walked
+    from the top down, as in an in-place 0/1-knapsack update, so every cell
+    still reads the previous summand's values at counts one lower.  The
+    lowest count is 0 for every summand or one more than for the summand
+    before, so the row and column just below it hold the previous summand's
+    values (or the sentinel at index -1), and no cell below them is read
+    again.
     """
-    for cj, ck1, ck2, c0 in costs:
-        done += 1
-        lo = need - n + done
-        if lo < 0:
-            lo = 0
-        counts = range(done if done < cap else cap, lo - 1, -1)
-        for c1 in counts:
-            row, prev = table[c1], table[c1 - 1]
-            for c2 in counts:
-                best = row[c2] + c0
-                other = prev[c2] + ck1
-                if other < best:
-                    best = other
-                other = row[c2 - 1] + ck2
-                if other < best:
-                    best = other
-                other = prev[c2 - 1] + cj
-                if other < best:
-                    best = other
-                row[c2] = best
+    cj, ck1, ck2, c0 = cost
+    done += 1
+    lo = need - n + done
+    if lo < 0:
+        lo = 0
+    counts = range(done if done < cap else cap, lo - 1, -1)
+    for c1 in counts:
+        row, prev = table[c1], table[c1 - 1]
+        for c2 in counts:
+            best = row[c2] + c0
+            other = prev[c2] + ck1
+            if other < best:
+                best = other
+            other = row[c2 - 1] + ck2
+            if other < best:
+                best = other
+            other = prev[c2 - 1] + cj
+            if other < best:
+                best = other
+            row[c2] = best
 
 
 def _check_m(z: NodalType, m) -> int:
     m = exact_int(m, "m")
-    if not 1 <= m <= z.rank:
+    if not 1 <= m <= len(z.pairs):
         raise OutOfRange(f"m={m} outside 1..{z.rank}")
     return m
 
 
-def _bounds(pairs, m: int) -> list[int]:
+def _bounds(pairs, m: int, dual: bool = False) -> list[int]:
     """The degree bounds for quotient ranks 1..m, by successive shortest
-    augmenting paths.
+    augmenting paths; with ``dual``, those of the dual type, whose degrees
+    are the pairs negated.
 
     With X = J + K1 and Y = J + K2, both of size m, a labeling's sum is
     sum_X a + sum_Y b - 2|X & Y| + 2m.  The first three terms are the cost
@@ -240,30 +246,62 @@ def _bounds(pairs, m: int) -> list[int]:
     least free a and the least free b; when one summand holds both, the
     sum is above that summand's exchange 1, so it never wins.  Each step is
     one scan of the summands; the labels take one byte per summand.
+
+    Taking the complements X' and Y' of X and Y turns a labeling for m into
+    one for rank - m of the dual type, whose sum is the first less the
+    total degree; so ``degbd`` above half the rank runs the dual steps.
+    The dual type's least a is the greatest a negated, and so on, so its
+    steps scan the same pairs for the greatest a + b, a and b of the free
+    summands, the greatest b of K1 and the greatest a of K2, and price the
+    exchanges with those negated; no negated copy is built.
     """
     labels = bytearray(len(pairs))  # 0 free, 1 J, 2 K1, 3 K2
     bounds = []
     value = 0
     for _ in range(m):
         free = k1_b = k2_a = None
-        for i, (a, b) in enumerate(pairs):
-            label = labels[i]
-            if not label:
-                if free is None:
-                    free, free_i, free_a, a_i, free_b, b_i = a + b, i, a, i, b, i
-                    continue
-                if a + b < free:
-                    free, free_i = a + b, i
-                if a < free_a:
-                    free_a, a_i = a, i
-                if b < free_b:
-                    free_b, b_i = b, i
-            elif label == 2:
-                if k1_b is None or b < k1_b:
-                    k1_b, k1_i = b, i
-            elif label == 3:
-                if k2_a is None or a < k2_a:
-                    k2_a, k2_i = a, i
+        if dual:
+            for i, (a, b) in enumerate(pairs):
+                label = labels[i]
+                if not label:
+                    if free is None:
+                        free, free_i, free_a, a_i, free_b, b_i = a + b, i, a, i, b, i
+                        continue
+                    if a + b > free:
+                        free, free_i = a + b, i
+                    if a > free_a:
+                        free_a, a_i = a, i
+                    if b > free_b:
+                        free_b, b_i = b, i
+                elif label == 2:
+                    if k1_b is None or b > k1_b:
+                        k1_b, k1_i = b, i
+                elif label == 3:
+                    if k2_a is None or a > k2_a:
+                        k2_a, k2_i = a, i
+            if free is not None:
+                free, free_a, free_b = -free, -free_a, -free_b
+            if k1_b is not None:
+                k1_b, k2_a = -k1_b, -k2_a
+        else:
+            for i, (a, b) in enumerate(pairs):
+                label = labels[i]
+                if not label:
+                    if free is None:
+                        free, free_i, free_a, a_i, free_b, b_i = a + b, i, a, i, b, i
+                        continue
+                    if a + b < free:
+                        free, free_i = a + b, i
+                    if a < free_a:
+                        free_a, a_i = a, i
+                    if b < free_b:
+                        free_b, b_i = b, i
+                elif label == 2:
+                    if k1_b is None or b < k1_b:
+                        k1_b, k1_i = b, i
+                elif label == 3:
+                    if k2_a is None or a < k2_a:
+                        k2_a, k2_i = a, i
         # below the rank a summand is free or K1 and K2 (of one size) are not
         # empty, so some exchange is priced
         best = exchange = None
@@ -299,11 +337,28 @@ def degbd(z: NodalType, m: int) -> int:
 
     Least labeled sum over disjoint J, K1, K2 with |J| + |K1| = |J| + |K2|
     = m, where J contributes a_i + b_i, K1 contributes a_i + 1 and K2
-    contributes b_i + 1.  Computed by m augmenting steps of ``_bounds``,
-    each one scan of the summands, in O(rank * m) time and one byte of
-    label per summand.
+    contributes b_i + 1.  Computed from the cheaper side, in
+    min(m, rank - m) augmenting steps of ``_bounds``, each one scan of the
+    summands: O(rank * min(m, rank - m)) time and one byte of label per
+    summand.
+
+    A rank-m quotient has a rank-(rank - m) kernel, whose dual is a
+    quotient of the dual bundle, and the labeling has the same symmetry:
+    with X = J + K1 and Y = J + K2 and X', Y' their complements,
+    sum_X a + sum_Y b - 2|X & Y| + 2m = deg z + sum_X' (-a) + sum_Y' (-b)
+    - 2|X' & Y'| + 2(rank - m).  So degbd(z, m) = deg z +
+    degbd(z dual, rank - m), where the dual negates every degree and the
+    bound at 0 is 0.  Up to half the rank the steps run forward; above
+    it, on the dual; at the rank the bound is the total degree.
     """
-    return _bounds(z.pairs, _check_m(z, m))[-1]
+    m = _check_m(z, m)
+    pairs = z.pairs
+    rest = len(pairs) - m
+    if m <= rest:
+        return _bounds(pairs, m)[-1]
+    if not rest:
+        return z.total_degree
+    return z.total_degree + _bounds(pairs, rest, True)[-1]
 
 
 def degbd_m1_closed_form(z: NodalType) -> int:
@@ -491,7 +546,7 @@ def sharpness_witness(z: NodalType, m: int) -> SharpnessWitness:
         back = [_start(m, inf)]
         for done, cost in enumerate(reversed(costs)):
             back.append([row[:] for row in back[-1]])
-            _fill(back[-1], (cost,), m, m, done, r)
+            _fill(back[-1], cost, m, m, done, r)
         back.reverse()
         best = back[0][m][m]
         front = _start(m, inf)
@@ -499,7 +554,7 @@ def sharpness_witness(z: NodalType, m: int) -> SharpnessWitness:
             if cost[label] != inf:
                 meet = cost[label] + _meet(front, back[i + 1], m, d1, d2)
                 costs[i] = (_only if meet == best else _without)(cost, label, inf)
-            _fill(front, (costs[i],), m, m, i, r)
+            _fill(front, costs[i], m, m, i, r)
     J, K1, rest = (
         [i for i, cost in enumerate(costs) if cost[label] != inf]
         for label in (_J, _K1, _NONE)

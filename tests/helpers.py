@@ -447,6 +447,14 @@ def labeling_minima(pairs):
     return best
 
 
+def fill_run(table, costs, need, cap):
+    """Fill ``table`` in place with every summand of ``costs``, one
+    ``_fill`` each, so each summand's side-count range is the rule
+    ``_fill`` keeps."""
+    for done, cost in enumerate(costs):
+        _fill(table, cost, need, cap, done, len(costs))
+
+
 def table_degbd(z, m):
     """degbd(z, m) by the table DP that computed it before augmenting
     paths, the oracle for ``nodal.degbd``: the label costs of a fresh
@@ -454,7 +462,7 @@ def table_degbd(z, m):
     O(rank * m^2)."""
     costs, inf = _costs(z.pairs)
     table = _start(m, inf)
-    _fill(table, costs, m, m, 0, z.rank)
+    fill_run(table, costs, m, m)
     return table[m][m] // (z.rank + 1)
 
 
@@ -464,7 +472,7 @@ def table_profile(z):
     r = z.rank
     costs, inf = _costs(z.pairs)
     table = _start(r, inf)
-    _fill(table, costs, 0, r, 0, r)
+    fill_run(table, costs, 0, r)
     return tuple(table[m][m] // (r + 1) for m in range(1, r + 1))
 
 
@@ -544,7 +552,7 @@ def copying_witness(z, m):
         back = [_start(m, inf)]
         for done, cost in enumerate(reversed(costs)):
             back.append([row[:] for row in back[-1]])
-            _fill(back[-1], (cost,), m, m, done, r)
+            _fill(back[-1], cost, m, m, done, r)
         back.reverse()
         best = back[0][m][m]
         front = _start(m, inf)
@@ -552,13 +560,13 @@ def copying_witness(z, m):
             if cost[label] != inf:
                 only = _only(cost, label, inf)
                 trial = [row[:] for row in front]
-                _fill(trial, (only,), m, m, i, r)
+                _fill(trial, only, m, m, i, r)
                 if _unshifted_meet(trial, back[i + 1], m) == best:
                     costs[i] = only
                     front = trial
                     continue
                 costs[i] = _without(cost, label, inf)
-            _fill(front, (costs[i],), m, m, i, r)
+            _fill(front, costs[i], m, m, i, r)
     J, K1, K2 = (
         [i for i, cost in enumerate(costs) if cost[label] != inf]
         for label in (_J, _K1, _K2)

@@ -51,6 +51,15 @@ z = NodalType((int(r.random() * 13) - 6, int(r.random() * 13) - 6) for _ in rang
 print(degbd(z, 500), sum(degbd_profile(z)))
 """
 
+# a rank-30,000 type: the bound just below the top rank and at it
+TOP30000 = """
+import random
+from freecurves.nodal import NodalType, degbd
+r = random.Random(30000)
+z = NodalType((int(r.random() * 13) - 6, int(r.random() * 13) - 6) for _ in range(30000))
+print(degbd(z, 29990), degbd(z, 30000))
+"""
+
 WITNESS64 = """
 import sys
 from freecurves.nodal import parse_nodal_type, sharpness_witness
@@ -183,9 +192,14 @@ CASES = [
     Case("probe-rank64", ("-c", PROBE64, NODAL64), text="-217 -217\n"),
     Case("witness-rank64", ("-c", WITNESS64, NODAL64),
          sha256="5e7772eb8d8eaad2090825684baae3985de47047aacf26d26bebe5886add2673"),
-    # the bound and the profile take augmenting paths, O(rank * m) and
-    # O(rank^2); a table DP over side counts took over a minute at rank 1,000
+    # the bound and the profile take augmenting paths, O(rank * min(m,
+    # rank - m)) and O(rank^2); a table DP over side counts took over a
+    # minute at rank 1,000
     Case("profile-rank1000", ("-c", PROFILE1000), text="-2739 -1755219\n"),
+    # degbd takes the cheaper side, min(m, rank - m) steps: near the top
+    # rank it steps on the dual type, and at the rank it reads the total
+    # degree; taking every step forward, the two calls took over two minutes
+    Case("degbd-top-rank30000", ("-c", TOP30000), text="254 374\n"),
     # the smoothing walk's cost stays proportional to its output; the
     # digests pin each listing in its order
     Case("smooth-sequential-rank20", CLI + ("smooth", f"--nodal={NODAL20}", "--sequential"),

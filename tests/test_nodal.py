@@ -465,6 +465,34 @@ def test_profile_increments_never_decrease(pairs):
     assert steps == sorted(steps)
 
 
+@given(bound_pairs)
+@settings(max_examples=80, deadline=None)
+def test_degbd_is_total_degree_plus_dual_bound(pairs):
+    # ranks 1-40, every m: a rank-m quotient's kernel dualizes to a
+    # rank-(r - m) quotient of the dual type, which negates every degree,
+    # so degbd(z, m) = deg z + degbd(z dual, r - m), with 0 at r - m = 0;
+    # the dual bound comes from the table DP, which has no dual side
+    z = NodalType(pairs)
+    r = z.rank
+    z_dual = NodalType((-a, -b) for a, b in z.pairs)
+    for m in range(1, r + 1):
+        dual_bound = table_degbd(z_dual, r - m) if m < r else 0
+        assert degbd(z, m) == z.total_degree + dual_bound
+    assert degbd(z, r) == z.total_degree
+
+
+@given(bound_pairs)
+@settings(max_examples=80, deadline=None)
+def test_dual_scan_matches_forward_scan_of_negated_pairs(pairs):
+    # the dual steps keep maxima and price them negated: forced on z at
+    # every step count, whichever side degbd would take, they give what the
+    # forward steps give on the negated pairs in the same order
+    z = NodalType(pairs)
+    forward = _bounds([(-a, -b) for a, b in z.pairs], z.rank)
+    for steps in range(1, z.rank + 1):
+        assert _bounds(z.pairs, steps, True) == forward[:steps]
+
+
 @given(
     st.lists(st.tuples(degrees, degrees), min_size=9, max_size=16),
     st.integers(1, 16),
@@ -518,15 +546,18 @@ def test_witness_k2_sort_matches_trial_greedies_on_ties(pairs):
         assert got == copying_witness(z, m).render()
 
 
-def test_degbd_memory_does_not_grow_with_rank():
+@pytest.mark.parametrize("m", [3, 19997, 20000])
+def test_degbd_memory_does_not_grow_with_rank(m):
     # degbd keeps one byte of label per summand and a few ints, so beyond
-    # its input it needs about 20 kB at rank 20,000; a per-summand cost
-    # list would take about 3 MB, and a DP table per summand some 24 MB
+    # its input it needs about 20 kB at rank 20,000, taking its few steps
+    # forward at m = 3, on the dual side at m = 19,997 and none at the
+    # rank; a per-summand cost list would take about 3 MB, and a DP table
+    # per summand some 24 MB
     rng = random.Random(20000)
     z = NodalType((rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(20000))
     tracemalloc.start()
     try:
-        degbd(z, 3)
+        degbd(z, m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
