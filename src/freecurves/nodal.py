@@ -11,13 +11,16 @@ whole profile costs O(rank^2).  A rank-m quotient's kernel has a dual that
 is a rank-(rank - m) quotient of the dual bundle, and taking complements of
 the labeled sets shows degbd(z, m) = deg z + degbd(z dual, rank - m), the
 dual negating every degree; so one bound takes the cheaper side, with
-min(m, rank - m) steps in O(rank * min(m, rank - m)).  Smoothings are
-listed against its floors by one depth-first walk that keeps the sum left
-and the least allowed entry per level, and each listed type is built once,
-as it is.  The witness is a DP whose state is the pair of side counts: it
-builds its label costs per call and takes two DP passes and one sort; the
-passes fix J and then K1, testing each label with one shifted meet of two
-tables and copying no trial table, and the sort gives K2.
+min(m, rank - m) steps in O(rank * min(m, rank - m)), and at the rank it
+takes zero dual steps.  Both directions run one loop, which negates each
+degree as it reads it on the dual side and yields each bound in turn,
+keeping only the running one.  Smoothings are listed against its floors
+by one depth-first walk that keeps the sum left and the least allowed
+entry per level, and each listed type is built once, as it is.  The
+witness is a DP whose state is the pair of side counts: it builds its
+label costs per call and takes two DP passes and one sort; the passes fix
+J and then K1, testing each label with one shifted meet of two tables and
+copying no trial table, and the sort gives K2.
 """
 
 from __future__ import annotations
@@ -220,10 +223,10 @@ def _check_m(z: NodalType, m) -> int:
     return m
 
 
-def _bounds(pairs, m: int, dual: bool = False) -> list[int]:
-    """The degree bounds for quotient ranks 1..m, by successive shortest
-    augmenting paths; with ``dual``, those of the dual type, whose degrees
-    are the pairs negated.
+def _bounds(pairs, m: int, dual: bool = False):
+    """Yield the degree bounds for quotient ranks 1..m, by successive
+    shortest augmenting paths; with ``dual``, those of the dual type, whose
+    degrees are the pairs negated.
 
     With X = J + K1 and Y = J + K2, both of size m, a labeling's sum is
     sum_X a + sum_Y b - 2|X & Y| + 2m.  The first three terms are the cost
@@ -245,63 +248,45 @@ def _bounds(pairs, m: int, dual: bool = False) -> list[int]:
     Every other path is dearer than one of these.  Exchange 2 takes the
     least free a and the least free b; when one summand holds both, the
     sum is above that summand's exchange 1, so it never wins.  Each step is
-    one scan of the summands; the labels take one byte per summand.
+    one loop over the summands; the labels take one byte per summand, and
+    only the running bound is kept, each bound yielded as it is found.
 
     Taking the complements X' and Y' of X and Y turns a labeling for m into
     one for rank - m of the dual type, whose sum is the first less the
     total degree; so ``degbd`` above half the rank runs the dual steps.
-    The dual type's least a is the greatest a negated, and so on, so its
-    steps scan the same pairs for the greatest a + b, a and b of the free
-    summands, the greatest b of K1 and the greatest a of K2, and price the
-    exchanges with those negated; no negated copy is built.
+    The same loop serves them: with ``dual`` it negates each degree it
+    reads (a and b of a free summand, b of a K1 summand, a of a K2
+    summand), so the same comparisons, pricing and label updates give the
+    dual's steps, and no negated copy of the pairs is built.
     """
     labels = bytearray(len(pairs))  # 0 free, 1 J, 2 K1, 3 K2
-    bounds = []
     value = 0
     for _ in range(m):
         free = k1_b = k2_a = None
-        if dual:
-            for i, (a, b) in enumerate(pairs):
-                label = labels[i]
-                if not label:
-                    if free is None:
-                        free, free_i, free_a, a_i, free_b, b_i = a + b, i, a, i, b, i
-                        continue
-                    if a + b > free:
-                        free, free_i = a + b, i
-                    if a > free_a:
-                        free_a, a_i = a, i
-                    if b > free_b:
-                        free_b, b_i = b, i
-                elif label == 2:
-                    if k1_b is None or b > k1_b:
-                        k1_b, k1_i = b, i
-                elif label == 3:
-                    if k2_a is None or a > k2_a:
-                        k2_a, k2_i = a, i
-            if free is not None:
-                free, free_a, free_b = -free, -free_a, -free_b
-            if k1_b is not None:
-                k1_b, k2_a = -k1_b, -k2_a
-        else:
-            for i, (a, b) in enumerate(pairs):
-                label = labels[i]
-                if not label:
-                    if free is None:
-                        free, free_i, free_a, a_i, free_b, b_i = a + b, i, a, i, b, i
-                        continue
-                    if a + b < free:
-                        free, free_i = a + b, i
-                    if a < free_a:
-                        free_a, a_i = a, i
-                    if b < free_b:
-                        free_b, b_i = b, i
-                elif label == 2:
-                    if k1_b is None or b < k1_b:
-                        k1_b, k1_i = b, i
-                elif label == 3:
-                    if k2_a is None or a < k2_a:
-                        k2_a, k2_i = a, i
+        for i, (a, b) in enumerate(pairs):
+            label = labels[i]
+            if not label:
+                if dual:
+                    a, b = -a, -b
+                if free is None:
+                    free, free_i, free_a, a_i, free_b, b_i = a + b, i, a, i, b, i
+                    continue
+                if a + b < free:
+                    free, free_i = a + b, i
+                if a < free_a:
+                    free_a, a_i = a, i
+                if b < free_b:
+                    free_b, b_i = b, i
+            elif label == 2:
+                if dual:
+                    b = -b
+                if k1_b is None or b < k1_b:
+                    k1_b, k1_i = b, i
+            elif label == 3:
+                if dual:
+                    a = -a
+                if k2_a is None or a < k2_a:
+                    k2_a, k2_i = a, i
         # below the rank a summand is free or K1 and K2 (of one size) are not
         # empty, so some exchange is priced
         best = exchange = None
@@ -328,8 +313,7 @@ def _bounds(pairs, m: int, dual: bool = False) -> list[int]:
         else:
             labels[k2_i] = labels[k1_i] = 1
         value += best + 2
-        bounds.append(value)
-    return bounds
+        yield value
 
 
 def degbd(z: NodalType, m: int) -> int:
@@ -337,10 +321,10 @@ def degbd(z: NodalType, m: int) -> int:
 
     Least labeled sum over disjoint J, K1, K2 with |J| + |K1| = |J| + |K2|
     = m, where J contributes a_i + b_i, K1 contributes a_i + 1 and K2
-    contributes b_i + 1.  Computed from the cheaper side, in
-    min(m, rank - m) augmenting steps of ``_bounds``, each one scan of the
-    summands: O(rank * min(m, rank - m)) time and one byte of label per
-    summand.
+    contributes b_i + 1.  Computed from the cheaper side by one call of
+    ``_bounds``, in min(m, rank - m) augmenting steps, each one loop over
+    the summands: O(rank * min(m, rank - m)) time, one byte of label per
+    summand and only the running bound.
 
     A rank-m quotient has a rank-(rank - m) kernel, whose dual is a
     quotient of the dual bundle, and the labeling has the same symmetry:
@@ -349,16 +333,15 @@ def degbd(z: NodalType, m: int) -> int:
     - 2|X' & Y'| + 2(rank - m).  So degbd(z, m) = deg z +
     degbd(z dual, rank - m), where the dual negates every degree and the
     bound at 0 is 0.  Up to half the rank the steps run forward; above
-    it, on the dual; at the rank the bound is the total degree.
+    it, on the dual, and at the rank they are zero dual steps.
     """
     m = _check_m(z, m)
-    pairs = z.pairs
-    rest = len(pairs) - m
-    if m <= rest:
-        return _bounds(pairs, m)[-1]
-    if not rest:
-        return z.total_degree
-    return z.total_degree + _bounds(pairs, rest, True)[-1]
+    rest = len(z.pairs) - m
+    dual = m > rest
+    value = 0
+    for value in _bounds(z.pairs, rest if dual else m, dual):
+        pass
+    return z.total_degree + value if dual else value
 
 
 def degbd_m1_closed_form(z: NodalType) -> int:
@@ -378,9 +361,10 @@ def degbd_m1_closed_form(z: NodalType) -> int:
 
 
 def degbd_profile(z: NodalType) -> tuple[int, ...]:
-    """All degree bounds (degbd(z, 1), ..., degbd(z, rank)): the rank
-    augmenting steps of ``_bounds``, in O(rank^2) time.  Its increments
-    never decrease, since the cost of a shortest augmenting path does not."""
+    """All degree bounds (degbd(z, 1), ..., degbd(z, rank)): the bounds
+    ``_bounds`` yields in rank forward steps, in O(rank^2) time.  Its
+    increments never decrease, since the cost of a shortest augmenting path
+    does not."""
     return tuple(_bounds(z.pairs, z.rank))
 
 

@@ -60,6 +60,15 @@ z = NodalType((int(r.random() * 13) - 6, int(r.random() * 13) - 6) for _ in rang
 print(degbd(z, 29990), degbd(z, 30000))
 """
 
+# a rank-2,000 type at the middle m: 1,000 forward steps, then 999 dual ones
+MIDDLE2000 = """
+import random
+from freecurves.nodal import NodalType, degbd
+r = random.Random(2000)
+z = NodalType((int(r.random() * 13) - 6, int(r.random() * 13) - 6) for _ in range(2000))
+print(degbd(z, 1000), degbd(z, 1001))
+"""
+
 WITNESS64 = """
 import sys
 from freecurves.nodal import parse_nodal_type, sharpness_witness
@@ -200,6 +209,9 @@ CASES = [
     # rank it steps on the dual type, and at the rank it reads the total
     # degree; taking every step forward, the two calls took over two minutes
     Case("degbd-top-rank30000", ("-c", TOP30000), text="254 374\n"),
+    # one bound on each side of the switch between forward and dual steps,
+    # both taken by the one loop of _bounds
+    Case("degbd-middle-rank2000", ("-c", MIDDLE2000), text="-5646 -5646\n"),
     # the smoothing walk's cost stays proportional to its output; the
     # digests pin each listing in its order
     Case("smooth-sequential-rank20", CLI + ("smooth", f"--nodal={NODAL20}", "--sequential"),

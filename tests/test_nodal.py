@@ -484,13 +484,13 @@ def test_degbd_is_total_degree_plus_dual_bound(pairs):
 @given(bound_pairs)
 @settings(max_examples=80, deadline=None)
 def test_dual_scan_matches_forward_scan_of_negated_pairs(pairs):
-    # the dual steps keep maxima and price them negated: forced on z at
+    # the dual steps negate each degree as they read it: forced on z at
     # every step count, whichever side degbd would take, they give what the
     # forward steps give on the negated pairs in the same order
     z = NodalType(pairs)
-    forward = _bounds([(-a, -b) for a, b in z.pairs], z.rank)
+    forward = list(_bounds([(-a, -b) for a, b in z.pairs], z.rank))
     for steps in range(1, z.rank + 1):
-        assert _bounds(z.pairs, steps, True) == forward[:steps]
+        assert list(_bounds(z.pairs, steps, True)) == forward[:steps]
 
 
 @given(
@@ -546,19 +546,26 @@ def test_witness_k2_sort_matches_trial_greedies_on_ties(pairs):
         assert got == copying_witness(z, m).render()
 
 
-@pytest.mark.parametrize("m", [3, 19997, 20000])
-def test_degbd_memory_does_not_grow_with_rank(m):
+@pytest.mark.parametrize(
+    ("rank", "m", "limit"),
+    [(20000, 3, 10**5), (20000, 19997, 10**5), (20000, 20000, 10**5),
+     (1000, 500, 10**4), (1000, 501, 10**4)],
+    ids=["3", "19997", "20000", "rank1000-500", "rank1000-501"],
+)
+def test_degbd_memory_does_not_grow_with_rank(rank, m, limit):
     # degbd keeps one byte of label per summand and a few ints, so beyond
     # its input it needs about 20 kB at rank 20,000, taking its few steps
     # forward at m = 3, on the dual side at m = 19,997 and none at the
     # rank; a per-summand cost list would take about 3 MB, and a DP table
-    # per summand some 24 MB
-    rng = random.Random(20000)
-    z = NodalType((rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(20000))
+    # per summand some 24 MB.  At rank 1,000 it takes 500 steps, forward at
+    # m = 500 and on the dual side at m = 501, in about 2 kB: it keeps only
+    # the running bound, where a list of every bound took over 20 kB
+    rng = random.Random(rank)
+    z = NodalType((rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rank))
     tracemalloc.start()
     try:
         degbd(z, m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10**5
+    assert peak < limit
