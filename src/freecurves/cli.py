@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
+from errno import EBADF, ELOOP, ENOENT, ENOTDIR
 from fractions import Fraction
 from pathlib import Path
 
 from . import counting as cnt
 from . import nodal, splitting, stability, variety
 from .errors import DomainError, int_token, int_tokens
-from .modelio import LoadedModel, fixture_path, load_model_file
+from .modelio import _FIXTURES, LoadedModel, load_model_file
 
 __all__ = ["run", "script"]
 
@@ -64,14 +66,27 @@ def _build_alignment(token, rank: int) -> nodal.Alignment:
     return nodal.Alignment.from_one_based(token)
 
 
+# The errors for which ``Path.exists()`` calls a file absent, as in 3.10 to
+# 3.12 (3.13 calls every OSError so).
+_ABSENT = frozenset({ENOENT, ENOTDIR, EBADF, ELOOP})
+
+
 def _load_model(path: str) -> LoadedModel:
-    """Load ``--model``: a file path, or the name of a bundled fixture."""
-    p = Path(path)
-    if not p.exists():
-        p = fixture_path(path)
-        if not p.exists():
-            raise DomainError(f"model file not found: {path}")
-    return load_model_file(p)
+    """Load ``--model``: a file path, or the name of a bundled fixture.
+
+    The path is opened as given, with no test before; only where that open
+    fails as absent (``_ABSENT``: no such file, a file where a directory
+    should be, a bad descriptor or a symlink loop), or the name holds a NUL,
+    is the fixture of that name opened, and where it is absent too the model
+    is not found."""
+    if "\x00" not in path:
+        for name in (path, os.path.join(_FIXTURES, path)):
+            try:
+                return load_model_file(name)
+            except OSError as exc:
+                if exc.errno not in _ABSENT:
+                    raise
+    raise DomainError(f"model file not found: {path}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -82,16 +97,20 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _counting_config(args) -> tuple[variety.VarietyModel, cnt.CountingConfig]:
+    """The model and its counting block, which was checked when it was
+    loaded and is shared as it is; ``--q`` or ``--delta`` builds a new one,
+    which checks every field again."""
     loaded = _load_model(args.model)
     cfg = loaded.counting
     if cfg is None:
         raise DomainError(f"model file {args.model} has no counting block")
-    q = cfg.q if args.q is None else args.q
-    delta = cfg.delta if args.delta is None else args.delta
-    # built anew even without overrides, so every field is checked again
-    return loaded.model, cnt.CountingConfig(
-        q, cfg.br, cfg.m_cap, cfg.beta, cfg.outside_xi, cfg.eps, delta
-    )
+    if args.q is not None or args.delta is not None:
+        q = cfg.q if args.q is None else args.q
+        delta = cfg.delta if args.delta is None else args.delta
+        cfg = cnt.CountingConfig(
+            q, cfg.br, cfg.m_cap, cfg.beta, cfg.outside_xi, cfg.eps, delta
+        )
+    return loaded.model, cfg
 
 
 def _cmd_sp(args) -> str:

@@ -233,18 +233,40 @@ def _load_bytes(raw: bytes, digit_limit: int | None) -> LoadedModel:
     return load_model(data)
 
 
+def _pathlib_name(path) -> str:
+    """The name that ``Path(path)`` opens.  Pathlib drops a name's empty and
+    "." parts, so ``x.json/`` opens ``x.json`` and the empty name opens
+    ".", and only a name with such a part, or one that is not a str, pays
+    for building a ``Path``; that raises TypeError for what is neither a
+    str nor an os.PathLike that gives one."""
+    if (
+        isinstance(path, str)
+        and path not in ("", ".")
+        and not path.startswith("./")
+        and not path.endswith(("/", "/."))
+        and "//" not in path
+        and "/./" not in path
+    ):
+        return path
+    return str(Path(path))
+
+
 def load_model_file(path) -> LoadedModel:
     """Load and strictly validate a model file.
 
-    The file is read on every call, so an edit shows on the next one, but
-    its content is parsed and built once per process: the same bytes, under
-    any path, give the same shared, immutable ``LoadedModel``.  Errors are
-    not kept; every ModelFormatError names ``path``."""
-    raw = Path(path).read_bytes()
+    The file is read on every call, with one ``open``, so an edit shows on
+    the next one, but its content is parsed and built once per process: the
+    same bytes, under any path, give the same shared, immutable
+    ``LoadedModel``.  ``path`` names the file that ``Path(path)`` names and
+    is refused where ``Path`` refuses it.  Errors are not kept; every
+    ModelFormatError names the file as pathlib does."""
+    name = _pathlib_name(path)
+    with open(name, "rb") as file:
+        raw = file.read()
     try:
         return _load_bytes(raw, _digit_limit())
     except ModelFormatError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from exc
+        raise ModelFormatError(f"{name}: {exc}") from exc
 
 
 _FIXTURES = Path(__file__).resolve().parent / "fixtures"

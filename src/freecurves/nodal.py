@@ -259,7 +259,8 @@ def _bounds(pairs, m: int, dual: bool = False):
     summand), so the same comparisons, pricing and label updates give the
     dual's steps, and no negated copy of the pairs is built.
     """
-    labels = bytearray(len(pairs))  # 0 free, 1 J, 2 K1, 3 K2
+    # 0 free, 1 J, 2 K1, 3 K2; no steps need no labels
+    labels = bytearray(len(pairs) if m else 0)
     value = 0
     for _ in range(m):
         free = k1_b = k2_a = None

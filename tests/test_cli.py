@@ -514,7 +514,99 @@ class TestTextRoundTrips:
             assert parse_nodal_type(str(z)) == z
 
 
+ESP_RHO1 = "esp: 1,1\nmin_entry: 1\ndegree: 4\nliberated_bound: 1/2\n"
+
+# What ``esp --class 4`` prints for each --model, run from a directory that
+# holds a regular file ``plainfile``, a symlink ``dangling.json`` to a
+# missing file, a symlink ``loop.json`` to itself, a directory ``models``
+# and ``toy_rho2.json`` holding toy_rho1's bytes, which shadows the fixture
+# of that name, and ``bad.json``, which is not JSON.  Exit code, stdout and
+# stderr were recorded when the CLI still tested for the file with
+# ``Path.exists()`` before reading it.  The rows from "empty" on pin the
+# names pathlib rewrites: it drops empty and "." parts.
+MODEL_RESOLUTION = {
+    "missing": (
+        "nope.json",
+        (1, "", "error: DomainError: model file not found: nope.json\n"),
+    ),
+    "under-a-file": (
+        "plainfile/x.json",
+        (1, "", "error: DomainError: model file not found: plainfile/x.json\n"),
+    ),
+    "dangling-symlink": (
+        "dangling.json",
+        (1, "", "error: DomainError: model file not found: dangling.json\n"),
+    ),
+    "symlink-loop": (
+        "loop.json",
+        (1, "", "error: DomainError: model file not found: loop.json\n"),
+    ),
+    "directory": (
+        "models",
+        (1, "", "error: IsADirectoryError: [Errno 21] Is a directory: 'models'\n"),
+    ),
+    "nul": (
+        "a\x00b.json",
+        (1, "", "error: DomainError: model file not found: a\x00b.json\n"),
+    ),
+    "local-shadows-fixture": ("toy_rho2.json", (0, ESP_RHO1, "")),
+    "fixture-name": ("toy_rho1.json", (0, ESP_RHO1, "")),
+    "empty": ("", (1, "", "error: IsADirectoryError: [Errno 21] Is a directory: '.'\n")),
+    "dot-slash-local": ("./toy_rho2.json", (0, ESP_RHO1, "")),
+    "trailing-slash-local": ("toy_rho2.json/", (0, ESP_RHO1, "")),
+    "trailing-slash-fixture": ("toy_rho1.json/.", (0, ESP_RHO1, "")),
+    "trailing-slash-directory": (
+        "models//",
+        (1, "", "error: IsADirectoryError: [Errno 21] Is a directory: 'models'\n"),
+    ),
+    "dot-slash-malformed": (
+        "./bad.json",
+        (
+            1,
+            "",
+            "error: ModelFormatError: bad.json: invalid JSON: "
+            "Expecting value: line 1 column 1 (char 0)\n",
+        ),
+    ),
+    "dot-dot-past-missing": (
+        "nope/../toy_rho1.json",
+        (1, "", "error: DomainError: model file not found: nope/../toy_rho1.json\n"),
+    ),
+}
+
+
 class TestModelFiles:
+    @pytest.mark.parametrize("case", list(MODEL_RESOLUTION))
+    def test_model_resolution(self, capsys, tmp_path, monkeypatch, case):
+        (tmp_path / "plainfile").write_bytes(b"")
+        (tmp_path / "dangling.json").symlink_to("nowhere.json")
+        (tmp_path / "loop.json").symlink_to("loop.json")
+        (tmp_path / "models").mkdir()
+        (tmp_path / "bad.json").write_bytes(b"not json")
+        (tmp_path / "toy_rho2.json").write_bytes(
+            fixture_path("toy_rho1.json").read_bytes()
+        )
+        monkeypatch.chdir(tmp_path)
+        model, expected = MODEL_RESOLUTION[case]
+        assert invoke(capsys, "esp", "--model", model, "--class", "4") == expected
+
+    @given(st.text(alphabet="a./", max_size=8))
+    def test_names_are_those_pathlib_opens(self, name):
+        assert modelio._pathlib_name(name) == str(pathlib.Path(name))
+        fixture = os.path.join(modelio._FIXTURES, name)
+        assert modelio._pathlib_name(fixture) == str(fixture_path(name))
+
+    @pytest.mark.parametrize(
+        "path, error",
+        [(12345, TypeError), (b"toy_rho1.json", TypeError), ("a\x00b", ValueError)],
+    )
+    def test_load_model_file_refuses_what_path_refuses(self, path, error):
+        # an int is not read as a file descriptor, nor bytes as a name
+        with pytest.raises(error):
+            pathlib.Path(path).read_bytes()
+        with pytest.raises(error):
+            load_model_file(path)
+
     def test_bundled_fixtures_load_and_validate(self):
         for name in ("pbundle.json", "toy_rho1.json", "toy_rho2.json"):
             loaded = load_model_file(fixture_path(name))
@@ -901,6 +993,27 @@ class TestModelCache:
         assert str(warm.value) == str(cold.value)
         assert "invalid JSON" in str(warm.value)
         assert load_model_file(path).model.dim_n == 10**1499
+
+    @pytest.mark.parametrize("command", ["count", "check"])
+    def test_counting_config_is_the_loaded_one_unless_overridden(self, capsys, command):
+        loaded = load_model_file(fixture_path("toy_rho2.json"))
+        base = [command, "--model", "toy_rho2.json", "--dmax", "3"]
+        model, cfg = cli._counting_config(_parse_args(base))
+        assert model is loaded.model and cfg is loaded.counting
+        for flag, value, field in [("--q", "3", "q"), ("--delta", "1/2", "delta")]:
+            _, cfg = cli._counting_config(_parse_args([*base, flag, value]))
+            assert cfg is not loaded.counting
+            assert getattr(cfg, field) == Fraction(value)
+            fields = {f: getattr(loaded.counting, f) for f in cfg._fields}
+            assert cfg == type(cfg)(**{**fields, field: Fraction(value)})
+        assert loaded.counting.q == 2 and loaded.counting.delta == Fraction(1, 10)
+        refusals = [
+            ("--q", "1", "usage error: q must exceed 1\n"),
+            ("--delta", "1", "usage error: delta must lie strictly between 0 and 1\n"),
+            ("--delta", "0", "usage error: delta must lie strictly between 0 and 1\n"),
+        ]
+        for flag, value, message in refusals:
+            assert invoke(capsys, *base, flag, value) == (2, "", message)
 
     @pytest.mark.parametrize("argv", FIXTURE_ARGVS, ids=" ".join)
     def test_cold_and_warm_print_the_same(self, capsys, argv):

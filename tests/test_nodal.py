@@ -548,16 +548,17 @@ def test_witness_k2_sort_matches_trial_greedies_on_ties(pairs):
 
 @pytest.mark.parametrize(
     ("rank", "m", "limit"),
-    [(20000, 3, 10**5), (20000, 19997, 10**5), (20000, 20000, 10**5),
+    [(20000, 3, 10**5), (20000, 19997, 10**5), (20000, 20000, 2000),
      (1000, 500, 10**4), (1000, 501, 10**4)],
     ids=["3", "19997", "20000", "rank1000-500", "rank1000-501"],
 )
 def test_degbd_memory_does_not_grow_with_rank(rank, m, limit):
     # degbd keeps one byte of label per summand and a few ints, so beyond
     # its input it needs about 20 kB at rank 20,000, taking its few steps
-    # forward at m = 3, on the dual side at m = 19,997 and none at the
-    # rank; a per-summand cost list would take about 3 MB, and a DP table
-    # per summand some 24 MB.  At rank 1,000 it takes 500 steps, forward at
+    # forward at m = 3 and on the dual side at m = 19,997; at the rank it
+    # takes none and allocates no labels, in well under 1 kB.  A
+    # per-summand cost list would take about 3 MB, and a DP table per
+    # summand some 24 MB.  At rank 1,000 it takes 500 steps, forward at
     # m = 500 and on the dual side at m = 501, in about 2 kB: it keeps only
     # the running bound, where a list of every bound took over 20 kB
     rng = random.Random(rank)
