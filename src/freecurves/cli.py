@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from errno import EBADF, ELOOP, ENOENT, ENOTDIR
 from fractions import Fraction
@@ -18,7 +17,7 @@ from pathlib import Path
 from . import counting as cnt
 from . import nodal, splitting, stability, variety
 from .errors import DomainError, int_token, int_tokens
-from .modelio import _FIXTURES, LoadedModel, load_model_file
+from .modelio import LoadedModel, fixture_path, load_model_file
 
 __all__ = ["run", "script"]
 
@@ -71,18 +70,26 @@ def _build_alignment(token, rank: int) -> nodal.Alignment:
 _ABSENT = frozenset({ENOENT, ENOTDIR, EBADF, ELOOP})
 
 
+@functools.lru_cache(maxsize=16)
+def _fixture_name(path: str) -> str:
+    """``str(fixture_path(path))``, kept per name, as in ``load_model_file``."""
+    return str(fixture_path(path))
+
+
 def _load_model(path: str) -> LoadedModel:
     """Load ``--model``: a file path, or the name of a bundled fixture.
 
     The path is opened as given, with no test before; only where that open
     fails as absent (``_ABSENT``: no such file, a file where a directory
-    should be, a bad descriptor or a symlink loop), or the name holds a NUL,
-    is the fixture of that name opened, and where it is absent too the model
-    is not found."""
+    should be, a bad descriptor or a symlink loop), or the name holds a NUL
+    or cannot be encoded, is the fixture of that name opened, and where it
+    is absent too the model is not found."""
     if "\x00" not in path:
-        for name in (path, os.path.join(_FIXTURES, path)):
+        for fixture in (False, True):
             try:
-                return load_model_file(name)
+                return load_model_file(_fixture_name(path) if fixture else path)
+            except UnicodeEncodeError:
+                pass
             except OSError as exc:
                 if exc.errno not in _ABSENT:
                     raise

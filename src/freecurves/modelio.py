@@ -233,21 +233,10 @@ def _load_bytes(raw: bytes, digit_limit: int | None) -> LoadedModel:
     return load_model(data)
 
 
-def _pathlib_name(path) -> str:
-    """The name that ``Path(path)`` opens.  Pathlib drops a name's empty and
-    "." parts, so ``x.json/`` opens ``x.json`` and the empty name opens
-    ".", and only a name with such a part, or one that is not a str, pays
-    for building a ``Path``; that raises TypeError for what is neither a
-    str nor an os.PathLike that gives one."""
-    if (
-        isinstance(path, str)
-        and path not in ("", ".")
-        and not path.startswith("./")
-        and not path.endswith(("/", "/."))
-        and "//" not in path
-        and "/./" not in path
-    ):
-        return path
+@lru_cache(maxsize=_CACHE_SIZE)
+def _str_name(path: str) -> str:
+    """``str(Path(path))``, kept per name: building a ``Path`` costs about
+    a third of reading a small model."""
     return str(Path(path))
 
 
@@ -257,10 +246,10 @@ def load_model_file(path) -> LoadedModel:
     The file is read on every call, with one ``open``, so an edit shows on
     the next one, but its content is parsed and built once per process: the
     same bytes, under any path, give the same shared, immutable
-    ``LoadedModel``.  ``path`` names the file that ``Path(path)`` names and
-    is refused where ``Path`` refuses it.  Errors are not kept; every
-    ModelFormatError names the file as pathlib does."""
-    name = _pathlib_name(path)
+    ``LoadedModel``.  ``path`` is read as ``Path(path)``, so it is refused
+    where ``Path`` refuses it.  Errors are not kept; every ModelFormatError
+    names the file as pathlib does."""
+    name = _str_name(path) if isinstance(path, str) else str(Path(path))
     with open(name, "rb") as file:
         raw = file.read()
     try:
