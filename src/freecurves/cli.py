@@ -262,16 +262,28 @@ def _parse_args(argv) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def _report(message: str) -> None:
+    """Print an error line to stderr; what the stream cannot encode, such as
+    a lone surrogate in a file name, goes as backslash escapes, as a
+    process's own stderr writes it."""
+    try:
+        print(message, file=sys.stderr)
+    except UnicodeEncodeError:
+        encoding = sys.stderr.encoding
+        escaped = message.encode(encoding, "backslashreplace").decode(encoding)
+        print(escaped, file=sys.stderr)
+
+
 def run(argv=None) -> int:
     """Parse arguments, dispatch, and return the process exit code."""
     args = _parse_args(argv)
     try:
         _emit(args.func(args), args.out)
     except (DomainError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _report(f"error: {type(exc).__name__}: {exc}")
         return 1
     except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _report(f"usage error: {exc}")
         return 2
     return 0
 

@@ -10,6 +10,17 @@ class, so degrees double too.
 The degree bounds always admit the balanced type of the glued degree (see
 ``balance_step``), so a step never runs out of candidates, and the best step
 is that type without listing any.
+
+A degree shift commutes with a step.  Gluing t + c to itself shifts every
+pair of the nodal type by (c, c), so degbd(z, m) by 2cm: both labeled sets
+have m summands.  A type's m smallest entries shift by 2cm too when the type
+shifts by 2c, and neither its width nor being sequential changes, so the
+sequential admissible set, and the worst of it, shift by 2c.  The worst step
+of t is therefore that of t - mu, with mu its slope, shifted by 2 mu.  It is
+listed once per translation class and kept in a table.  Below the rank cap
+there are five classes of positive width: (1,0,-1), (1,0,0,-1),
+(1,1,0,-1,-1), (1,0,0,0,-1) and (2,1,0,-1,-2) at slope 0, so the table never
+holds more than five entries.
 """
 
 from __future__ import annotations
@@ -22,7 +33,6 @@ from .splitting import (
     SplittingType,
     balance_width,
     is_sequential,
-    most_balanced,
     slope,
 )
 
@@ -65,14 +75,43 @@ def _check_balance_input(t: SplittingType, policy: str) -> None:
         raise ValueError(f"unknown policy {policy!r}")
     if t.rank > BALANCE_RANK_CAP:
         raise RankTooLarge(f"rank {t.rank} exceeds {BALANCE_RANK_CAP}")
-    mu = slope(t)
-    if mu.denominator != 1:
+    if t.total_degree % t.rank:
         raise NonIntegerSlope(
-            f"slope {mu} of {t} is not an integer; "
+            f"slope {slope(t)} of {t} is not an integer; "
             f"glue {integer_slope_copies(t)} copies first"
         )
     if not is_sequential(t):
         raise NotSequential(f"{t} has a degree gap larger than one")
+
+
+# The worst step of each translation class met so far, keyed and valued by
+# degrees at slope 0.
+_WORST_STEPS: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
+def _worst_step(degrees: tuple[int, ...]) -> tuple[int, ...]:
+    """The worst step of the slope-0 type with these degrees, listed the
+    first time its class is met and read from the table after that."""
+    step = _WORST_STEPS.get(degrees)
+    if step is None:
+        t = SplittingType._of_sorted(degrees)
+        glued = glue(t, t, Alignment.dual(t.rank))
+        candidates = admissible_smoothings(glued, require_sequential=True)
+        worst = max(candidates, key=lambda u: (balance_width(u), u.degrees))
+        step = _WORST_STEPS[degrees] = worst.degrees
+    return step
+
+
+def _step(t: SplittingType, policy: str) -> SplittingType:
+    """``balance_step`` of a checked type of positive width."""
+    degrees = t.degrees
+    mu = sum(degrees) // len(degrees)
+    if policy == "best":
+        return SplittingType._of_sorted((2 * mu,) * len(degrees))
+    if mu:
+        step = _worst_step(tuple(a - mu for a in degrees))
+        return SplittingType._of_sorted(tuple(a + 2 * mu for a in step))
+    return SplittingType._of_sorted(_worst_step(degrees))
 
 
 def balance_step(t: SplittingType, policy: str = "worst") -> SplittingType:
@@ -87,15 +126,16 @@ def balance_step(t: SplittingType, policy: str = "worst") -> SplittingType:
     so degbd(z, m) is at most the sum of those m pair sums.  That is at most
     2 m mu, the sum of the m smallest entries of the balanced type.  So
     ``best`` is the balanced type, and ``worst`` never meets an empty list.
+
+    Shifting t by c shifts every pair of z by (c, c), every degbd(z, m) by
+    2cm and so the sequential admissible set by 2c.  So ``worst`` is the
+    worst step of t - mu, listed once per translation class, shifted by
+    2 mu; the module docstring names the five classes below the rank cap.
     """
     _check_balance_input(t, policy)
     if balance_width(t) == 0:
         return t
-    if policy == "best":
-        return most_balanced(t.rank, 2 * t.total_degree)
-    glued = glue(t, t, Alignment.dual(t.rank))
-    candidates = admissible_smoothings(glued, require_sequential=True)
-    return max(candidates, key=lambda u: (balance_width(u), u.degrees))
+    return _step(t, policy)
 
 
 def balance(
@@ -103,7 +143,9 @@ def balance(
 ) -> BalanceTrace:
     """Iterate balance_step until width zero or the step cap.
 
-    Hitting the cap is reported through ``converged``, not raised.
+    Hitting the cap is reported through ``converged``, not raised.  The input
+    is checked once: each step keeps the rank, the best step is balanced, the
+    worst is a sequential smoothing, and either has twice the integer slope.
     """
     max_steps = exact_int(max_steps, "max_steps")
     if max_steps < 1:
@@ -111,6 +153,6 @@ def balance(
     _check_balance_input(t, policy)
     states = [t]
     while balance_width(states[-1]) != 0 and len(states) <= max_steps:
-        states.append(balance_step(states[-1], policy=policy))
+        states.append(_step(states[-1], policy))
     steps = len(states) - 1
     return BalanceTrace(tuple(states), steps, 2**steps, balance_width(states[-1]) == 0)

@@ -599,6 +599,28 @@ class TestModelFiles:
         assert (code, out.getvalue(), err.getvalue()) == expected
 
     @pytest.mark.parametrize(
+        "encoding, model, message",
+        [
+            ("utf-8", "\ud800.json", b"model file not found: \\ud800.json\n"),
+            ("ascii", "\xe9.json", b"model file not found: \\xe9.json\n"),
+        ],
+    )
+    def test_unencodable_name_escaped_on_a_strict_stream(
+        self, tmp_path, monkeypatch, encoding, model, message
+    ):
+        # a stream that encodes strictly gets the name as backslash escapes,
+        # as a process's own stderr writes it, and the exit code stays 1
+        monkeypatch.chdir(tmp_path)
+        raw = io.BytesIO()
+        monkeypatch.setattr(sys, "stderr", io.TextIOWrapper(raw, encoding=encoding))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run(["esp", "--model", model, "--class", "1"])
+        sys.stderr.flush()
+        assert (code, out.getvalue()) == (1, "")
+        assert raw.getvalue() == b"error: DomainError: " + message
+
+    @pytest.mark.parametrize(
         "path, error",
         [(12345, TypeError), (b"toy_rho1.json", TypeError), ("a\x00b", ValueError)],
     )

@@ -108,6 +108,28 @@ for name, classes in grids:
         print(name, alpha, code, repr(out.getvalue()), repr(err.getvalue()))
 """
 
+# balance over every sequential integer-slope type of rank at most 5 with
+# degrees in [-3, 3], both policies: the count of traces and one digest of
+# them, each trace a line of its policy, states, steps, copies and converged
+BALANCE_ALL = """
+import hashlib
+from itertools import combinations_with_replacement
+from freecurves.splitting import SplittingType, is_sequential
+from freecurves.stability import balance
+h, n = hashlib.sha256(), 0
+for rank in range(1, 6):
+    for degs in combinations_with_replacement(range(3, -4, -1), rank):
+        t = SplittingType(degs)
+        if sum(degs) % rank or not is_sequential(t):
+            continue
+        for policy in ("worst", "best"):
+            trace = balance(t, policy=policy)
+            line = " ".join([policy, *map(str, trace.states), str(trace.steps), str(trace.copies), str(trace.converged)])
+            h.update(line.encode() + b"\\n")
+            n += 1
+print(n, h.hexdigest())
+"""
+
 VALIDATE_FILE = """
 import sys
 from freecurves.modelio import load_model_file
@@ -224,6 +246,17 @@ CASES = [
               "steps: 2\ncopies: 4\nconverged: true\n"),
     Case("balance-best", CLI + ("balance", "--type", "2,1,0,-1,-2", "--policy", "best"),
          text="state 0: 2,1,0,-1,-2\nstate 1: 0,0,0,0,0\nsteps: 1\ncopies: 2\nconverged: true\n"),
+    # a translate of the rank-5 worst case: each step is its class's step
+    # shifted by twice the slope, 1,000 then 2,000
+    Case("balance-worst-translate", CLI + ("balance", "--type", "1002,1001,1000,999,998"),
+         text="state 0: 1002,1001,1000,999,998\nstate 1: 2001,2001,2000,1999,1999\n"
+              "state 2: 4000,4000,4000,4000,4000\nsteps: 2\ncopies: 4\nconverged: true\n"),
+    Case("balance-best-translate",
+         CLI + ("balance", "--type", "1002,1001,1000,999,998", "--policy", "best"),
+         text="state 0: 1002,1001,1000,999,998\nstate 1: 2000,2000,2000,2000,2000\n"
+              "steps: 1\ncopies: 2\nconverged: true\n"),
+    Case("balance-all-rank5", ("-c", BALANCE_ALL),
+         text="116 0f59d6446e8bc1cb4f41b4696a658009efa3836e05f2b5cf06134a8bbf571af5\n"),
     # left-over arguments after a command go back to the top-level parser,
     # so the error names the program as that parser words it
     Case("balance-unrecognized-argument", CLI + ("balance", "--type=2,1,0", "--bogus"),

@@ -10,6 +10,7 @@ from freecurves.splitting import (
     is_sequential,
     most_balanced,
 )
+from freecurves import stability
 from freecurves.stability import (
     BALANCE_RANK_CAP,
     balance,
@@ -116,6 +117,49 @@ class TestBalancedTypeIsAdmissible:
             assert balance_step(t, "best") == expected, t
             checked += 1
         assert checked > 0
+
+
+def oracle_step(t, policy):
+    """The widest (worst) or narrowest (best) sequential smoothing of the
+    transversal self-gluing, ties to the larger or smaller degrees."""
+    glued = glue(t, t, Alignment.dual(t.rank))
+    candidates = admissible_smoothings(glued, require_sequential=True)
+    pick = max if policy == "worst" else min
+    return pick(candidates, key=lambda u: (balance_width(u), u.degrees))
+
+
+# The translation classes of positive width below the rank cap, at slope 0.
+WORST_CLASSES = {
+    (1, 0, -1),
+    (1, 0, 0, -1),
+    (1, 1, 0, -1, -1),
+    (1, 0, 0, 0, -1),
+    (2, 1, 0, -1, -2),
+}
+
+
+class TestWorstStepFromItsClass:
+    def test_worst_step_and_traces_match_the_listing(self):
+        # every sequential integer-slope type of rank at most 5 in [-6, 6];
+        # the worst step comes from a table of translation classes, so the
+        # listing it replaced is the oracle, at every translate
+        types = [t for t in integer_slope_types(-6, 6) if is_sequential(t)]
+        assert len(types) == 118
+        for t in types:
+            if balance_width(t) != 0:
+                assert balance_step(t, "worst") == oracle_step(t, "worst"), t
+            for policy in ("worst", "best"):
+                states = [t]
+                while balance_width(states[-1]) != 0 and len(states) <= 3:
+                    states.append(oracle_step(states[-1], policy))
+                for max_steps in (1, 2, 3):
+                    trace = balance(t, max_steps=max_steps, policy=policy)
+                    expected = tuple(states[: max_steps + 1])
+                    assert trace.states == expected, (t, policy, max_steps)
+                    assert trace.copies == 2**trace.steps == 2 ** (len(expected) - 1)
+                    assert trace.converged == (balance_width(expected[-1]) == 0)
+        # the table holds each class once, whatever translates were asked
+        assert set(stability._WORST_STEPS) == WORST_CLASSES
 
 
 class TestBalance:
