@@ -160,17 +160,14 @@ def _cmd_balance(args) -> str:
 
 
 def _cmd_esp(args) -> str:
-    # one read of the class gives its degree and pieces; the panel, with
-    # its RankTooLarge, comes before the bound
-    model = _load_model(args.model).model
-    deg, pieces = variety._nef_pieces(model, args.cls)
-    panel = variety._panel(model, deg, pieces)
-    bound = variety._bound(model, deg, pieces)
+    # the panel, with its RankTooLarge, comes before the bound
+    report = variety.read_class(_load_model(args.model).model, args.cls)
+    panel = report.panel()
     return (
         f"esp: {_joined(panel)}\n"
         f"min_entry: {min(panel)}\n"
-        f"degree: {deg}\n"
-        f"liberated_bound: {bound}\n"
+        f"degree: {report.degree}\n"
+        f"liberated_bound: {report.bound()}\n"
     )
 
 

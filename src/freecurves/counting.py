@@ -247,7 +247,9 @@ def r_min(model: VarietyModel) -> int:
 
 def count_N(model: VarietyModel, cfg: CountingConfig, d: int) -> Fraction:
     """Counting function at degree step d (exact): the N column of
-    ``ratio_check``, so every class of the slice must lie in a chamber."""
+    ``ratio_check``, so every class of the slice must lie in a chamber.  It
+    stays as the single-d view because ``perfbench/workloads.py`` checks
+    each report's sampled row against it."""
     return ratio_check(model, cfg, [d]).rows[0].n_value
 
 
@@ -255,7 +257,8 @@ def count_N_liberated(model: VarietyModel, cfg: CountingConfig, d: int) -> Fract
     """Counting function restricted to classes whose certified bound beats
     the threshold at d.  Classes whose bound fails to certify are dropped
     even if curves of that class happen to be liberated, so this is a
-    conservative undercount."""
+    conservative undercount.  The N_lib column of ``ratio_check`` at one d,
+    kept as ``count_N`` is."""
     return ratio_check(model, cfg, [d]).rows[0].n_liberated
 
 

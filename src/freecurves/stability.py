@@ -1,15 +1,15 @@
 """Glue-and-smooth balancing for low-rank bundles.
 
-``balance_step`` glues a sequential integer-slope splitting type to itself
-with the maximally transverse alignment, lists the sequential smoothings
-permitted by the degree bounds, and keeps the worst one (or the best).
-Iterating drives every sequential integer-slope type of rank at most five to
-a semistable (width-zero) state; each step doubles the underlying curve
-class, so degrees double too.
+``balance`` glues a sequential integer-slope splitting type to itself with
+the maximally transverse alignment, lists the sequential smoothings
+permitted by the degree bounds, and keeps the worst one (or the best), step
+after step.  It drives every sequential integer-slope type of rank at most
+five to a semistable (width-zero) state; each step doubles the underlying
+curve class, so degrees double too.
 
 The degree bounds always admit the balanced type of the glued degree (see
-``balance_step``), so a step never runs out of candidates, and the best step
-is that type without listing any.
+``_step``), so a step never runs out of candidates, and the best step is
+that type without listing any.
 
 A degree shift commutes with a step.  Gluing t + c to itself shifts every
 pair of the nodal type by (c, c), so degbd(z, m) by 2cm: both labeled sets
@@ -38,7 +38,6 @@ from .splitting import (
 
 __all__ = [
     "BalanceTrace",
-    "balance_step",
     "balance",
     "integer_slope_copies",
     "BALANCE_RANK_CAP",
@@ -70,20 +69,6 @@ def integer_slope_copies(t: SplittingType) -> int:
     return t.rank // gcd(abs(d), t.rank)
 
 
-def _check_balance_input(t: SplittingType, policy: str) -> None:
-    if policy not in ("worst", "best"):
-        raise ValueError(f"unknown policy {policy!r}")
-    if t.rank > BALANCE_RANK_CAP:
-        raise RankTooLarge(f"rank {t.rank} exceeds {BALANCE_RANK_CAP}")
-    if t.total_degree % t.rank:
-        raise NonIntegerSlope(
-            f"slope {slope(t)} of {t} is not an integer; "
-            f"glue {integer_slope_copies(t)} copies first"
-        )
-    if not is_sequential(t):
-        raise NotSequential(f"{t} has a degree gap larger than one")
-
-
 # The worst step of each translation class met so far, keyed and valued by
 # degrees at slope 0.
 _WORST_STEPS: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -103,23 +88,8 @@ def _worst_step(degrees: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _step(t: SplittingType, policy: str) -> SplittingType:
-    """``balance_step`` of a checked type of positive width."""
-    degrees = t.degrees
-    mu = sum(degrees) // len(degrees)
-    if policy == "best":
-        return SplittingType._of_sorted((2 * mu,) * len(degrees))
-    if mu:
-        step = _worst_step(tuple(a - mu for a in degrees))
-        return SplittingType._of_sorted(tuple(a + 2 * mu for a in step))
-    return SplittingType._of_sorted(_worst_step(degrees))
-
-
-def balance_step(t: SplittingType, policy: str = "worst") -> SplittingType:
-    """One glue-and-smooth step; width-zero input is a fixed point.
-
-    ``policy`` selects among the sequential admissible smoothings of the
-    glued type z: ``worst`` takes the maximal width (lexicographically
-    largest on ties), ``best`` the minimal width.
+    """One glue-and-smooth step of a type that ``balance`` has checked, of
+    positive width.
 
     With mu the integer slope, the balanced type (2 mu, ..., 2 mu) is always
     admissible.  Labeling the m summands of least pair sum as J is allowed,
@@ -132,25 +102,50 @@ def balance_step(t: SplittingType, policy: str = "worst") -> SplittingType:
     worst step of t - mu, listed once per translation class, shifted by
     2 mu; the module docstring names the five classes below the rank cap.
     """
-    _check_balance_input(t, policy)
-    if balance_width(t) == 0:
-        return t
-    return _step(t, policy)
+    degrees = t.degrees
+    mu = sum(degrees) // len(degrees)
+    if policy == "best":
+        return SplittingType._of_sorted((2 * mu,) * len(degrees))
+    # a shift by 0 is the identity, and skipping its two tuple builds is
+    # measurable on slope-0 input
+    if mu:
+        step = _worst_step(tuple(a - mu for a in degrees))
+        return SplittingType._of_sorted(tuple(a + 2 * mu for a in step))
+    return SplittingType._of_sorted(_worst_step(degrees))
 
 
 def balance(
     t: SplittingType, max_steps: int = 8, policy: str = "worst"
 ) -> BalanceTrace:
-    """Iterate balance_step until width zero or the step cap.
+    """Iterate glue-and-smooth steps until width zero or the step cap;
+    ``balance(t, max_steps=1)`` is one step, and width-zero input is a
+    fixed point.
+
+    A step glues the state to itself with the maximally transverse
+    alignment and keeps one of the sequential admissible smoothings of the
+    glued type z: ``worst`` takes the maximal width (lexicographically
+    largest on ties), ``best`` the minimal width.
 
     Hitting the cap is reported through ``converged``, not raised.  The input
-    is checked once: each step keeps the rank, the best step is balanced, the
-    worst is a sequential smoothing, and either has twice the integer slope.
+    is checked once, the step cap first, then the policy, the rank cap, the
+    integer slope and being sequential: each step keeps the rank, the best
+    step is balanced, the worst is a sequential smoothing, and either has
+    twice the integer slope.
     """
     max_steps = exact_int(max_steps, "max_steps")
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
-    _check_balance_input(t, policy)
+    if policy not in ("worst", "best"):
+        raise ValueError(f"unknown policy {policy!r}")
+    if t.rank > BALANCE_RANK_CAP:
+        raise RankTooLarge(f"rank {t.rank} exceeds {BALANCE_RANK_CAP}")
+    if t.total_degree % t.rank:
+        raise NonIntegerSlope(
+            f"slope {slope(t)} of {t} is not an integer; "
+            f"glue {integer_slope_copies(t)} copies first"
+        )
+    if not is_sequential(t):
+        raise NotSequential(f"{t} has a degree gap larger than one")
     states = [t]
     while balance_width(states[-1]) != 0 and len(states) <= max_steps:
         states.append(_step(states[-1], policy))

@@ -25,12 +25,12 @@ numerators are affine in t, and one pass over the intervals at each run's
 start finds the holders and the run's end.  A single class is read once:
 ``_read`` checks it and computes its table values with ``dot``.
 ``chamber_pieces`` takes from them only its one-point run, so it checks
-neither nef membership nor degree.  ``esp`` and ``liberated_lower_bound``
-read through ``_nef_pieces``, which takes from them its nef membership (the
-nef cuts on the fibre t..t), its degree and its one-point run.  All of it
-is int work; ``esp`` and ``liberated_lower_bound`` divide once at the end,
-in ``_panel`` and ``_bound``, and return Fractions; the ``esp`` command
-calls both helpers on one ``_nef_pieces`` read.  Cone rays come from one
+neither nef membership nor degree.  ``read_class``, the one public read of
+a class, takes from them its nef membership (the nef cuts on the fibre
+t..t), its degree and its one-point run, and keeps them as a
+``ClassReport``.  All of it is int work; the report divides once, at the
+end, when its ``panel`` or ``bound`` is asked for, and ``bound`` reads the
+least piece without building the panel.  Cone rays come from one
 double-description pass over the facets.
 """
 
@@ -59,8 +59,8 @@ __all__ = [
     "Chamber",
     "VarietyModel",
     "ValidationReport",
-    "esp",
-    "liberated_lower_bound",
+    "ClassReport",
+    "read_class",
     "validate",
     "cone_rays",
     "pbundle",
@@ -261,7 +261,7 @@ class VarietyModel(Value):
         return dot(self.minus_k, _int_vector(alpha, self.rho, "class"))
 
     # The nef rays are found on first use and kept, so loading a model or
-    # asking ``esp`` pays nothing for them.  A cached_property keeps no
+    # reading a class pays nothing for them.  A cached_property keeps no
     # value when it raises: the error comes again on every use.
     @cached_property
     def _nef_rays(self) -> tuple[tuple[int, ...], ...]:
@@ -402,10 +402,58 @@ class VarietyModel(Value):
         return self._pieces(*self._read(alpha))
 
 
-def _nef_pieces(model: VarietyModel, alpha) -> tuple[int, list[tuple[int, int]]]:
-    """The degree and ``chamber_pieces`` of a nef class of positive degree,
-    all from one read: the nef facets clip the one-point fibre t..t, and
-    the degree is its head's value plus its last entry times t."""
+# The longest panel ``ClassReport.panel`` lists, one entry per summand; a
+# chamber piece of larger rank is refused before anything is expanded.
+MAX_PANEL_LENGTH = 10**6
+
+
+class ClassReport(Value):
+    """One read of a nef class of positive degree, all ints: its
+    anticanonical degree, its ``chamber_pieces`` (rank, slope numerator
+    over ``slope_den``), and the model's dimension and ``slope_den``.  The
+    panel and the bound divide once, when asked for."""
+
+    degree: int
+    pieces: tuple[tuple[int, int], ...]
+    dim_n: int
+    slope_den: int
+
+    def panel(self) -> tuple[Fraction, ...]:
+        """Expected slope panel: piece slopes over the bundle slope, each
+        repeated by its rank.  A panel of more than ``MAX_PANEL_LENGTH``
+        entries raises RankTooLarge."""
+        length = sum(r for r, _ in self.pieces)
+        if length > MAX_PANEL_LENGTH:
+            raise RankTooLarge(f"panel of {length} entries exceeds {MAX_PANEL_LENGTH}")
+        # slope b / D over the bundle slope deg / dim
+        scale = self.slope_den * self.degree
+        return tuple(
+            e for r, b in self.pieces for e in [Fraction(b * self.dim_n, scale)] * r
+        )
+
+    def bound(self) -> Fraction:
+        """Certified lower bound for the minimal slope ratio, read from the
+        least piece slope without building the panel.
+
+        Smallest expected-panel entry minus dim^2 / (2 deg): for dim n,
+        least piece slope b / D and D = ``slope_den``,
+        (2 n b - n^2 D) / (2 D deg).  Non-positive values certify nothing.
+        """
+        n, den = self.dim_n, self.slope_den
+        b = min(s for _, s in self.pieces)
+        return Fraction(2 * n * b - n * n * den, 2 * den * self.degree)
+
+
+def read_class(model: VarietyModel, alpha) -> ClassReport:
+    """The ``ClassReport`` of alpha, rho ints, from one read: the nef facets
+    clip the one-point fibre t..t, the degree is its head's value plus its
+    last entry times t, and the pieces are the one-point run.
+
+    The class must lie in the nef cone (else NotInNefCone), then have
+    positive anticanonical degree (else ZeroDegree), then belong to a
+    chamber, all containing chambers giving the same pieces (else
+    NoChamber or BoundaryMismatch).
+    """
     alpha, values = model._read(alpha)
     t = alpha[-1]
     lo, hi = _clip(model._nef_cuts, values, t, t)
@@ -414,54 +462,8 @@ def _nef_pieces(model: VarietyModel, alpha) -> tuple[int, list[tuple[int, int]]]
     deg = values[model._degree] + model.minus_k[-1] * t
     if deg <= 0:
         raise ZeroDegree(f"anticanonical degree {deg} of {alpha} is not positive")
-    return deg, model._pieces(alpha, values)
-
-
-# The longest panel ``esp`` lists, one entry per summand; a chamber piece of
-# larger rank is refused before anything is expanded.
-MAX_PANEL_LENGTH = 10**6
-
-
-def _panel(model: VarietyModel, deg: int, pieces) -> tuple[Fraction, ...]:
-    """``esp`` from the degree and pieces of ``_nef_pieces``."""
-    length = sum(r for r, _ in pieces)
-    if length > MAX_PANEL_LENGTH:
-        raise RankTooLarge(f"panel of {length} entries exceeds {MAX_PANEL_LENGTH}")
-    # slope b / D over the bundle slope deg / dim
-    scale = model.slope_den * deg
-    return tuple(
-        e for r, b in pieces for e in [Fraction(b * model.dim_n, scale)] * r
-    )
-
-
-def _bound(model: VarietyModel, deg: int, pieces) -> Fraction:
-    """``liberated_lower_bound`` from the degree and pieces of
-    ``_nef_pieces``."""
-    n, den = model.dim_n, model.slope_den
-    b = min(s for _, s in pieces)
-    return Fraction(2 * n * b - n * n * den, 2 * den * deg)
-
-
-def esp(model: VarietyModel, alpha) -> tuple[Fraction, ...]:
-    """Expected slope panel of a nef class: piece slopes over the bundle slope,
-    each repeated by its rank.
-
-    The class must lie in the nef cone, have positive anticanonical degree,
-    and belong to at least one chamber.  On a shared chamber face all
-    containing chambers must give the same slopes.  A panel of more than
-    ``MAX_PANEL_LENGTH`` entries raises RankTooLarge.
-    """
-    return _panel(model, *_nef_pieces(model, alpha))
-
-
-def liberated_lower_bound(model: VarietyModel, alpha) -> Fraction:
-    """Certified lower bound for the minimal slope ratio of class alpha.
-
-    Smallest expected-panel entry minus dim^2 / (2 deg): for dim n, least
-    piece slope b / D and D = ``slope_den``, (2 n b - n^2 D) / (2 D deg).
-    Non-positive values certify nothing.
-    """
-    return _bound(model, *_nef_pieces(model, alpha))
+    pieces = tuple(model._pieces(alpha, values))
+    return ClassReport(deg, pieces, model.dim_n, model.slope_den)
 
 
 class ValidationReport(Value):

@@ -33,8 +33,8 @@ from freecurves.splitting import (
     most_balanced,
     specializes_to,
 )
-from freecurves.stability import balance, balance_step
-from freecurves.variety import esp, pbundle
+from freecurves.stability import balance
+from freecurves.variety import pbundle, read_class
 
 from helpers import (
     nonincreasing_sequences,
@@ -138,7 +138,7 @@ def test_c06_specialization_order_laws():
 
 def test_c07_expected_panel_fixture():
     model = pbundle(3, 2, [3, 0, 0])
-    panel = esp(model, (1, 0))
+    panel = read_class(model, (1, 0)).panel()
     assert panel == (
         Fraction(3, 2),
         Fraction(3, 2),
@@ -203,5 +203,6 @@ def test_c11_monotonicity_suite():
             assert lib <= count_N(loaded.model, loaded.counting, d)
     for rank in range(2, 6):
         for t in sequential_zero_slope_types(rank):
-            assert balance_width(balance_step(t)) <= balance_width(t)
+            step = balance(t, max_steps=1).states[-1]
+            assert balance_width(step) <= balance_width(t)
     passed(11, "liberated counts never exceed totals; balancing never widens")

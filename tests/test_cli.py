@@ -7,17 +7,24 @@ import os
 import pathlib
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from freecurves import cli, modelio
 from freecurves.cli import _parse_args, _parser, run
-from freecurves.errors import ModelFormatError, exact_fraction
+from freecurves.errors import (
+    DomainError,
+    ModelFormatError,
+    NotInNefCone,
+    ZeroDegree,
+    exact_fraction,
+)
 from freecurves.modelio import fixture_path, load_model, load_model_file
 from freecurves.nodal import parse_nodal_type
 from freecurves.splitting import parse_splitting_type
-from freecurves.variety import esp, liberated_lower_bound, pbundle, toy_rho1, validate
+from freecurves.variety import pbundle, read_class, toy_rho1, validate
 
 
 def invoke(capsys, *argv):
@@ -249,21 +256,34 @@ class TestCommands:
 
     @pytest.mark.parametrize("name", ["toy_rho1.json", "toy_rho2.json", "pbundle.json"])
     def test_esp_matches_library(self, capsys, name):
-        # the command's panel, degree and bound are the library's
-        loaded = load_model_file(fixture_path(name))
-        model = loaded.model
-        classes = [(1,), (4,)] if model.rho == 1 else [(1, 0), (2, 3), (5, 1)]
+        # the command prints the report's panel, degree and bound, or exits
+        # 1 with the error the read raises, on every class of a box that
+        # holds refusals outside the nef cone and at degree 0
+        model = load_model_file(fixture_path(name)).model
+        if model.rho == 1:
+            classes = [(c,) for c in range(-1, 21)]
+        else:
+            classes = list(product(range(-1, 7), repeat=2))
+        refused = set()
         for alpha in classes:
-            text = ",".join(map(str, alpha))
-            code, out, err = invoke(capsys, "esp", "--model", name, "--class", text)
-            panel = esp(model, alpha)
-            assert (code, err) == (0, "")
-            assert out == (
-                f"esp: {','.join(map(str, panel))}\n"
-                f"min_entry: {min(panel)}\n"
-                f"degree: {model.degree(alpha)}\n"
-                f"liberated_bound: {liberated_lower_bound(model, alpha)}\n"
-            )
+            try:
+                report = read_class(model, alpha)
+            except DomainError as exc:
+                refused.add(type(exc))
+                expected = (1, "", f"error: {type(exc).__name__}: {exc}\n")
+            else:
+                panel = report.panel()
+                expected = (
+                    0,
+                    f"esp: {','.join(map(str, panel))}\n"
+                    f"min_entry: {min(panel)}\n"
+                    f"degree: {report.degree}\n"
+                    f"liberated_bound: {report.bound()}\n",
+                    "",
+                )
+            argv = ("esp", "--model", name, "--class=" + ",".join(map(str, alpha)))
+            assert invoke(capsys, *argv) == expected, alpha
+        assert refused == {NotInNefCone, ZeroDegree}
 
     def test_check_reports_threshold_degree(self, capsys):
         code, out, _ = invoke(

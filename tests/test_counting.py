@@ -34,9 +34,8 @@ from freecurves.variety import (
     Chamber,
     VarietyModel,
     cone_rays,
-    esp,
-    liberated_lower_bound,
     pbundle,
+    read_class,
     toy_rho1,
     validate,
 )
@@ -1175,19 +1174,21 @@ def nef_pieces_oracle(model, alpha):
     return deg, pieces_oracle(model, alpha)
 
 
-def esp_oracle(model, alpha):
-    deg, pieces = nef_pieces_oracle(model, alpha)
-    return tuple(e for r, b in pieces for e in [b * model.dim_n / deg] * r)
-
-
-def bound_oracle(model, alpha):
+def report_oracle(model, alpha):
+    """The degree, panel and bound of alpha from ``nef_pieces_oracle``."""
     deg, pieces = nef_pieces_oracle(model, alpha)
     n = model.dim_n
-    return min(b for _, b in pieces) * n / deg - Fraction(n * n, 2 * deg)
+    panel = tuple(e for r, b in pieces for e in [b * n / deg] * r)
+    return deg, panel, min(b for _, b in pieces) * n / deg - Fraction(n * n, 2 * deg)
 
 
 def scaled_pieces_oracle(model, alpha):
     return [(r, b * model.slope_den) for r, b in pieces_oracle(model, alpha)]
+
+
+def report_values(model, alpha):
+    report = read_class(model, alpha)
+    return report.degree, report.panel(), report.bound()
 
 
 def outcome(entry, model, alpha):
@@ -1200,10 +1201,11 @@ def outcome(entry, model, alpha):
 
 
 class TestSingleClass:
-    """``esp``, ``liberated_lower_bound`` and ``chamber_pieces`` read a
-    class once, through the model's functional table; on every class of a
-    box that also holds classes outside the nef cone, the origin and
-    classes in no chamber, each gives the oracle's value or its error."""
+    """``read_class`` and ``chamber_pieces`` read a class once, through the
+    model's functional table; on every class of a box that also holds
+    classes outside the nef cone, the origin and classes in no chamber, the
+    report's degree, panel and bound and the pieces are the oracle's values
+    or its error."""
 
     @pytest.mark.parametrize("rho, radius", [(2, 3), (3, 2)])
     @given(st.data())
@@ -1211,9 +1213,8 @@ class TestSingleClass:
     def test_single_class_matches_oracle_property(self, rho, radius, data):
         model = data.draw(chambered_orthants(rho))
         for alpha in product(range(-2, radius + 1), repeat=rho):
-            assert outcome(esp, model, alpha) == outcome(esp_oracle, model, alpha)
-            assert outcome(liberated_lower_bound, model, alpha) == outcome(
-                bound_oracle, model, alpha
+            assert outcome(report_values, model, alpha) == outcome(
+                report_oracle, model, alpha
             )
             assert outcome(VarietyModel.chamber_pieces, model, alpha) == outcome(
                 scaled_pieces_oracle, model, alpha

@@ -26,9 +26,8 @@ from freecurves.variety import (
     Chamber,
     VarietyModel,
     cone_rays,
-    esp,
-    liberated_lower_bound,
     pbundle,
+    read_class,
     toy_rho1,
 )
 
@@ -79,9 +78,9 @@ BOUNDARIES = {
     "VarietyModel facet": lambda x: _rho1(nef_facets=((x,),)),
     "cone_rays": lambda x: cone_rays([(x, 0), (0, 1)], 2),
     "cone_rays rho": lambda x: cone_rays([(1,)], x),
-    "esp": lambda x: esp(toy_rho2(), (x, 0)),
+    "esp": lambda x: read_class(toy_rho2(), (x, 0)).panel(),
     "chamber_pieces": lambda x: toy_rho2().chamber_pieces((x, 0)),
-    "liberated_lower_bound": lambda x: liberated_lower_bound(toy_rho2(), (x, 0)),
+    "liberated_lower_bound": lambda x: read_class(toy_rho2(), (x, 0)).bound(),
     "pbundle": lambda x: pbundle(3, 2, [2, x, 0]),
     "pbundle n0": _pbundle_n0,
     "pbundle m": lambda x: pbundle(3, x, [3, 0]),
@@ -183,12 +182,14 @@ def test_compared_rational_accepts_exact(boundary):
 
 
 # Each single-class entry point names the length of a class of the wrong
-# length, rho - 1 or rho + 1, as a ValueError.
+# length, rho - 1 or rho + 1, as a ValueError.  "esp" and
+# "liberated_lower_bound" are the panel and the bound the esp command
+# prints, both from a ``read_class`` report.
 SINGLE_CLASS = {
     "VarietyModel.degree": lambda model, alpha: model.degree(alpha),
     "chamber_pieces": lambda model, alpha: model.chamber_pieces(alpha),
-    "esp": esp,
-    "liberated_lower_bound": liberated_lower_bound,
+    "esp": lambda model, alpha: read_class(model, alpha).panel(),
+    "liberated_lower_bound": lambda model, alpha: read_class(model, alpha).bound(),
 }
 
 

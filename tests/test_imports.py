@@ -90,3 +90,32 @@ def test_exports_every_public_name(name):
     exported = set(module.__all__)
     assert defined <= exported
     assert all(key.isupper() for key in exported - defined)
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    # the commands go through each module's public entries: cli.py imports
+    # no underscore name from the package, and reads none as an attribute
+    # of a package module or of a name it imports from one
+    tree = ast.parse((SRC / "freecurves" / "cli.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "freecurves"
+        ):
+            parts = (node.module or "").split(".") + [a.name for a in node.names]
+            assert not any(p.startswith("_") for p in parts), ast.unparse(node)
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "freecurves":
+                    assert "._" not in alias.name, alias.name
+                    imported.add((alias.asname or alias.name).split(".")[0])
+    assert {"variety", "cnt", "DomainError"} <= imported
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            assert not (isinstance(root, ast.Name) and root.id in imported), (
+                f"cli.py:{node.lineno}: {ast.unparse(node)}"
+            )

@@ -11,12 +11,7 @@ from freecurves.splitting import (
     most_balanced,
 )
 from freecurves import stability
-from freecurves.stability import (
-    BALANCE_RANK_CAP,
-    balance,
-    balance_step,
-    integer_slope_copies,
-)
+from freecurves.stability import BALANCE_RANK_CAP, balance, integer_slope_copies
 
 from helpers import nonincreasing_sequences, sequential_zero_slope_types
 
@@ -29,16 +24,22 @@ def shifted(t, c):
     return SplittingType(a + c for a in t.degrees)
 
 
+def step(t, policy="worst"):
+    """One glue-and-smooth step: the last state of ``balance``'s one-step
+    trace, which checks its input as every trace does."""
+    return balance(t, max_steps=1, policy=policy).states[-1]
+
+
 class TestBalanceStep:
     def test_rank3_reaches_balanced(self):
-        assert balance_step(T(2, 1, 0)) == T(2, 2, 2)
+        assert step(T(2, 1, 0)) == T(2, 2, 2)
 
     def test_zero_balanced_is_fixed(self):
-        assert balance_step(T(1, 1)) == T(1, 1)
-        assert balance_step(T(-3, -3, -3, -3)) == T(-3, -3, -3, -3)
+        assert step(T(1, 1)) == T(1, 1)
+        assert step(T(-3, -3, -3, -3)) == T(-3, -3, -3, -3)
 
     def test_rank5_worst_case(self):
-        assert balance_step(T(2, 1, 0, -1, -2)) == T(1, 1, 0, -1, -1)
+        assert step(T(2, 1, 0, -1, -2)) == T(1, 1, 0, -1, -1)
 
     def test_rank5_candidate_set(self):
         # the sequential smoothings of the transversal self-gluing, from
@@ -52,11 +53,11 @@ class TestBalanceStep:
         ]
 
     def test_best_policy(self):
-        assert balance_step(T(2, 1, 0, -1, -2), policy="best") == T(0, 0, 0, 0, 0)
+        assert step(T(2, 1, 0, -1, -2), policy="best") == T(0, 0, 0, 0, 0)
 
     def test_bad_policy(self):
         with pytest.raises(ValueError, match="unknown policy 'median'"):
-            balance_step(T(1, 1), policy="median")
+            step(T(1, 1), policy="median")
 
     @pytest.mark.parametrize("t", [T(1, 1), T(2, 1, 0, -1, -2)])
     def test_bad_policy_refused_by_balance(self, t):
@@ -66,23 +67,33 @@ class TestBalanceStep:
 
     def test_non_integer_slope(self):
         with pytest.raises(NonIntegerSlope) as err:
-            balance_step(T(1, 0))
+            step(T(1, 0))
         assert "2 copies" in str(err.value)
 
     def test_rank_cap(self):
         with pytest.raises(RankTooLarge):
-            balance_step(T(1, 1, 1, 1, 1, 1))
+            step(T(1, 1, 1, 1, 1, 1))
 
     def test_not_sequential(self):
         with pytest.raises(NotSequential):
-            balance_step(T(3, 1))
+            step(T(3, 1))
+
+    def test_checks_come_in_order(self):
+        # the policy, then the rank cap, then the integer slope, then being
+        # sequential: each input below fails every check after its own
+        with pytest.raises(ValueError, match="unknown policy"):
+            step(T(4, 1, 1, 1, 1, 0), policy="median")
+        with pytest.raises(RankTooLarge):
+            step(T(4, 1, 1, 1, 1, 0))
+        with pytest.raises(NonIntegerSlope):
+            step(T(3, 0))
 
     def test_never_widens(self):
         for rank in range(2, 6):
             for t in sequential_zero_slope_types(rank):
                 for c in (-2, 0, 1):
                     u = shifted(t, c)
-                    assert balance_width(balance_step(u)) <= balance_width(u)
+                    assert balance_width(step(u)) <= balance_width(u)
 
 
 def integer_slope_types(lo, hi):
@@ -114,7 +125,7 @@ class TestBalancedTypeIsAdmissible:
             glued = glue(t, t, Alignment.dual(t.rank))
             candidates = admissible_smoothings(glued, require_sequential=True)
             expected = min(candidates, key=lambda u: (balance_width(u), u.degrees))
-            assert balance_step(t, "best") == expected, t
+            assert step(t, "best") == expected, t
             checked += 1
         assert checked > 0
 
@@ -147,7 +158,7 @@ class TestWorstStepFromItsClass:
         assert len(types) == 118
         for t in types:
             if balance_width(t) != 0:
-                assert balance_step(t, "worst") == oracle_step(t, "worst"), t
+                assert step(t, "worst") == oracle_step(t, "worst"), t
             for policy in ("worst", "best"):
                 states = [t]
                 while balance_width(states[-1]) != 0 and len(states) <= 3:

@@ -20,12 +20,12 @@ from freecurves.modelio import fixture_path, load_model, load_model_file
 from freecurves.variety import (
     MAX_PANEL_LENGTH,
     Chamber,
+    ClassReport,
     VarietyModel,
     cone_rays,
     dot,
-    esp,
-    liberated_lower_bound,
     pbundle,
+    read_class,
     toy_rho1,
     validate,
 )
@@ -271,7 +271,7 @@ def _diagonal_mismatch():
 
 class TestEsp:
     def test_pbundle_class(self):
-        panel = esp(pbundle(3, 2, [3, 0, 0]), (1, 0))
+        panel = read_class(pbundle(3, 2, [3, 0, 0]), (1, 0)).panel()
         assert panel == (
             Fraction(3, 2),
             Fraction(3, 2),
@@ -282,29 +282,30 @@ class TestEsp:
         assert sum(panel) == 5
 
     def test_entries_are_fractions(self):
-        # lattice arithmetic stays in int; esp forms its ratios as Fractions,
-        # never as int / int, which would be an inexact float
+        # lattice arithmetic stays in int; the panel forms its ratios as
+        # Fractions, never as int / int, which would be an inexact float
         assert type(dot((1, 2), (3, 4))) is int
         assert dot((1, 2), (3, 4)) == 11
         assert type(dot((), ())) is int
         assert type(dot((Fraction(1, 2), 1), (2, 3))) is Fraction
         model = pbundle(3, 2, [3, 0, 0])
         assert type(model.degree((1, 0))) is int
-        panel = esp(model, (1, 0))
+        panel = read_class(model, (1, 0)).panel()
         assert type(panel) is tuple
         assert all(type(e) is Fraction for e in panel)
         assert Fraction(2, 3) in panel
-        assert type(liberated_lower_bound(model, (1, 0))) is Fraction
+        assert type(read_class(model, (1, 0)).bound()) is Fraction
 
     def test_semistable_chamber_is_all_ones(self):
         model = toy_rho1(2, dim=3)
-        assert esp(model, (7,)) == (1, 1, 1)
+        assert read_class(model, (7,)).panel() == (1, 1, 1)
 
     def test_scaling_invariance(self):
         model = pbundle(3, 2, [3, 0, 0])
         for alpha in ((1, 0), (1, 2), (0, 1)):
             scaled = tuple(5 * c for c in alpha)
-            assert esp(model, scaled) == esp(model, alpha)
+            panel = read_class(model, alpha).panel()
+            assert read_class(model, scaled).panel() == panel
 
     def test_entries_sum_to_dimension(self):
         for model in (pbundle(3, 2, [3, 0, 0]), toy_rho2(), toy_rho1(2, dim=3)):
@@ -313,21 +314,21 @@ class TestEsp:
                     alpha = (x, y)[: model.rho]
                     if sum(alpha) == 0:
                         continue
-                    assert sum(esp(model, alpha)) == model.dim_n
+                    assert sum(read_class(model, alpha).panel()) == model.dim_n
 
     def test_not_in_nef(self):
         with pytest.raises(NotInNefCone):
-            esp(toy_rho2(), (-1, 0))
+            read_class(toy_rho2(), (-1, 0))
 
     def test_nef_membership(self):
         # nef membership comes before the degree: the origin is nef and of
         # degree 0, and (-1, 2) has positive degree but is not nef
         model = toy_rho2()
-        assert esp(model, (3, 1))
+        assert read_class(model, (3, 1)).panel()
         with pytest.raises(ZeroDegree):
-            esp(model, (0, 0))
+            read_class(model, (0, 0))
         with pytest.raises(NotInNefCone, match=r"\(-1, 2\) violates a nef facet"):
-            esp(model, (-1, 2))
+            read_class(model, (-1, 2))
 
     def test_no_chamber(self):
         half = VarietyModel(
@@ -342,9 +343,9 @@ class TestEsp:
                 ),
             ),
         )
-        assert esp(half, (2, 1)) == (1, 1)
+        assert read_class(half, (2, 1)).panel() == (1, 1)
         with pytest.raises(NoChamber):
-            esp(half, (0, 1))
+            read_class(half, (0, 1))
 
     def test_zero_degree(self):
         skew = VarietyModel(
@@ -357,17 +358,17 @@ class TestEsp:
             ),
         )
         with pytest.raises(ZeroDegree):
-            esp(skew, (1, 1))
+            read_class(skew, (1, 1))
         with pytest.raises(ZeroDegree):
-            esp(skew, (0, 1))
+            read_class(skew, (0, 1))
 
     def test_shared_face_consistent(self):
         model = toy_rho2()
-        assert esp(model, (3, 3)) == (1, 1)
+        assert read_class(model, (3, 3)).panel() == (1, 1)
 
     def test_shared_face_mismatch(self):
         with pytest.raises(BoundaryMismatch):
-            esp(_diagonal_mismatch(), (1, 1))
+            read_class(_diagonal_mismatch(), (1, 1))
 
     def test_merged_pieces_meet_on_a_wall(self):
         # the rank-2 piece of x >= y meets the two rank-1 pieces of y >= x,
@@ -386,30 +387,42 @@ class TestEsp:
                 Chamber(facets=((-1, 1),), filtration=((1, (0, 1)), (1, (1, 0)))),
             ),
         )
-        assert esp(model, (1, 1)) == (1, 1)
-        assert esp(model, (1, 2)) == (Fraction(4, 3), Fraction(2, 3))
-        assert liberated_lower_bound(model, (1, 1)) == 0
+        assert read_class(model, (1, 1)).panel() == (1, 1)
+        assert read_class(model, (1, 2)).panel() == (Fraction(4, 3), Fraction(2, 3))
+        assert read_class(model, (1, 1)).bound() == 0
         assert validate(model).ok
         with pytest.raises(BoundaryMismatch):
-            esp(_diagonal_mismatch(), (1, 1))
+            read_class(_diagonal_mismatch(), (1, 1))
 
     def test_wrong_length(self):
-        # chamber_pieces checks its class as esp does
+        # chamber_pieces checks its class as read_class does
         model = toy_rho2()
         for alpha in ((3,), (3, 2, 7)):
-            for read in (lambda a: esp(model, a), model.chamber_pieces):
+            for read in (lambda a: read_class(model, a), model.chamber_pieces):
                 with pytest.raises(ValueError, match=f"class length {len(alpha)} != rho 2"):
                     read(alpha)
 
     def test_panel_length_is_capped(self):
         # the panel lists one entry per summand, so a piece of larger rank
-        # is refused before it is expanded; the bound reads the piece once
-        assert len(esp(toy_rho1(1, dim=MAX_PANEL_LENGTH), (1,))) == MAX_PANEL_LENGTH
+        # is refused before it is expanded; the read and the bound take the
+        # piece once
+        capped = read_class(toy_rho1(1, dim=MAX_PANEL_LENGTH), (1,))
+        assert len(capped.panel()) == MAX_PANEL_LENGTH
         for rank in (MAX_PANEL_LENGTH + 1, 10**30):
-            model = toy_rho1(1, dim=rank)
+            report = read_class(toy_rho1(1, dim=rank), (3,))
+            assert report.pieces == ((rank, 3),)
             with pytest.raises(RankTooLarge, match="exceeds"):
-                esp(model, (3,))
-            assert liberated_lower_bound(model, (3,)) == 1 - Fraction(rank * rank, 6)
+                report.panel()
+            assert report.bound() == 1 - Fraction(rank * rank, 6)
+
+    def test_report_holds_one_read(self):
+        # the degree and the pieces as ints, with the model's dimension and
+        # slope denominator; a value like any other
+        model = pbundle(3, 2, [3, 0, 0])
+        report = read_class(model, (1.0, Fraction(2)))
+        assert report == ClassReport(16, ((2, 36), (3, 8)), 5, 6)
+        assert hash(report) == hash(read_class(model, (1, 2)))
+        assert type(report.degree) is int
 
 
 class TestScaledSlopes:
@@ -471,25 +484,26 @@ class TestLiberatedLowerBound:
     def test_least_piece_slope_matches_panel(self, model):
         n = model.dim_n
         for alpha in slice_classes(model, 8 * r_min(model)):
-            deg = model.degree(alpha)
-            expected = min(esp(model, alpha)) - Fraction(n * n, 2 * deg)
-            assert liberated_lower_bound(model, alpha) == expected
+            report = read_class(model, alpha)
+            assert report.degree == model.degree(alpha)
+            expected = min(report.panel()) - Fraction(n * n, 2 * report.degree)
+            assert report.bound() == expected
 
     def test_pbundle_value(self):
         model = pbundle(3, 2, [3, 0, 0])
-        assert liberated_lower_bound(model, (10, 0)) == Fraction(13, 24)
+        assert read_class(model, (10, 0)).bound() == Fraction(13, 24)
 
     def test_semistable_formula(self):
         model = toy_rho1(1, dim=2)
         for d in (3, 5, 40):
-            assert liberated_lower_bound(model, (d,)) == 1 - Fraction(4, 2 * d)
+            assert read_class(model, (d,)).bound() == 1 - Fraction(4, 2 * d)
         # 1 - n^2 / (2 deg) at n = 3, deg = 9 and n = 5, deg = 25
-        assert liberated_lower_bound(toy_rho1(1, dim=3), (9,)) == Fraction(1, 2)
-        assert liberated_lower_bound(toy_rho1(1, dim=5), (25,)) == Fraction(1, 2)
+        assert read_class(toy_rho1(1, dim=3), (9,)).bound() == Fraction(1, 2)
+        assert read_class(toy_rho1(1, dim=5), (25,)).bound() == Fraction(1, 2)
 
     def test_degenerate_bound_is_non_positive(self):
         model = toy_rho1(1, dim=2)
-        assert liberated_lower_bound(model, (2,)) <= 0
+        assert read_class(model, (2,)).bound() <= 0
 
 
 # primitive rays of the quadrant with coordinates at most 5, by angle from
@@ -696,7 +710,7 @@ class TestNefRayCache:
 
         monkeypatch.setattr("freecurves.variety.cone_rays", counted)
         model = fresh_fixture("toy_rho2.json")
-        esp(model, (2, 1))
+        read_class(model, (2, 1)).panel()
         assert calls == []
         for bound in (3, 5, 9):
             slice_classes(model, bound)
